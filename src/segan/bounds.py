@@ -293,10 +293,14 @@ def measure_discriminator(
     s = []
     b = []
     for i, op in enumerate(ops):
-        s.append(max(spectral_norm(op, iters=power_iters), 1e-12))
-        w = disc.values[f"conv{i}/w"]
-        m = reference.values[f"conv{i}/w"] if reference is not None else np.zeros_like(w)
-        diff_op = ConvOperator(w - m, (op.in_shape[1], op.in_shape[2]), spec.stride, pad=1)
+        sigma = spectral_norm(op, iters=power_iters)
+        s.append(max(sigma, 1e-12))
+        if reference is None:
+            # A_i - 0 is A_i, and the seeded iteration would repeat exactly
+            b.append(sigma)
+            continue
+        diff = disc.values[f"conv{i}/w"] - reference.values[f"conv{i}/w"]
+        diff_op = ConvOperator(diff, (op.in_shape[1], op.in_shape[2]), spec.stride, pad=1)
         b.append(spectral_norm(diff_op, iters=power_iters))
 
     rho = [1.0] * L

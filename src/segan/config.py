@@ -18,6 +18,7 @@ from .datagen import (
     LayoutParams,
     ShiftParams,
     benchmark_shifts,
+    shift_params_to_dict,
 )
 from .networks import DiscSpec, SegNetSpec, StyleGenSpec
 from .trainer import TGSTNConfig, TrainConfig
@@ -160,23 +161,8 @@ def _dataset_to_dict(ds: DatasetConfig) -> dict:
         "height": ds.height,
         "width": ds.width,
         "classes": ds.classes,
-        "source": _shift_to_dict(ds.source),
-        "target": _shift_to_dict(ds.target),
-    }
-
-
-def _shift_to_dict(sp: ShiftParams) -> dict:
-    return {
-        "appearance": _simple_to_dict(sp.appearance),
-        "layout": [
-            {
-                "prob": p.prob,
-                "mean": list(p.mean),
-                "cov": [list(row) for row in p.cov],
-                "size_range": list(p.size_range),
-            }
-            for p in sp.layout.priors
-        ],
+        "source": shift_params_to_dict(ds.source),
+        "target": shift_params_to_dict(ds.target),
     }
 
 

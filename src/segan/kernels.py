@@ -1,16 +1,8 @@
 """Convolution and resampling kernels.
 
-These are the hot inner loops of the autodiff engine. Two interchangeable
-implementations exist:
-
-* numba ``@njit`` loop nests, used by default whenever numba imports
-* a pure-numpy tap-loop fallback (one small matmul per kernel tap)
-
-Selection order: :func:`set_backend` if called, else the ``SEGAN_BACKEND``
-environment variable (``auto`` / ``numba`` / ``numpy``), else ``auto``.
-Both paths compute the same quantities; they may differ in the last float
-bits because summation order differs. ``benchmarks/bench_kernels.py``
-times them against each other.
+These are the hot inner loops of the autodiff engine, written in numpy as
+tap loops: each kernel tap (ky, kx) contributes one small matmul between
+the strided input slice it touches and that tap's weight matrix.
 
 Layout convention throughout: activations are ``(batch, h, w, channels)``,
 weights are ``(kh, kw, c_in, c_out)``, both C-contiguous.
@@ -18,46 +10,7 @@ weights are ``(kh, kw, c_in, c_out)``, both C-contiguous.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_BACKENDS = ("auto", "numba", "numpy")
-_backend: str | None = None
-
-
-def set_backend(name: str) -> None:
-    """Force a kernel backend for the current process."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = "numba" if (name == "auto" and NUMBA_AVAILABLE) else (
-        "numpy" if name == "auto" else name
-    )
-
-
-def get_backend() -> str:
-    """Resolved backend name, either "numba" or "numpy"."""
-    global _backend
-    if _backend is None:
-        set_backend(os.environ.get("SEGAN_BACKEND", "auto"))
-    return _backend  # type: ignore[return-value]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -73,68 +26,14 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return np.ascontiguousarray(x)
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:-pad, pad:-pad, :] = x
+    return xp
 
 
 # ---------------------------------------------------------------------------
-# numba path
-
-
-@njit(cache=True, fastmath=True)
-def _conv2d_forward_nb(xp, w, out, stride):
-    n, _, _, c_in = xp.shape
-    kh, kw, _, c_out = w.shape
-    _, ho, wo, _ = out.shape
-    for b in range(n):
-        for oy in range(ho):
-            iy0 = oy * stride
-            for ox in range(wo):
-                ix0 = ox * stride
-                for ky in range(kh):
-                    for kx in range(kw):
-                        for ci in range(c_in):
-                            v = xp[b, iy0 + ky, ix0 + kx, ci]
-                            for co in range(c_out):
-                                out[b, oy, ox, co] += v * w[ky, kx, ci, co]
-
-
-@njit(cache=True, fastmath=True)
-def _conv2d_bwd_input_nb(g, w, gxp, stride):
-    n, ho, wo, c_out = g.shape
-    kh, kw, c_in, _ = w.shape
-    for b in range(n):
-        for oy in range(ho):
-            iy0 = oy * stride
-            for ox in range(wo):
-                ix0 = ox * stride
-                for ky in range(kh):
-                    for kx in range(kw):
-                        for ci in range(c_in):
-                            s = 0.0
-                            for co in range(c_out):
-                                s += g[b, oy, ox, co] * w[ky, kx, ci, co]
-                            gxp[b, iy0 + ky, ix0 + kx, ci] += s
-
-
-@njit(cache=True, fastmath=True)
-def _conv2d_bwd_weight_nb(xp, g, gw, stride):
-    n, ho, wo, c_out = g.shape
-    kh, kw, c_in, _ = gw.shape
-    for b in range(n):
-        for oy in range(ho):
-            iy0 = oy * stride
-            for ox in range(wo):
-                ix0 = ox * stride
-                for ky in range(kh):
-                    for kx in range(kw):
-                        for ci in range(c_in):
-                            v = xp[b, iy0 + ky, ix0 + kx, ci]
-                            for co in range(c_out):
-                                gw[ky, kx, ci, co] += v * g[b, oy, ox, co]
-
-
-# ---------------------------------------------------------------------------
-# numpy path
+# tap loops
 
 
 def _conv2d_forward_np(xp, w, out_shape, stride):
@@ -171,7 +70,7 @@ def _conv2d_bwd_weight_np(xp, g, gw, stride):
 
 
 # ---------------------------------------------------------------------------
-# public dispatchers
+# public entry points
 
 
 def _check_conv_args(x, w, stride, pad):
@@ -193,10 +92,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) 
     ho = conv_output_size(h, kh, stride, pad)
     wo = conv_output_size(wd, kw, stride, pad)
     xp = _pad_input(x, pad)
-    if get_backend() == "numba":
-        out = np.zeros((n, ho, wo, c_out), dtype=x.dtype)
-        _conv2d_forward_nb(xp, np.ascontiguousarray(w), out, stride)
-        return out
     return _conv2d_forward_np(xp, w, (n, ho, wo, c_out), stride)
 
 
@@ -208,10 +103,7 @@ def conv2d_bwd_input(
     n = g.shape[0]
     kh, kw, c_in, _ = w.shape
     gxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c_in), dtype=g.dtype)
-    if get_backend() == "numba":
-        _conv2d_bwd_input_nb(np.ascontiguousarray(g), np.ascontiguousarray(w), gxp, stride)
-    else:
-        _conv2d_bwd_input_np(g, w, gxp, stride)
+    _conv2d_bwd_input_np(g, w, gxp, stride)
     if pad == 0:
         return gxp
     return gxp[:, pad:-pad, pad:-pad, :].copy()
@@ -226,10 +118,7 @@ def conv2d_bwd_weight(
     c_out = g.shape[3]
     xp = _pad_input(x, pad)
     gw = np.zeros((kh, kw, c_in, c_out), dtype=g.dtype)
-    if get_backend() == "numba":
-        _conv2d_bwd_weight_nb(xp, np.ascontiguousarray(g), gw, stride)
-    else:
-        _conv2d_bwd_weight_np(xp, g, gw, stride)
+    _conv2d_bwd_weight_np(xp, g, gw, stride)
     return gw
 
 
@@ -237,7 +126,9 @@ def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
     """Repeat each spatial cell of (n,h,w,c) ``factor`` times along h and w."""
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
+    n, h, w, c = x.shape
+    wide = np.broadcast_to(x[:, :, None, :, None, :], (n, h, factor, w, factor, c))
+    return wide.reshape(n, h * factor, w * factor, c)
 
 
 def upsample_nearest_bwd(g: np.ndarray, factor: int) -> np.ndarray:
@@ -245,14 +136,3 @@ def upsample_nearest_bwd(g: np.ndarray, factor: int) -> np.ndarray:
     h, w = ho // factor, wo // factor
     return g.reshape(n, h, factor, w, factor, c).sum(axis=(2, 4))
 
-
-def warmup() -> None:
-    """Trigger numba compilation for both float widths (no-op on numpy path)."""
-    if get_backend() != "numba":
-        return
-    for dt in (np.float32, np.float64):
-        x = np.ones((1, 4, 4, 2), dtype=dt)
-        w = np.ones((3, 3, 2, 1), dtype=dt)
-        y = conv2d_forward(x, w, stride=1, pad=1)
-        conv2d_bwd_input(y, w, (4, 4), stride=1, pad=1)
-        conv2d_bwd_weight(x, y, (3, 3), stride=1, pad=1)

@@ -263,6 +263,16 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    # Over a short class axis, a running maximum of channel slices beats
+    # numpy's last-axis reduction; max is exact, so the bits are the same.
+    m = x[..., 0]
+    for c in range(1, x.shape[-1]):
+        m = np.maximum(m, x[..., c])
+    e = np.exp(x - m[..., None])
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
     op, at = node.op, node.attrs
     if op == "add":
@@ -300,10 +310,7 @@ def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
     if op == "clip":
         return np.clip(args[0], at["lo"], at["hi"])
     if op == "softmax":
-        x = args[0]
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        return _softmax_last(args[0])
     if op == "reduce_mean":
         return np.mean(args[0], axis=at["axes"])
     if op == "reduce_sum":
@@ -353,8 +360,11 @@ def _reduce_vjp(g: np.ndarray, in_shape: tuple[int, ...], axes) -> np.ndarray:
     return np.broadcast_to(np.asarray(g).reshape(keep), in_shape)
 
 
-def _node_vjps(node: Node, acts, grad: np.ndarray, want: list[bool]) -> list[np.ndarray | None]:
-    """Gradient contributions to each input of ``node``; None where not wanted."""
+def _node_vjps(
+    node: Node, acts, out: np.ndarray, grad: np.ndarray, want: list[bool]
+) -> list[np.ndarray | None]:
+    """Gradient contributions to each input of ``node``; None where not wanted.
+    ``out`` is the node's forward value, which tanh, sigmoid and softmax reuse."""
     op, at = node.op, node.attrs
     args = [acts[i] for i in node.inputs]
     res: list[np.ndarray | None] = [None] * len(node.inputs)
@@ -414,12 +424,10 @@ def _node_vjps(node: Node, acts, grad: np.ndarray, want: list[bool]) -> list[np.
             res[0] = grad * np.where(args[0] >= 0, args[0].dtype.type(1), slope)
     elif op == "tanh":
         if want[0]:
-            y = np.tanh(args[0])
-            res[0] = grad * (1 - y * y)
+            res[0] = grad * (1 - out * out)
     elif op == "sigmoid":
         if want[0]:
-            y = _stable_sigmoid(args[0])
-            res[0] = grad * y * (1 - y)
+            res[0] = grad * out * (1 - out)
     elif op == "log":
         if want[0]:
             res[0] = grad / args[0]
@@ -432,11 +440,7 @@ def _node_vjps(node: Node, acts, grad: np.ndarray, want: list[bool]) -> list[np.
             res[0] = grad * inside
     elif op == "softmax":
         if want[0]:
-            x = args[0]
-            z = x - x.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            y = e / e.sum(axis=-1, keepdims=True)
-            res[0] = y * (grad - (grad * y).sum(axis=-1, keepdims=True))
+            res[0] = out * (grad - (grad * out).sum(axis=-1, keepdims=True))
     elif op == "reduce_mean":
         if want[0]:
             in_shape = args[0].shape
@@ -502,7 +506,7 @@ def backward(
         want = [i in useful for i in node.inputs]
         if not any(want):
             continue
-        for inp, contrib in zip(node.inputs, _node_vjps(node, acts, grads[idx], want)):
+        for inp, contrib in zip(node.inputs, _node_vjps(node, acts, acts[idx], grads[idx], want)):
             if contrib is None:
                 continue
             grads[inp] = contrib if inp not in grads else grads[inp] + contrib

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, sgt
+from . import sgt
 from .datagen import DomainDataset, apply_domain_style, relative_appearance
 from .losses import (
     adversarial_terms_node,
@@ -336,7 +336,6 @@ def train_segan(
     seed = cfg.seed if seed is None else seed
     if cfg.aug and style_fn is None:
         raise ValueError("Aug flag is set but no style transform was supplied")
-    kernels.warmup()
 
     seg_spec = seg_spec or SegNetSpec(class_count=ds.classes)
     if seg_spec.class_count != ds.classes:
@@ -572,8 +571,12 @@ def train_tgstn(
         raise ValueError(
             f"guiding segmenter emits {phi.spec.class_count} classes, dataset has {ds.classes}"
         )
+    if ds.n_source < cfg.batch_source:
+        raise ValueError(
+            f"tgstn batch_source is {cfg.batch_source} but the dataset has only "
+            f"n_source={ds.n_source} source scenes; each step needs a full batch"
+        )
     seed = cfg.seed if seed is None else seed
-    kernels.warmup()
 
     gen = build_style_generator(gen_spec or StyleGenSpec(), derive_seed(seed, "gen"))
     disc = build_discriminator(disc_spec or DiscSpec(in_channels=3),
@@ -606,7 +609,7 @@ def train_tgstn(
     )
     disc_loss = g.scalar_mul(style["full"], -1.0, name="styledisc_descend")
 
-    steps_per_epoch = max(1, ds.n_source // bs)
+    steps_per_epoch = ds.n_source // bs
     total_steps = cfg.epochs * steps_per_epoch
     log = TGSTNLog()
     if total_steps == 0:

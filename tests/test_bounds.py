@@ -296,7 +296,27 @@ def test_zero_policy_makes_b_equal_s():
     disc = _tiny_disc()
     batch = np.random.default_rng(4).random((2, 32, 32, 1))
     spec = measure_discriminator(disc, batch, m_policy="zero")
-    np.testing.assert_allclose(spec.b, spec.s, rtol=1e-9)
+    assert spec.b == spec.s
+
+
+def test_power_iterations_per_layer_by_policy(monkeypatch):
+    # zero policy: one iteration per layer gives both s_i and b_i;
+    # init policy: a second one on A_i - M_i
+    calls = []
+
+    def counting(op, **kw):
+        calls.append(op)
+        return spectral_norm(op, **kw)
+
+    monkeypatch.setattr("segan.bounds.spectral_norm", counting)
+    disc = _tiny_disc(seed=11)
+    batch = np.random.default_rng(4).random((1, 32, 32, 1))
+    L = len(disc.spec.widths)
+    measure_discriminator(disc, batch, m_policy="zero", power_iters=5)
+    assert len(calls) == L
+    calls.clear()
+    measure_discriminator(disc, batch, m_policy="init", init_seed=11, power_iters=5)
+    assert len(calls) == 2 * L
 
 
 def test_init_policy_at_initialization_gives_zero_complexity():

@@ -434,6 +434,20 @@ def test_train_tgstn_then_styled_training(workdir, tmp_path):
     assert both == 2
 
 
+def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys):
+    cfg = dict(TINY, tgstn={"epochs": 1, "batch_source": 7})
+    cfg_path = tmp_path / "big_batch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(
+        ["train-tgstn", "--config", str(cfg_path), "--data", workdir["data"],
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "batch_source is 7" in err and "n_source=6" in err
+    assert "Traceback" not in err
+
+
 def test_export_plots_cross_checks(workdir, tmp_path):
     runs = {}
     for mode in ("noadapt", "at"):
