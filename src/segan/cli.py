@@ -27,6 +27,7 @@ from .metrics import MetricReport, transfer_gain, write_report
 from .networks import ModelBundle, predict_segmentation
 from .trainer import (
     NumericAbort,
+    check_tgstn_batches,
     evaluate_student,
     load_bundle,
     oracle_style_fn,
@@ -48,9 +49,9 @@ CLI_MODES = ("noadapt", "at", "at-se", "at-se-aug", "full", "full-mst")
 
 _VERSIONS = {
     "segan": __version__,
-    "dataset_format": "segan-dataset-v1",
-    "checkpoint_format": "segan-checkpoint-v1",
-    "tensor_format": "SGT1",
+    "dataset_format": datagen.DATASET_FORMAT,
+    "checkpoint_format": sgt.CHECKPOINT_FORMAT,
+    "tensor_format": sgt.MAGIC.decode(),
 }
 
 
@@ -137,6 +138,7 @@ def cmd_train_tgstn(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data)
+    check_tgstn_batches(cfg.tgstn, ds)
     out = _prepare_out(args.out, args.force)
     phi = pretrain_phi(
         ds, cfg.seed, seg_spec=cfg.networks.segnet_spec(ds.classes)

@@ -13,7 +13,6 @@ streams stay aligned across parameter changes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,12 +232,20 @@ def generate_scene(params: ShiftParams, seed: int, h: int, w: int, classes: int)
     return Scene(image=image, label=label)
 
 
+DATASET_FORMAT = "segan-dataset-v2"
+DATASET_FILE = "dataset.sgt"
+ARRAY_NAMES = ("source/images", "source/labels", "target/images", "target/labels")
+
+
 @dataclass
 class DomainDataset:
     """Source scenes with labels, target scenes with held-out labels.
 
-    Training code may touch ``source`` and :meth:`target_images` only;
-    target labels are exposed solely through :meth:`eval_target_labels`.
+    ``arrays`` maps each of :data:`ARRAY_NAMES` to one stacked, read-only
+    array: ``<domain>/images`` is (n, h, w, 3) float32 in [0, 1] and
+    ``<domain>/labels`` is (n, h, w) uint8. Training code may touch the
+    source arrays and :meth:`target_images` only; target labels are exposed
+    solely through :meth:`eval_target_labels`.
     """
 
     h: int
@@ -247,30 +254,33 @@ class DomainDataset:
     seed: int
     source_params: ShiftParams
     target_params: ShiftParams
-    source: list[Scene]
-    target_scenes: list[Scene]
+    arrays: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        for arr in self.arrays.values():
+            arr.flags.writeable = False  # every caller shares these arrays
 
     @property
     def n_source(self) -> int:
-        return len(self.source)
+        return self.arrays["source/images"].shape[0]
 
     @property
     def n_target(self) -> int:
-        return len(self.target_scenes)
+        return self.arrays["target/images"].shape[0]
 
     def source_images(self) -> np.ndarray:
-        return np.stack([s.image for s in self.source])
+        return self.arrays["source/images"]
 
     def source_labels(self) -> np.ndarray:
-        return np.stack([s.label for s in self.source])
+        return self.arrays["source/labels"]
 
     def target_images(self) -> np.ndarray:
-        return np.stack([s.image for s in self.target_scenes])
+        return self.arrays["target/images"]
 
     def eval_target_labels(self) -> np.ndarray:
         """Ground-truth target labels. Evaluation and reporting only; no
         training path may consume these."""
-        return np.stack([s.label for s in self.target_scenes])
+        return self.arrays["target/labels"]
 
 
 def benchmark_shifts() -> tuple[ShiftParams, ShiftParams]:
@@ -318,15 +328,16 @@ def generate_dataset(
 ) -> DomainDataset:
     if n_source < 1 or n_target < 1:
         raise ValueError(f"need at least one scene per domain, got {n_source}/{n_target}")
-    source = [
-        generate_scene(source_params, derive_seed(seed, "data", "source", i), h, w, classes)
-        for i in range(n_source)
-    ]
-    target = [
-        generate_scene(target_params, derive_seed(seed, "data", "target", j), h, w, classes)
-        for j in range(n_target)
-    ]
-    return DomainDataset(h, w, classes, seed, source_params, target_params, source, target)
+    arrays = {}
+    for domain, params, n in (("source", source_params, n_source),
+                              ("target", target_params, n_target)):
+        scenes = [
+            generate_scene(params, derive_seed(seed, "data", domain, i), h, w, classes)
+            for i in range(n)
+        ]
+        arrays[f"{domain}/images"] = np.stack([s.image for s in scenes])
+        arrays[f"{domain}/labels"] = np.stack([s.label for s in scenes])
+    return DomainDataset(h, w, classes, seed, source_params, target_params, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,8 @@ def shift_severity(ds: DomainDataset) -> ShiftSeverity:
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: manifest.json + <domain>/img_%05d.sgt + <domain>/lab_%05d.sgt
+# on-disk layout: <dir>/dataset.sgt, one checkpoint container holding
+# ARRAY_NAMES, with the shift parameters in its metadata
 
 
 def _appearance_to_dict(ap: AppearanceParams) -> dict:
@@ -413,52 +425,45 @@ def shift_params_from_dict(d: dict) -> ShiftParams:
 
 def save_dataset(ds: DomainDataset, dirpath) -> None:
     root = Path(dirpath)
-    manifest = {
-        "format": "segan-dataset-v1",
+    root.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "format": DATASET_FORMAT,
         "h": ds.h,
         "w": ds.w,
         "classes": ds.classes,
         "seed": ds.seed,
-        "n_source": ds.n_source,
-        "n_target": ds.n_target,
         "source_params": shift_params_to_dict(ds.source_params),
         "target_params": shift_params_to_dict(ds.target_params),
     }
-    for domain, scenes in (("source", ds.source), ("target", ds.target_scenes)):
-        sub = root / domain
-        sub.mkdir(parents=True, exist_ok=True)
-        for i, scene in enumerate(scenes):
-            sgt.write_sgt(sub / f"img_{i:05d}.sgt", scene.image)
-            sgt.write_sgt(sub / f"lab_{i:05d}.sgt", scene.label)
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    sgt.save_checkpoint(root / DATASET_FILE, {k: ds.arrays[k] for k in ARRAY_NAMES}, meta)
 
 
 def load_dataset(dirpath) -> DomainDataset:
-    root = Path(dirpath)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
-    man = json.loads(manifest_path.read_text())
-    if man.get("format") != "segan-dataset-v1":
-        raise sgt.FormatError(f"unrecognized dataset format {man.get('format')!r}")
-
-    def load_domain(name: str, count: int) -> list[Scene]:
-        scenes = []
-        for i in range(count):
-            img = sgt.read_sgt(root / name / f"img_{i:05d}.sgt")
-            lab = sgt.read_sgt(root / name / f"lab_{i:05d}.sgt")
-            if img.shape != (man["h"], man["w"], 3) or lab.shape != (man["h"], man["w"]):
-                raise sgt.FormatError(f"{name} scene {i} has unexpected shape")
-            scenes.append(Scene(img.astype(np.float32), lab.astype(np.uint8)))
-        return scenes
-
-    return DomainDataset(
-        h=man["h"],
-        w=man["w"],
-        classes=man["classes"],
-        seed=man["seed"],
-        source_params=shift_params_from_dict(man["source_params"]),
-        target_params=shift_params_from_dict(man["target_params"]),
-        source=load_domain("source", man["n_source"]),
-        target_scenes=load_domain("target", man["n_target"]),
-    )
+    path = Path(dirpath) / DATASET_FILE
+    if not path.exists():
+        raise FileNotFoundError(f"no dataset at {path}")
+    arrays, meta = sgt.load_checkpoint(path)
+    if meta.get("format") != DATASET_FORMAT:
+        raise sgt.FormatError(f"{path}: dataset format {meta.get('format')!r}, "
+                              f"expected {DATASET_FORMAT!r}")
+    if sorted(arrays) != sorted(ARRAY_NAMES):
+        raise sgt.FormatError(f"{path}: arrays {sorted(arrays)}, expected {sorted(ARRAY_NAMES)}")
+    try:
+        h, w = int(meta["h"]), int(meta["w"])
+        ds = DomainDataset(h, w, int(meta["classes"]), int(meta["seed"]),
+                           shift_params_from_dict(meta["source_params"]),
+                           shift_params_from_dict(meta["target_params"]), arrays)
+    except (KeyError, TypeError, ValueError) as e:
+        raise sgt.FormatError(f"{path}: bad dataset metadata: {e!r}") from None
+    for domain in ("source", "target"):
+        images, labels = arrays[f"{domain}/images"], arrays[f"{domain}/labels"]
+        n = images.shape[0] if images.ndim == 4 else 0
+        if n < 1 or (images.shape, images.dtype, labels.shape, labels.dtype) != (
+            (n, h, w, 3), np.float32, (n, h, w), np.uint8
+        ):
+            raise sgt.FormatError(
+                f"{path}: {domain} images {images.dtype} {images.shape} and labels "
+                f"{labels.dtype} {labels.shape}; expected n >= 1 scenes of float32 "
+                f"(n, {h}, {w}, 3) and uint8 (n, {h}, {w})"
+            )
+    return ds

@@ -25,19 +25,6 @@ from .tensor import Graph
 PROB_FLOOR = 1e-7
 
 
-@dataclass
-class LossWeights:
-    lambda_con: float = 3.0
-    lambda_adv: float = 0.001
-    lambda_sem: float = 10.0
-    lambda_per: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lambda_con", "lambda_adv", "lambda_sem", "lambda_per"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
 # ---------------------------------------------------------------------------
 # graph builders
 
@@ -199,14 +186,6 @@ def semantic_consistency_loss(phi_logits: np.ndarray, y_onehot: np.ndarray) -> f
 
 def perceptual_loss(feat_a: np.ndarray, feat_b: np.ndarray) -> float:
     return consistency_loss(feat_a, feat_b)
-
-
-def segan_objective(seg: float, con: float, adv: float, w: LossWeights) -> float:
-    return seg + w.lambda_con * con + w.lambda_adv * adv
-
-
-def tgstn_objective(style: float, sem: float, per: float, w: LossWeights) -> float:
-    return style + w.lambda_sem * sem + w.lambda_per * per
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray
     pn = add_param_inputs(g, "seg", net)
     logits = segnet_forward(g, spec, pn, x)["logits"]
     probs_node = g.softmax(logits)
-    feeds = {x: batch, **{pn[k]: v for k, v in net.values.items()}}
+    feeds = {x: batch, **param_feeds(pn, net)}
     probs = forward(g, feeds)[probs_node]
     labels = probs.argmax(axis=-1).astype(np.uint8)
     if squeeze:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"SGT1"
+CHECKPOINT_FORMAT = "segan-checkpoint-v1"
 _DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<f8")}
 _CODE_BY_KIND = {"<f4": 0, "u1": 1, "<f8": 2}
 
@@ -54,10 +55,13 @@ def write_sgt(path, arr: np.ndarray) -> None:
 def _parse_sgt(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if buf[offset : offset + 4] != MAGIC:
         raise FormatError(f"bad magic at offset {offset}: {buf[offset:offset + 4]!r}")
-    code, ndim = struct.unpack_from("<BB", buf, offset + 4)
+    try:
+        code, ndim = struct.unpack_from("<BB", buf, offset + 4)
+        dims = struct.unpack_from(f"<{ndim}I", buf, offset + 6)
+    except struct.error:
+        raise FormatError(f"header truncated at offset {offset}") from None
     if code not in _DTYPE_BY_CODE:
         raise FormatError(f"unknown dtype code {code}")
-    dims = struct.unpack_from(f"<{ndim}I", buf, offset + 6)
     dtype = _DTYPE_BY_CODE[code]
     start = offset + 6 + 4 * ndim
     count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
@@ -91,7 +95,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
             }
         )
         blobs.append(blob)
-    manifest = json.dumps({"format": "segan-checkpoint-v1", "meta": meta, "tensors": entries})
+    manifest = json.dumps({"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries})
     raw = manifest.encode("utf-8")
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(raw)))
@@ -109,7 +113,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(buf[4 : 4 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"bad manifest: {e}") from None
-    if manifest.get("format") != "segan-checkpoint-v1":
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     tensors = {}
     offset = 4 + mlen

@@ -46,6 +46,7 @@ from .networks import (
     build_style_generator,
     disc_forward,
     multi_scale_predict,
+    param_feeds,
     predict_segmentation,
     segnet_forward,
     spec_from_dict,
@@ -389,14 +390,11 @@ def train_segan(
             feeds[sg.x_aug] = Tensor(aug_imgs[idx_s])
         if sg.x_tgt is not None:
             feeds[sg.x_tgt] = Tensor(tgt_imgs[idx_t])
-        for name, node in sg.student_nodes.items():
-            feeds[node] = Tensor(student.values[name], requires_grad=True)
-        if sg.teacher_nodes is not None:
-            for name, node in sg.teacher_nodes.items():
-                feeds[node] = Tensor(teacher.values[name])
-        if sg.disc_nodes is not None:
-            for name, node in sg.disc_nodes.items():
-                feeds[node] = Tensor(disc.values[name], requires_grad=True)
+        feeds.update(param_feeds(sg.student_nodes, student))
+        if teacher is not None:
+            feeds.update(param_feeds(sg.teacher_nodes, teacher))
+        if disc is not None:
+            feeds.update(param_feeds(sg.disc_nodes, disc))
 
         acts = forward(g, feeds)
         losses = {
@@ -497,9 +495,7 @@ def self_train(
 
     for it in range(cfg.st_maxiter):
         idx = rng.integers(0, ds.n_target, bt)
-        feeds = {x: Tensor(tgt_imgs[idx]), y: Tensor(pseudo_f[idx])}
-        for name, node in pn.items():
-            feeds[node] = Tensor(student.values[name], requires_grad=True)
+        feeds = {x: Tensor(tgt_imgs[idx]), y: Tensor(pseudo_f[idx]), **param_feeds(pn, student)}
         acts = forward(g, feeds)
         val = float(acts[loss])
         _check_finite(iter_offset + it + 1, {"self_train": val})
@@ -553,6 +549,16 @@ class TGSTNLog:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def check_tgstn_batches(cfg: TGSTNConfig, ds: DomainDataset) -> None:
+    """Reject a source batch larger than the dataset: each step needs a full
+    batch of distinct scenes."""
+    if ds.n_source < cfg.batch_source:
+        raise ValueError(
+            f"tgstn batch_source is {cfg.batch_source} but the dataset has only "
+            f"n_source={ds.n_source} source scenes; each step needs a full batch"
+        )
+
+
 def train_tgstn(
     cfg: TGSTNConfig,
     ds: DomainDataset,
@@ -571,11 +577,7 @@ def train_tgstn(
         raise ValueError(
             f"guiding segmenter emits {phi.spec.class_count} classes, dataset has {ds.classes}"
         )
-    if ds.n_source < cfg.batch_source:
-        raise ValueError(
-            f"tgstn batch_source is {cfg.batch_source} but the dataset has only "
-            f"n_source={ds.n_source} source scenes; each step needs a full batch"
-        )
+    check_tgstn_batches(cfg, ds)
     seed = cfg.seed if seed is None else seed
 
     gen = build_style_generator(gen_spec or StyleGenSpec(), derive_seed(seed, "gen"))
@@ -637,13 +639,10 @@ def train_tgstn(
                 x_src: Tensor(src_imgs[idx_s]),
                 y_src: Tensor(src_onehot[idx_s]),
                 x_tgt: Tensor(tgt_imgs[idx_t]),
+                **param_feeds(gn, gen),
+                **param_feeds(dn, disc),
+                **param_feeds(phin, phi),
             }
-            for name, node in gn.items():
-                feeds[node] = Tensor(gen.values[name], requires_grad=True)
-            for name, node in dn.items():
-                feeds[node] = Tensor(disc.values[name], requires_grad=True)
-            for name, node in phin.items():
-                feeds[node] = Tensor(phi.values[name])
 
             acts = forward(g, feeds)
             vals = {
@@ -679,7 +678,7 @@ def apply_style_generator(gen: NetParams, images: np.ndarray) -> np.ndarray:
     x = g.input("x", images.shape)
     pn = add_param_inputs(g, "gen", gen)
     out = stylegen_forward(g, gen.spec, pn, x)
-    feeds = {x: images, **{pn[k]: v for k, v in gen.values.items()}}
+    feeds = {x: images, **param_feeds(pn, gen)}
     result = forward(g, feeds)[out]
     return result[0] if squeeze else result
 
@@ -735,6 +734,8 @@ def save_bundle(path, bundle: ModelBundle, **meta) -> None:
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
     tensors, meta = sgt.load_checkpoint(path)
+    if "specs" not in meta:
+        raise sgt.FormatError(f"{path} holds no networks (no 'specs' in its metadata)")
     nets: dict[str, NetParams | None] = {}
     for comp, spec_dict in meta["specs"].items():
         values = {

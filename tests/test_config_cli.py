@@ -10,6 +10,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -198,11 +199,13 @@ def trained(workdir):
 
 def test_gen_data_writes_dataset_and_manifest(workdir):
     data = workdir["root"] / "data"
-    assert (data / "manifest.json").exists()
+    assert sorted(p.name for p in data.iterdir()) == ["dataset.sgt", "run_manifest.json"]
     manifest = json.loads((data / "run_manifest.json").read_text())
     assert manifest["command"] == "gen-data"
     assert manifest["seed"] == 3
     assert manifest["versions"]["tensor_format"] == "SGT1"
+    assert manifest["versions"]["dataset_format"] == "segan-dataset-v2"
+    assert manifest["versions"]["checkpoint_format"] == "segan-checkpoint-v1"
     assert 0 <= manifest["shift_severity"]["appearance_gap"]
     assert manifest["config"]["dataset"]["n_source"] == 6
 
@@ -245,6 +248,28 @@ def test_missing_dataset_exits_4(workdir, tmp_path, capsys):
     )
     assert code == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_container_mixups_and_truncation_exit_4(workdir, tmp_path, capsys):
+    dataset_file = workdir["root"] / "data" / "dataset.sgt"
+    code = cli.main(
+        ["eval", "--data", workdir["data"], "--checkpoint", str(dataset_file),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 4
+    assert "holds no networks" in capsys.readouterr().err
+
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    buf = dataset_file.read_bytes()
+    (manifest_len,) = struct.unpack_from("<I", buf, 0)
+    (cut / "dataset.sgt").write_bytes(buf[: 4 + manifest_len + 7])  # inside a tensor header
+    code = cli.main(
+        ["train", "--config", workdir["config"], "--data", str(cut),
+         "--mode", "noadapt", "--out", str(tmp_path / "o2")]
+    )
+    assert code == 4
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_train_writes_reports_and_logs(trained):
@@ -434,7 +459,11 @@ def test_train_tgstn_then_styled_training(workdir, tmp_path):
     assert both == 2
 
 
-def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys):
+def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys, monkeypatch):
+    def no_pretraining(*args, **kwargs):
+        pytest.fail("phi pretraining ran before the batch check")
+
+    monkeypatch.setattr(cli, "pretrain_phi", no_pretraining)
     cfg = dict(TINY, tgstn={"epochs": 1, "batch_source": 7})
     cfg_path = tmp_path / "big_batch.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -446,6 +475,7 @@ def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "batch_source is 7" in err and "n_source=6" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_plots_cross_checks(workdir, tmp_path):

@@ -9,6 +9,7 @@ expected number of lattice points inside a region placed at a random
 import numpy as np
 import pytest
 
+from segan import sgt
 from segan.datagen import (
     AppearanceParams,
     ClassPrior,
@@ -297,7 +298,21 @@ def test_dataset_views_and_eval_labels():
     assert ds.target_images().shape == (2, 32, 32, 3)
     assert ds.eval_target_labels().shape == (2, 32, 32)
     # scenes use distinct per-index seeds
-    assert not np.array_equal(ds.source[0].image, ds.source[1].image)
+    assert not np.array_equal(ds.source_images()[0], ds.source_images()[1])
+
+
+def test_dataset_arrays_reject_in_place_writes():
+    ds = generate_dataset(
+        _single_class(), _single_class(), n_source=2, n_target=2, seed=7, h=32, w=32, classes=2
+    )
+    for arr in (ds.source_images(), ds.source_labels(), ds.target_images(),
+                ds.eval_target_labels()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    before = ds.source_images().copy()
+    with pytest.raises(ValueError, match="read-only"):
+        ds.source_images()[:1] += 1.0
+    assert np.array_equal(ds.source_images(), before)
 
 
 def test_dataset_generation_is_reproducible():
@@ -328,16 +343,53 @@ def test_save_twice_produces_identical_bytes(tmp_path):
     )
     save_dataset(ds, tmp_path / "a")
     save_dataset(ds, tmp_path / "b")
-    for rel in sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.sgt")):
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
-    assert (tmp_path / "a" / "manifest.json").read_text() == (
-        tmp_path / "b" / "manifest.json"
-    ).read_text()
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["dataset.sgt"]
+    assert (tmp_path / "a" / "dataset.sgt").read_bytes() == (
+        tmp_path / "b" / "dataset.sgt"
+    ).read_bytes()
 
 
 def test_load_missing_manifest_raises(tmp_path):
-    with pytest.raises(FileNotFoundError, match="manifest"):
+    with pytest.raises(FileNotFoundError, match="dataset.sgt"):
         load_dataset(tmp_path / "nowhere")
+
+
+def _resave(tmp_path, edit):
+    """Save a small dataset, apply ``edit`` to its arrays and metadata, and
+    write them back in the same container."""
+    ds = generate_dataset(
+        _single_class(), _single_class(), n_source=2, n_target=1, seed=11, h=32, w=32, classes=2
+    )
+    save_dataset(ds, tmp_path)
+    arrays, meta = sgt.load_checkpoint(tmp_path / "dataset.sgt")
+    edit(arrays, meta)
+    sgt.save_checkpoint(tmp_path / "dataset.sgt", arrays, meta)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda a, m: m.update(format="segan-dataset-v1"), "format"),
+        (lambda a, m: a.pop("target/labels"), "arrays"),
+        (lambda a, m: a.update(extra=np.zeros(1, np.float32)), "arrays"),
+        (lambda a, m: a.update({"source/images": a["source/images"][:, :16]}), "source images"),
+        (lambda a, m: a.update({"source/labels": a["source/labels"][:1]}), "source images"),
+        (lambda a, m: a.update({"target/images": a["target/images"].astype(np.float64)}),
+         "target images"),
+        (lambda a, m: a.update({"target/labels": a["target/labels"].astype(np.float32)}),
+         "target images"),
+        (lambda a, m: a.update({"target/images": a["target/images"][:0],
+                                "target/labels": a["target/labels"][:0]}), "n >= 1"),
+        (lambda a, m: a.update({"source/images": a["source/images"][0]}), "source images"),
+        (lambda a, m: m.pop("classes"), "metadata"),
+    ],
+    ids=["format", "missing-array", "extra-array", "image-shape", "label-count",
+         "image-dtype", "label-dtype", "empty-domain", "image-ndim", "missing-meta"],
+)
+def test_load_rejects_malformed_container(tmp_path, edit, match):
+    with pytest.raises(sgt.FormatError, match=match):
+        load_dataset(_resave(tmp_path, edit))
 
 
 def test_shift_params_dict_round_trip():

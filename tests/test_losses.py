@@ -8,7 +8,6 @@ import pytest
 
 from segan import losses
 from segan.losses import (
-    LossWeights,
     adversarial_loss,
     adversarial_terms_node,
     consistency_loss,
@@ -18,15 +17,14 @@ from segan.losses import (
     pixel_ce_node,
     seg_loss,
     seg_loss_node,
-    segan_objective,
     self_train_loss,
     semantic_consistency_loss,
     style_adversarial_loss,
     style_adversarial_terms_node,
-    tgstn_objective,
     weighted_sum_node,
 )
 from segan.tensor import Graph, backward, finite_diff_grad, forward, tensor
+from segan.trainer import TGSTNConfig
 
 LN4 = math.log(4.0)
 
@@ -157,33 +155,9 @@ def test_style_adversarial_values():
 # objectives
 
 
-def test_segan_objective_arithmetic():
-    w = LossWeights()
-    assert w.lambda_con == 3.0 and w.lambda_adv == 0.001
-    assert segan_objective(1.0, 0.5, -2.0, w) == pytest.approx(2.498, rel=1e-12)
-    w0 = LossWeights(lambda_con=0.0, lambda_adv=0.0)
-    assert segan_objective(1.7, 9.0, -3.0, w0) == 1.7
-
-
-def test_objectives_affine_in_weights():
-    base = LossWeights(lambda_con=1.5, lambda_adv=0.01)
-    double = LossWeights(lambda_con=3.0, lambda_adv=0.01)
-    lo = segan_objective(1.0, 0.4, -1.0, base)
-    hi = segan_objective(1.0, 0.4, -1.0, double)
-    assert hi - lo == pytest.approx(1.5 * 0.4, rel=1e-12)
-
-
-def test_tgstn_objective_arithmetic():
-    w = LossWeights()
-    assert w.lambda_sem == 10.0 and w.lambda_per == 1.0
-    assert tgstn_objective(-2.0, 1.0, 0.5, w) == pytest.approx(8.5, rel=1e-12)
-    w0 = LossWeights(lambda_sem=0.0, lambda_per=0.0)
-    assert tgstn_objective(-1.25, 4.0, 4.0, w0) == -1.25
-
-
 def test_negative_weights_rejected():
-    with pytest.raises(ValueError, match=">= 0"):
-        LossWeights(lambda_con=-0.1)
+    with pytest.raises(ValueError, match="lambda_sem must be >= 0"):
+        TGSTNConfig(lambda_sem=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_truncated_payload_rejected(tmp_path):
         sgt.read_sgt(path)
 
 
+def test_truncated_header_rejected(tmp_path):
+    buf = sgt.sgt_bytes(np.zeros((2, 3), dtype=np.float32))
+    path = tmp_path / "t.sgt"
+    for cut in range(4, 6 + 4 * 2):
+        path.write_bytes(buf[:cut])
+        with pytest.raises(sgt.FormatError, match="header truncated"):
+            sgt.read_sgt(path)
+
+
 def test_bad_magic_and_bad_code_rejected(tmp_path):
     good = bytearray(sgt.sgt_bytes(np.zeros(2, dtype=np.float32)))
     path = tmp_path / "t.sgt"
