@@ -6,8 +6,10 @@ The two are written independently and asserted equal in the test suite.
 
 Conventions:
 
-* segmentation losses take raw logits; probabilities are clamped to
-  ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before any log
+* graph segmentation losses take the segmenter's softmax probabilities;
+  their eager twins take raw logits and apply the softmax themselves;
+  probabilities are clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before any
+  log
 * discriminator scores are raw (pre-sigmoid) maps; expectations are means
   over all map cells and the batch
 * consistency / perceptual penalties sum over channels and average over
@@ -29,21 +31,25 @@ PROB_FLOOR = 1e-7
 # graph builders
 
 
-def pixel_ce_node(g: Graph, logits: int, onehot: int, name: str = "ce") -> int:
-    """Mean over pixels of -log softmax probability of the marked class."""
-    probs = g.softmax(logits, name=f"{name}.probs")
+def pixel_ce_node(g: Graph, probs: int, onehot: int, name: str = "ce") -> int:
+    """Mean over pixels of -log probability of the marked class.
+
+    ``probs`` is a softmax output (last axis sums to one), e.g. the
+    segmenter's "probs" node, so the same node can also feed the
+    discriminator and the consistency loss without a second softmax.
+    """
     safe = g.clip(probs, PROB_FLOOR, 1 - PROB_FLOOR, name=f"{name}.safe")
     picked = g.onehot_gather(g.log(safe, name=f"{name}.log"), onehot, name=f"{name}.pick")
     return g.scalar_mul(g.reduce_mean(picked, name=f"{name}.mean"), -1.0, name=name)
 
 
-def seg_loss_node(g: Graph, logits_src: int, onehot: int, logits_aug: int | None = None) -> int:
-    """Supervised loss; with a transferred copy both views share the labels
-    and each contributes half."""
-    ce_src = pixel_ce_node(g, logits_src, onehot, name="seg.src")
-    if logits_aug is None:
+def seg_loss_node(g: Graph, probs_src: int, onehot: int, probs_aug: int | None = None) -> int:
+    """Supervised loss on probability maps; with a transferred copy both
+    views share the labels and each contributes half."""
+    ce_src = pixel_ce_node(g, probs_src, onehot, name="seg.src")
+    if probs_aug is None:
         return ce_src
-    ce_aug = pixel_ce_node(g, logits_aug, onehot, name="seg.aug")
+    ce_aug = pixel_ce_node(g, probs_aug, onehot, name="seg.aug")
     half = g.add(g.scalar_mul(ce_src, 0.5), g.scalar_mul(ce_aug, 0.5), name="seg")
     return half
 

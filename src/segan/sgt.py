@@ -68,7 +68,7 @@ def _parse_sgt(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise FormatError("payload truncated")
-    arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(dims)
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(dims)
     return arr.copy(), end
 
 
@@ -104,6 +104,27 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
             f.write(blob)
 
 
+def _check_manifest(manifest) -> None:
+    """Reject a manifest without the structure ``save_checkpoint`` writes,
+    so a malformed file fails with ``FormatError``, not a ``KeyError``."""
+    if not isinstance(manifest, dict):
+        raise FormatError(f"manifest is a JSON {type(manifest).__name__}, not an object")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise FormatError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    if not isinstance(manifest.get("meta"), dict):
+        raise FormatError("manifest has no 'meta' object")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise FormatError("manifest has no 'tensors' list")
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+        ):
+            raise FormatError(f"manifest tensor entry {i} lacks a 'name' string or 'shape' list")
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -113,8 +134,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(buf[4 : 4 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"bad manifest: {e}") from None
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    _check_manifest(manifest)
     tensors = {}
     offset = 4 + mlen
     for entry in manifest["tensors"]:

@@ -251,33 +251,31 @@ def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
     x_src = g.input("x_src", (bs, h, w, 3))
     y_src = g.input("y_src", (bs, h, w, c))
     sn = add_param_inputs(g, "student", student)
-    logits_src = segnet_forward(g, sspec, sn, x_src)["logits"]
+    probs_src = segnet_forward(g, sspec, sn, x_src)["probs"]
 
-    x_aug = logits_aug = None
+    x_aug = probs_aug = None
     if cfg.aug:
         x_aug = g.input("x_aug", (bs, h, w, 3))
-        logits_aug = segnet_forward(g, sspec, sn, x_aug)["logits"]
-    loss_seg = seg_loss_node(g, logits_src, y_src, logits_aug)
+        probs_aug = segnet_forward(g, sspec, sn, x_aug)["probs"]
+    loss_seg = seg_loss_node(g, probs_src, y_src, probs_aug)
 
     x_tgt = tn = dn = loss_con = adv_gen = adv_full = disc_loss = None
     probs_tgt_student = None
     if cfg.at or cfg.se:
         x_tgt = g.input("x_tgt", (bt, h, w, 3))
-        logits_tgt = segnet_forward(g, sspec, sn, x_tgt)["logits"]
-        probs_tgt_student = g.softmax(logits_tgt, name="probs_tgt_s")
+        probs_tgt_student = segnet_forward(g, sspec, sn, x_tgt)["probs"]
 
     if cfg.se:
         tn = add_param_inputs(g, "teacher", teacher)
-        t_logits = segnet_forward(g, sspec, tn, x_tgt)["logits"]
-        probs_tgt_teacher = g.softmax(t_logits, name="probs_tgt_t")
+        probs_tgt_teacher = segnet_forward(g, sspec, tn, x_tgt)["probs"]
         loss_con = consistency_loss_node(g, probs_tgt_student, probs_tgt_teacher)
 
     if cfg.at:
         dn = add_param_inputs(g, "disc", disc)
-        d_src = disc_forward(g, disc.spec, dn, g.softmax(logits_src, name="probs_src"))
+        d_src = disc_forward(g, disc.spec, dn, probs_src)
         d_aug = None
         if cfg.aug:
-            d_aug = disc_forward(g, disc.spec, dn, g.softmax(logits_aug, name="probs_aug"))
+            d_aug = disc_forward(g, disc.spec, dn, probs_aug)
         d_tgt = disc_forward(g, disc.spec, dn, probs_tgt_student)
         terms = adversarial_terms_node(g, d_src, d_tgt, d_aug)
         adv_full = terms["full"]
@@ -482,8 +480,8 @@ def self_train(
     x = g.input("x_tgt", (bt, ds.h, ds.w, 3))
     y = g.input("pseudo", (bt, ds.h, ds.w, ds.classes))
     pn = add_param_inputs(g, "student", student)
-    logits = segnet_forward(g, student.spec, pn, x)["logits"]
-    loss = pixel_ce_node(g, logits, y, name="st")
+    probs = segnet_forward(g, student.spec, pn, x)["probs"]
+    loss = pixel_ce_node(g, probs, y, name="st")
 
     opt = SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     st_lr = cfg.lr_student if cfg.st_lr is None else cfg.st_lr
@@ -601,7 +599,7 @@ def train_tgstn(
 
     phi_gen = segnet_forward(g, phi.spec, phin, transferred)
     phi_src = segnet_forward(g, phi.spec, phin, x_src)
-    loss_sem = pixel_ce_node(g, phi_gen["logits"], y_src, name="sem")
+    loss_sem = pixel_ce_node(g, phi_gen["probs"], y_src, name="sem")
     loss_per = consistency_loss_node(g, phi_gen["features"], phi_src["features"], name="per")
 
     gen_total = weighted_sum_node(

@@ -83,13 +83,13 @@ def _loss_graph():
     feat_a = g.input("feat_a", (1, 2, 2, 5))
     feat_b = g.input("feat_b", (1, 2, 2, 5))
 
-    seg = seg_loss_node(g, logits_src, y, logits_aug)
+    seg = seg_loss_node(g, g.softmax(logits_src), y, g.softmax(logits_aug))
     con = consistency_loss_node(g, g.softmax(logits_tgt, name="stu"), teacher)
     adv = adversarial_terms_node(g, d_src, d_tgt, d_aug)["full"]
     total = weighted_sum_node(g, [(seg, 1.0), (con, 3.0), (adv, 0.001)], name="stu_total")
-    st = pixel_ce_node(g, logits_tgt, pseudo, name="st")
+    st = pixel_ce_node(g, g.softmax(logits_tgt), pseudo, name="st")
     sty = style_adversarial_terms_node(g, sty_real, sty_src, sty_gen)["full"]
-    sem = pixel_ce_node(g, phi_logits, y, name="sem")
+    sem = pixel_ce_node(g, g.softmax(phi_logits), y, name="sem")
     per = consistency_loss_node(g, feat_a, feat_b, name="per")
     tg_total = weighted_sum_node(g, [(sty, 1.0), (sem, 10.0), (per, 1.0)], name="tg_total")
 

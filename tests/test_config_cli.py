@@ -272,6 +272,22 @@ def test_container_mixups_and_truncation_exit_4(workdir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_malformed_dataset_manifest_exits_4(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.dumps(
+        {"format": "segan-checkpoint-v1", "meta": {"format": "segan-dataset-v2"}}
+    ).encode()
+    (bad / "dataset.sgt").write_bytes(struct.pack("<I", len(manifest)) + manifest)
+    code = cli.main(
+        ["train", "--config", workdir["config"], "--data", str(bad),
+         "--mode", "noadapt", "--out", str(tmp_path / "o")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "tensors" in err and "Traceback" not in err
+
+
 def test_train_writes_reports_and_logs(trained):
     for name in ("report.json", "report.csv", "train_log.csv", "checkpoint.sgt",
                  "run.json", "run_manifest.json"):

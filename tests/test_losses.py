@@ -252,7 +252,8 @@ def test_graph_seg_loss_matches_eager():
         ls = g.input("ls", logits.shape)
         la = g.input("la", aug.shape)
         oh = g.input("oh", y.shape)
-        return seg_loss_node(g, ls, oh, logits_aug=la), {ls: logits, la: aug, oh: y}
+        node = seg_loss_node(g, g.softmax(ls), oh, probs_aug=g.softmax(la))
+        return node, {ls: logits, la: aug, oh: y}
 
     got = _graph_value(build)
     assert float(got) == pytest.approx(seg_loss(logits, y, logits_aug=aug), rel=1e-6)
@@ -325,7 +326,7 @@ def test_pixel_ce_gradient_matches_finite_difference():
     g = Graph()
     nl = g.input("logits", logits.shape)
     oh = g.input("oh", y.shape)
-    loss = pixel_ce_node(g, nl, oh)
+    loss = pixel_ce_node(g, g.softmax(nl), oh)
     feeds = {nl: tensor(logits, requires_grad=True), oh: y}
     acts = forward(g, feeds)
     grads = backward(g, loss, acts, feeds)

@@ -1,6 +1,8 @@
 """Network builders, forward shape contracts, prediction helpers, and
 spectral norms against dense linear-algebra oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from segan.networks import (
     spectral_norm,
     stylegen_forward,
 )
-from segan.tensor import Graph, forward
+from segan.tensor import Graph, backward, forward
+from segan.trainer import TrainConfig, _build_segan_graph
 
 
 def _zeroed(net: NetParams) -> NetParams:
@@ -130,7 +133,88 @@ def test_features_node_is_downsampled_body_output():
     pn = add_param_inputs(g, "seg", net)
     nodes = segnet_forward(g, spec, pn, x)
     assert g.shape(nodes["features"]) == (1, 16, 16, 32)
-    assert g.shape(nodes["logits"]) == (1, 64, 64, 4)
+    assert g.shape(nodes["probs"]) == (1, 64, 64, 4)
+
+
+
+def _head_orders(net: NetParams, images: np.ndarray):
+    """Forward both head orders of one segnet on ``images``: the program's
+    (head and softmax at body resolution, then upsample the class map) and
+    the old one (upsample the features, then head and softmax). Returns each
+    order's probabilities and the gradients of a fixed linear functional of
+    them with respect to every segnet parameter."""
+    spec: SegNetSpec = net.spec
+    weights = np.random.default_rng(7).standard_normal(
+        images.shape[:3] + (spec.class_count,)
+    ).astype(images.dtype)
+    out = []
+    for old in (False, True):
+        g = Graph()
+        x = g.input("x", images.shape)
+        pn = add_param_inputs(g, "seg", net)
+        nodes = segnet_forward(g, spec, pn, x)
+        probs = nodes["probs"]
+        if old:
+            up = g.upsample_nearest(nodes["features"], spec.scale)
+            logits = g.conv2d(up, pn["head/w"], bias=pn["head/b"], stride=1, pad=0)
+            probs = g.softmax(logits)
+        r = g.input("r", weights.shape)
+        loss = g.reduce_sum(g.mul(probs, r))
+        feeds = {x: images, r: weights, **param_feeds(pn, net)}
+        acts = forward(g, feeds)
+        grads = backward(g, loss, acts, feeds, wrt=list(pn.values()))
+        out.append((acts[probs], {name: grads[i] for name, i in pn.items()}))
+    return out
+
+
+def test_head_at_body_resolution_equals_upsampled_head_in_float64():
+    net = build_segnet(SegNetSpec(), seed=4)
+    net64 = NetParams(net.spec, {k: v.astype(np.float64) for k, v in net.values.items()})
+    images = np.random.default_rng(3).random((2, 32, 32, 3))
+    (new_p, new_g), (old_p, old_g) = _head_orders(net64, images)
+    assert new_p.dtype == np.float64 and new_p.shape == (2, 32, 32, 4)
+    np.testing.assert_allclose(new_p, old_p, rtol=1e-12, atol=0)
+    assert set(new_g) == set(net.values)
+    for name in net.values:
+        # The gradients sum the same terms in another order, so an entry near
+        # cancellation can move by more than 1e-12 of itself; the tolerance
+        # also admits 1e-12 of the gradient's largest entry.
+        scale = np.abs(old_g[name]).max()
+        np.testing.assert_allclose(
+            new_g[name], old_g[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name
+        )
+
+
+@pytest.mark.parametrize("batch", [2, 16])
+def test_head_at_body_resolution_float32_tolerance(batch):
+    # The named tolerance of the reorder: OpenBLAS's per-row result depends
+    # on the row count, so float32 probabilities may move by a few ulp. This
+    # case moves one probability near 0.395 by 7 ulp (2.09e-7); the largest
+    # move seen over other seeds was 10 ulp.
+    net = build_segnet(SegNetSpec(), seed=4)
+    images = np.random.default_rng(batch).random((batch, 64, 64, 3)).astype(np.float32)
+    (new_p, _), (old_p, _) = _head_orders(net, images)
+    assert new_p.dtype == np.float32
+    ulp = np.spacing(np.maximum(np.abs(new_p), np.abs(old_p)))
+    assert (np.abs(new_p - old_p) <= 16 * ulp).all()
+    assert np.array_equal(new_p.argmax(axis=-1), old_p.argmax(axis=-1))
+
+
+def test_training_graph_has_one_body_resolution_softmax_per_segnet_pass():
+    cfg = TrainConfig(at=True, se=True, aug=True)
+    spec = SegNetSpec()
+    student = build_segnet(spec, seed=1)
+    teacher = student.copy().frozen()
+    disc = build_discriminator(DiscSpec(), seed=1)
+    ds = SimpleNamespace(h=64, w=64, classes=spec.class_count)
+    g = _build_segan_graph(cfg, ds, student, teacher, disc).graph
+    softmaxes = [n for n in g.nodes if n.op == "softmax"]
+    # student on source, styled source and target; teacher on target
+    assert len(softmaxes) == 4
+    for node in softmaxes:
+        assert g.shape(node.inputs[0]) == (cfg.batch_source, 16, 16, spec.class_count)
+    ups = [n for n in g.nodes if n.op == "upsample"]
+    assert ups and all(n.shape[-1] <= spec.class_count for n in ups)
 
 
 # ---------------------------------------------------------------------------

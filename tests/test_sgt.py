@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,62 @@ def test_checkpoint_rejects_wrong_format_tag(tmp_path):
     path.write_bytes(struct.pack("<I", len(manifest)) + manifest)
     with pytest.raises(sgt.FormatError, match="unrecognized"):
         sgt.load_checkpoint(path)
+
+
+def _raw_checkpoint(path, manifest, blobs=b""):
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(struct.pack("<I", len(raw)) + raw + blobs)
+
+
+_BLOB = sgt.sgt_bytes(np.zeros(3, dtype=np.float32))
+_ENTRY = {"name": "w", "shape": [3], "dtype": "float32", "bytes": len(_BLOB)}
+
+
+@pytest.mark.parametrize(
+    "manifest, match",
+    [
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": {}}, "tensors"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": {}, "tensors": {"w": _ENTRY}}, "tensors"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": {},
+          "tensors": [{k: v for k, v in _ENTRY.items() if k != "shape"}]}, "entry 0"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": {},
+          "tensors": [{k: v for k, v in _ENTRY.items() if k != "name"}]}, "entry 0"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": {}, "tensors": ["w"]}, "entry 0"),
+        ([sgt.CHECKPOINT_FORMAT, {}, [_ENTRY]], "list"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "tensors": [_ENTRY]}, "meta"),
+        ({"format": sgt.CHECKPOINT_FORMAT, "meta": [], "tensors": [_ENTRY]}, "meta"),
+    ],
+    ids=["no-tensors", "tensors-not-list", "entry-no-shape", "entry-no-name",
+         "entry-not-object", "manifest-list", "no-meta", "meta-not-object"],
+)
+def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
+    path = tmp_path / "ckpt.sgt"
+    _raw_checkpoint(path, manifest, _BLOB)
+    with pytest.raises(sgt.FormatError, match=match):
+        sgt.load_checkpoint(path)
+
+
+def test_checkpoint_load_copies_each_tensor_once(tmp_path):
+    # The file's bytes plus one owned copy of each array: 2x the payload.
+    rng = np.random.default_rng(1)
+    tensors = {
+        "images": rng.random((80, 64, 64, 3)).astype(np.float32),  # 3.9 MB
+        "features": rng.standard_normal((40, 32, 32, 64)),  # 21 MB
+        "labels": rng.integers(0, 4, size=(80, 64, 64)).astype(np.uint8),
+    }
+    payload = sum(a.nbytes for a in tensors.values())
+    path = tmp_path / "big.sgt"
+    sgt.save_checkpoint(path, tensors, {"seed": 1})
+    before = path.read_bytes()
+    tracemalloc.start()
+    try:
+        back, _ = sgt.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * payload, peak / payload
+    for name, arr in tensors.items():
+        assert back[name].flags.owndata and back[name].flags.writeable
+        assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+    sgt.save_checkpoint(path, back, {"seed": 1})
+    assert path.read_bytes() == before
