@@ -5,8 +5,8 @@ Subcommands: ``gen-data``, ``train-tgstn``, ``train``, ``eval``, ``bounds``,
 directory unless ``--force`` is given and leaves a ``run_manifest.json``
 describing the resolved configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort during
-training, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric abort (a non-finite
+loss or parameter in ``train`` or ``train-tgstn``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -173,23 +173,11 @@ def cmd_train(args) -> int:
     mode = _mode_to_trainer(args.mode)
     _, _, needs_aug, _, _ = resolve_mode(mode)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
-    try:
-        report, bundle, log = run_ablation(
-            mode, ds, cfg.train, style_fn=style_fn, out_dir=out,
-            seg_spec=cfg.networks.segnet_spec(ds.classes),
-            disc_spec=cfg.networks.disc_spec(ds.classes),
-        )
-    except NumericAbort as abort:
-        payload = out / "numeric_abort.json"
-        losses = {
-            k: v if np.isfinite(v) else repr(float(v)) for k, v in abort.losses.items()
-        }
-        payload.write_text(
-            json.dumps({"iteration": abort.iteration, "losses": losses}, indent=2) + "\n"
-        )
-        print(f"numeric abort at iteration {abort.iteration}; details in {payload}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+    report, bundle, log = run_ablation(
+        mode, ds, cfg.train, style_fn=style_fn, out_dir=out,
+        seg_spec=cfg.networks.segnet_spec(ds.classes),
+        disc_spec=cfg.networks.disc_spec(ds.classes),
+    )
     write_report(report, out, extra={"mode": args.mode, "seed": cfg.seed})
     _write_manifest(
         out, "train", cfg, started,
@@ -402,6 +390,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NumericAbort as abort:
+        payload = Path(args.out) / "numeric_abort.json"
+        losses = {k: v if np.isfinite(v) else repr(v) for k, v in abort.losses.items()}
+        payload.write_text(json.dumps(
+            {"iteration": abort.iteration, "losses": losses, "params": abort.params}, indent=2
+        ) + "\n")
+        print(f"{abort}; details in {payload}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -93,7 +93,6 @@ class BoundsConfig:
     delta: float = 0.05
     phi: float = 0.0
     m_policy: str = "zero"
-    m_seed: int = 0
     tight_sigmoid: bool = False
     power_iters: int = 200
     batch_count: int = 8
@@ -135,7 +134,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         train = _simple_to_dict(self.train)
         tgstn = _simple_to_dict(self.tgstn)
-        del train["seed"], tgstn["seed"]  # both derive from the root seed
+        for sect, keys in (("train", train), ("tgstn", tgstn)):
+            for key in _NOT_IN_FILE[sect]:
+                del keys[key]
         return {
             "seed": self.seed,
             "dataset": _dataset_to_dict(self.dataset),
@@ -144,6 +145,17 @@ class RunConfig:
             "tgstn": tgstn,
             "bounds": _simple_to_dict(self.bounds),
         }
+
+
+_ROOT_SEED = "stage seeds derive from the top-level seed; set 'seed' at the root"
+_FROM_MODE = "the ablation flags come from the --mode of 'segan train'"
+# Stage fields the program sets itself: a config file may not give them, and
+# RunConfig.to_dict leaves them out.
+_NOT_IN_FILE = {
+    "train": {"seed": _ROOT_SEED,
+              **dict.fromkeys(("at", "se", "aug", "st", "mst"), _FROM_MODE)},
+    "tgstn": {"seed": _ROOT_SEED},
+}
 
 
 def _simple_to_dict(obj) -> dict:
@@ -324,11 +336,10 @@ def parse_config(data: dict) -> RunConfig:
     data = _expect_object(data, "")
     _check_keys(data, ("seed", "dataset", "networks", "train", "tgstn", "bounds"), "")
     seed = _scalar(data, "seed", int, 0, "")
-    for sect in ("train", "tgstn"):
-        if isinstance(data.get(sect), dict) and "seed" in data[sect]:
-            raise ConfigError(
-                f"{sect}.seed", "stage seeds derive from the top-level seed; set 'seed' at the root"
-            )
+    for sect, keys in _NOT_IN_FILE.items():
+        for key, reason in keys.items():
+            if isinstance(data.get(sect), dict) and key in data[sect]:
+                raise ConfigError(f"{sect}.{key}", reason)
     cfg = RunConfig(
         seed=seed,
         dataset=_parse_dataset(data.get("dataset", {}), "dataset"),

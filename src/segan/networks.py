@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .tensor import Graph, Tensor, forward
+from .tensor import Graph, forward
 from .utils import substream
 
 
@@ -167,11 +167,8 @@ def add_param_inputs(g: Graph, prefix: str, net: NetParams) -> dict[str, int]:
     return {name: g.input(f"{prefix}/{name}", arr.shape) for name, arr in net.values.items()}
 
 
-def param_feeds(nodes: dict[str, int], net: NetParams) -> dict[int, Tensor]:
-    return {
-        nodes[name]: Tensor(arr, requires_grad=net.trainable)
-        for name, arr in net.values.items()
-    }
+def param_feeds(nodes: dict[str, int], net: NetParams) -> dict[int, np.ndarray]:
+    return {nodes[name]: arr for name, arr in net.values.items()}
 
 
 def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> dict[str, int]:

@@ -1,12 +1,21 @@
 """Training loops: the adversarial self-ensembling stage, style-transfer
 pre-training, pseudo-label self-training, and the cumulative ablation runner.
 
-Per adversarial iteration (in this order): sample a source/target batch,
-evaluate the shared graph once, step the student by SGD on the weighted
-objective, step the discriminator by Adam on the negated alignment loss
-(ascent), then update the teacher as an exponential moving average of the
-student. Both optimizers follow poly schedules. A NaN in any loss aborts
-with the iteration index and a loss breakdown.
+All three training stages run one step function, ``_descend``. Each step,
+in this order: take one batch of data feeds, add the parameter feeds of
+every net in the graph, evaluate the graph once, check the named losses,
+take every sweep's gradients from those activations, step each sweep's
+optimizer at its poly-schedule rate, check the stepped parameters, then
+call the stage's hook. A sweep is one loss node, one net, one optimizer and
+one schedule. A non-finite loss or parameter aborts with the iteration
+index, the loss breakdown and the names of the non-finite parameters.
+
+Per adversarial iteration the student sweep descends the weighted objective
+by SGD and the discriminator sweep descends the negated alignment loss by
+Adam (ascent); the hook then updates the teacher as an exponential moving
+average of the student, logs and checkpoints. Self-training descends the
+pseudo-label cross entropy; TGSTN descends the generator objective and the
+negated style-alignment loss.
 
 Determinism: all sampling and initialization derive from one seed through
 named substreams, and batch indices for both domains are drawn every
@@ -54,7 +63,7 @@ from .networks import (
     stylegen_forward,
 )
 from .optim import SGD, Adam, PolySchedule, poly_lr
-from .tensor import Graph, Tensor, backward, forward
+from .tensor import Graph, backward, forward
 from .utils import derive_seed, one_hot, substream
 
 LOG_HEADER = "iter, lr_student, lr_disc, loss_seg, loss_con, loss_adv_g, loss_adv_d, miou_eval"
@@ -80,13 +89,16 @@ def resolve_mode(mode: str) -> tuple[bool, bool, bool, bool, bool]:
 
 
 class NumericAbort(RuntimeError):
-    """A loss went non-finite; carries the iteration and loss breakdown."""
+    """A loss or a stepped parameter went non-finite; carries the iteration,
+    the loss breakdown and the graph names of the non-finite parameters."""
 
-    def __init__(self, iteration: int, losses: dict[str, float]):
+    def __init__(self, iteration: int, losses: dict[str, float], params: list[str] | None = None):
         self.iteration = iteration
         self.losses = losses
+        self.params = params or []
+        what = "parameters " + ", ".join(self.params) if self.params else "loss"
         parts = ", ".join(f"{k}={v!r}" for k, v in losses.items())
-        super().__init__(f"non-finite loss at iteration {iteration}: {parts}")
+        super().__init__(f"non-finite {what} at iteration {iteration}: {parts}")
 
 
 @dataclass
@@ -124,8 +136,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        for name in ("lambda_con", "lambda_adv"):
-            if getattr(self, name) < 0:
+        for name in ("lambda_con", "lambda_adv", "lr_student", "lr_disc", "st_lr"):
+            if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
@@ -160,7 +172,7 @@ class TGSTNConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_source < 1 or self.batch_target < 1:
             raise ValueError("batch sizes must be >= 1")
-        for name in ("lambda_sem", "lambda_per"):
+        for name in ("lambda_sem", "lambda_per", "lr_gen", "lr_disc"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -225,20 +237,14 @@ def ema_update(prev, now, alpha: float):
 
 @dataclass
 class _SeganGraph:
+    """The adversarial graph: data inputs and each net's parameter nodes by
+    name, and the loss nodes ("seg", "con", "adv_g", "adv_d", "total") that
+    the enabled terms define."""
+
     graph: Graph
-    x_src: int
-    y_src: int
-    x_aug: int | None
-    x_tgt: int | None
-    student_nodes: dict[str, int]
-    teacher_nodes: dict[str, int] | None
-    disc_nodes: dict[str, int] | None
-    loss_seg: int
-    loss_con: int | None
-    adv_gen: int | None
-    adv_full: int | None
-    total: int
-    disc_loss: int | None
+    inputs: dict[str, int]
+    params: dict[str, dict[str, int]]
+    losses: dict[str, int]
 
 
 def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
@@ -248,53 +254,40 @@ def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
     bs, bt = cfg.batch_source, cfg.batch_target
     h, w, c = ds.h, ds.w, ds.classes
 
-    x_src = g.input("x_src", (bs, h, w, 3))
-    y_src = g.input("y_src", (bs, h, w, c))
-    sn = add_param_inputs(g, "student", student)
-    probs_src = segnet_forward(g, sspec, sn, x_src)["probs"]
+    inputs = {"x_src": g.input("x_src", (bs, h, w, 3)), "y_src": g.input("y_src", (bs, h, w, c))}
+    params = {"student": add_param_inputs(g, "student", student)}
+    sn = params["student"]
+    probs_src = segnet_forward(g, sspec, sn, inputs["x_src"])["probs"]
 
-    x_aug = probs_aug = None
+    probs_aug = None
     if cfg.aug:
-        x_aug = g.input("x_aug", (bs, h, w, 3))
-        probs_aug = segnet_forward(g, sspec, sn, x_aug)["probs"]
-    loss_seg = seg_loss_node(g, probs_src, y_src, probs_aug)
+        inputs["x_aug"] = g.input("x_aug", (bs, h, w, 3))
+        probs_aug = segnet_forward(g, sspec, sn, inputs["x_aug"])["probs"]
+    losses = {"seg": seg_loss_node(g, probs_src, inputs["y_src"], probs_aug)}
+    parts: list[tuple[int, float]] = [(losses["seg"], 1.0)]
 
-    x_tgt = tn = dn = loss_con = adv_gen = adv_full = disc_loss = None
-    probs_tgt_student = None
     if cfg.at or cfg.se:
-        x_tgt = g.input("x_tgt", (bt, h, w, 3))
-        probs_tgt_student = segnet_forward(g, sspec, sn, x_tgt)["probs"]
+        inputs["x_tgt"] = g.input("x_tgt", (bt, h, w, 3))
+        probs_tgt_student = segnet_forward(g, sspec, sn, inputs["x_tgt"])["probs"]
 
     if cfg.se:
-        tn = add_param_inputs(g, "teacher", teacher)
-        probs_tgt_teacher = segnet_forward(g, sspec, tn, x_tgt)["probs"]
-        loss_con = consistency_loss_node(g, probs_tgt_student, probs_tgt_teacher)
+        params["teacher"] = add_param_inputs(g, "teacher", teacher)
+        probs_tgt_teacher = segnet_forward(g, sspec, params["teacher"], inputs["x_tgt"])["probs"]
+        losses["con"] = consistency_loss_node(g, probs_tgt_student, probs_tgt_teacher)
+        parts.append((losses["con"], cfg.lambda_con))
 
     if cfg.at:
-        dn = add_param_inputs(g, "disc", disc)
+        dn = params["disc"] = add_param_inputs(g, "disc", disc)
         d_src = disc_forward(g, disc.spec, dn, probs_src)
-        d_aug = None
-        if cfg.aug:
-            d_aug = disc_forward(g, disc.spec, dn, probs_aug)
+        d_aug = disc_forward(g, disc.spec, dn, probs_aug) if cfg.aug else None
         d_tgt = disc_forward(g, disc.spec, dn, probs_tgt_student)
         terms = adversarial_terms_node(g, d_src, d_tgt, d_aug)
-        adv_full = terms["full"]
-        adv_gen = terms["tgt"] if cfg.adv_target_only else terms["full"]
-        disc_loss = g.scalar_mul(adv_full, -1.0, name="disc_descend")
+        losses["adv_g"] = terms["tgt"] if cfg.adv_target_only else terms["full"]
+        losses["adv_d"] = g.scalar_mul(terms["full"], -1.0, name="disc_descend")
+        parts.append((losses["adv_g"], cfg.lambda_adv))
 
-    parts: list[tuple[int, float]] = [(loss_seg, 1.0)]
-    if loss_con is not None:
-        parts.append((loss_con, cfg.lambda_con))
-    if adv_gen is not None:
-        parts.append((adv_gen, cfg.lambda_adv))
-    total = weighted_sum_node(g, parts, name="student_total")
-
-    return _SeganGraph(
-        graph=g, x_src=x_src, y_src=y_src, x_aug=x_aug, x_tgt=x_tgt,
-        student_nodes=sn, teacher_nodes=tn, disc_nodes=dn,
-        loss_seg=loss_seg, loss_con=loss_con, adv_gen=adv_gen, adv_full=adv_full,
-        total=total, disc_loss=disc_loss,
-    )
+    losses["total"] = weighted_sum_node(g, parts, name="student_total")
+    return _SeganGraph(g, inputs, params, losses)
 
 
 def evaluate_student(
@@ -311,9 +304,43 @@ def evaluate_student(
     return iou_report(confusion_matrix(pred, labels, ds.classes))
 
 
-def _check_finite(iteration: int, named_losses: dict[str, float]) -> None:
-    if any(not math.isfinite(v) for v in named_losses.values()):
-        raise NumericAbort(iteration, named_losses)
+@dataclass
+class _Sweep:
+    """One descent per step: ``loss`` moves ``net``, whose parameters are the
+    graph inputs ``nodes``, by ``opt`` at the rate of ``sched``."""
+
+    loss: int
+    nodes: dict[str, int]
+    net: NetParams
+    opt: SGD | Adam
+    sched: PolySchedule
+
+
+def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: list[_Sweep],
+             losses: dict[str, int], batches, hook, offset: int = 0) -> None:
+    """The training loop of every stage: one step per batch of data feeds.
+
+    ``nets`` pairs the parameter nodes of every net in ``g`` with its
+    parameters; ``losses`` names the loss nodes whose values are checked
+    and handed to ``hook(it, values)`` after the optimizers step. Aborts
+    are numbered ``offset + it + 1``.
+    """
+    for it, feeds in enumerate(batches):
+        for nodes, net in nets:
+            feeds.update(param_feeds(nodes, net))
+        acts = forward(g, feeds)
+        values = {name: float(acts[node]) for name, node in losses.items()}
+        if not all(math.isfinite(v) for v in values.values()):
+            raise NumericAbort(offset + it + 1, values)
+        grads = [backward(g, s.loss, acts, feeds, wrt=list(s.nodes.values())) for s in sweeps]
+        for s, grad in zip(sweeps, grads):
+            named = {name: grad[node] for name, node in s.nodes.items()}
+            s.net.values = s.opt.step(s.net.values, named, poly_lr(s.sched, it))
+        bad = [g.nodes[s.nodes[name]].name for s in sweeps
+               for name, arr in s.net.values.items() if not np.isfinite(arr).all()]
+        if bad:
+            raise NumericAbort(offset + it + 1, values, bad)
+        hook(it, values)
 
 
 def train_segan(
@@ -354,12 +381,13 @@ def train_segan(
         disc = build_discriminator(dspec, derive_seed(seed, "disc"))
 
     sg = _build_segan_graph(cfg, ds, student, teacher, disc)
-    g = sg.graph
-
-    opt_student = SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    opt_disc = Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    sched_s = PolySchedule(cfg.lr_student, cfg.poly_power, cfg.maxiter)
-    sched_d = PolySchedule(cfg.lr_disc, cfg.poly_power, cfg.maxiter)
+    sweeps = [_Sweep(sg.losses["total"], sg.params["student"], student,
+                     SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
+                     PolySchedule(cfg.lr_student, cfg.poly_power, cfg.maxiter))]
+    if disc is not None:
+        sweeps.append(_Sweep(sg.losses["adv_d"], sg.params["disc"], disc,
+                             Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay),
+                             PolySchedule(cfg.lr_disc, cfg.poly_power, cfg.maxiter)))
 
     src_imgs = ds.source_images()
     src_onehot = one_hot(ds.source_labels(), ds.classes, dtype=np.float32)
@@ -373,74 +401,35 @@ def train_segan(
     batch_rng = substream(seed, "batch")
     log = log if log is not None else TrainLog()
 
-    student_ids = list(sg.student_nodes.values())
-    disc_ids = list(sg.disc_nodes.values()) if disc is not None else []
+    def batches():
+        for _ in range(cfg.maxiter):
+            idx_s = batch_rng.integers(0, ds.n_source, cfg.batch_source)
+            idx_t = batch_rng.integers(0, ds.n_target, cfg.batch_target)
+            feeds = {sg.inputs["x_src"]: src_imgs[idx_s], sg.inputs["y_src"]: src_onehot[idx_s]}
+            if "x_aug" in sg.inputs:
+                feeds[sg.inputs["x_aug"]] = aug_imgs[idx_s]
+            if "x_tgt" in sg.inputs:
+                feeds[sg.inputs["x_tgt"]] = tgt_imgs[idx_t]
+            yield feeds
 
-    for it in range(cfg.maxiter):
-        idx_s = batch_rng.integers(0, ds.n_source, cfg.batch_source)
-        idx_t = batch_rng.integers(0, ds.n_target, cfg.batch_target)
-
-        feeds: dict[int, Tensor] = {
-            sg.x_src: Tensor(src_imgs[idx_s]),
-            sg.y_src: Tensor(src_onehot[idx_s]),
-        }
-        if sg.x_aug is not None:
-            feeds[sg.x_aug] = Tensor(aug_imgs[idx_s])
-        if sg.x_tgt is not None:
-            feeds[sg.x_tgt] = Tensor(tgt_imgs[idx_t])
-        feeds.update(param_feeds(sg.student_nodes, student))
-        if teacher is not None:
-            feeds.update(param_feeds(sg.teacher_nodes, teacher))
-        if disc is not None:
-            feeds.update(param_feeds(sg.disc_nodes, disc))
-
-        acts = forward(g, feeds)
-        losses = {
-            "seg": float(acts[sg.loss_seg]),
-            "con": float(acts[sg.loss_con]) if sg.loss_con is not None else 0.0,
-            "adv_g": float(acts[sg.adv_gen]) if sg.adv_gen is not None else 0.0,
-            "adv_d": -float(acts[sg.adv_full]) if sg.adv_full is not None else 0.0,
-            "total": float(acts[sg.total]),
-        }
-        _check_finite(it + 1, losses)
-
-        sgrads = backward(g, sg.total, acts, feeds, wrt=student_ids)
-        named_sgrads = {name: sgrads[node] for name, node in sg.student_nodes.items()}
-        dgrads = None
-        if disc is not None:
-            dg = backward(g, sg.disc_loss, acts, feeds, wrt=disc_ids)
-            dgrads = {name: dg[node] for name, node in sg.disc_nodes.items()}
-
-        student.values = opt_student.step(student.values, named_sgrads, poly_lr(sched_s, it))
-        if disc is not None:
-            disc.values = opt_disc.step(disc.values, dgrads, poly_lr(sched_d, it))
+    def hook(it: int, losses: dict[str, float]) -> None:
         if teacher is not None:
             teacher.values = ema_update(teacher.values, student.values, cfg.alpha)
-
         step = it + 1
         if step % cfg.eval_interval == 0 or step == cfg.maxiter:
             report = evaluate_student(student, ds, cfg.eval_count)
-            log.append(
-                LogRow(
-                    iteration=step,
-                    lr_student=poly_lr(sched_s, it),
-                    lr_disc=poly_lr(sched_d, it) if disc is not None else 0.0,
-                    loss_seg=losses["seg"],
-                    loss_con=losses["con"],
-                    loss_adv_g=losses["adv_g"],
-                    loss_adv_d=losses["adv_d"],
-                    miou_eval=report.miou,
-                )
-            )
-        if (
-            out_dir is not None
-            and cfg.checkpoint_interval
-            and step % cfg.checkpoint_interval == 0
-        ):
-            bundle = ModelBundle(student, teacher, disc)
-            save_bundle(Path(out_dir) / f"checkpoint_{step:06d}.sgt", bundle,
+            lr_disc = poly_lr(sweeps[1].sched, it) if disc is not None else 0.0
+            log.append(LogRow(step, poly_lr(sweeps[0].sched, it), lr_disc, losses["seg"],
+                              losses.get("con", 0.0), losses.get("adv_g", 0.0),
+                              losses.get("adv_d", 0.0), report.miou))
+        if out_dir is not None and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
+            save_bundle(Path(out_dir) / f"checkpoint_{step:06d}.sgt",
+                        ModelBundle(student, teacher, disc),
                         seed=seed, iteration=step, config=asdict(cfg))
 
+    nets = {"student": student, "teacher": teacher, "disc": disc}
+    _descend(sg.graph, [(nodes, nets[k]) for k, nodes in sg.params.items()],
+             sweeps, sg.losses, batches(), hook)
     return ModelBundle(student=student, teacher=teacher, disc=disc), log
 
 
@@ -483,39 +472,26 @@ def self_train(
     probs = segnet_forward(g, student.spec, pn, x)["probs"]
     loss = pixel_ce_node(g, probs, y, name="st")
 
-    opt = SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     st_lr = cfg.lr_student if cfg.st_lr is None else cfg.st_lr
-    sched = PolySchedule(st_lr, cfg.poly_power, cfg.st_maxiter)
+    sweep = _Sweep(loss, pn, student, SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
+                   PolySchedule(st_lr, cfg.poly_power, cfg.st_maxiter))
     rng = substream(seed, "batch", "selftrain")
     tgt_imgs = ds.target_images()
     pseudo_f = pseudo.astype(np.float32)
-    param_ids = list(pn.values())
 
-    for it in range(cfg.st_maxiter):
-        idx = rng.integers(0, ds.n_target, bt)
-        feeds = {x: Tensor(tgt_imgs[idx]), y: Tensor(pseudo_f[idx]), **param_feeds(pn, student)}
-        acts = forward(g, feeds)
-        val = float(acts[loss])
-        _check_finite(iter_offset + it + 1, {"self_train": val})
-        grads = backward(g, loss, acts, feeds, wrt=param_ids)
-        named = {name: grads[node] for name, node in pn.items()}
-        student.values = opt.step(student.values, named, poly_lr(sched, it))
+    def batches():
+        for _ in range(cfg.st_maxiter):
+            idx = rng.integers(0, ds.n_target, bt)
+            yield {x: tgt_imgs[idx], y: pseudo_f[idx]}
 
+    def hook(it: int, losses: dict[str, float]) -> None:
         step = it + 1
         if step % cfg.eval_interval == 0 or step == cfg.st_maxiter:
             report = evaluate_student(student, ds, cfg.eval_count)
-            log.append(
-                LogRow(
-                    iteration=iter_offset + step,
-                    lr_student=poly_lr(sched, it),
-                    lr_disc=0.0,
-                    loss_seg=val,
-                    loss_con=0.0,
-                    loss_adv_g=0.0,
-                    loss_adv_d=0.0,
-                    miou_eval=report.miou,
-                )
-            )
+            log.append(LogRow(iter_offset + step, poly_lr(sweep.sched, it), 0.0,
+                              losses["self_train"], 0.0, 0.0, 0.0, report.miou))
+
+    _descend(g, [(pn, student)], [sweep], {"self_train": loss}, batches(), hook, iter_offset)
     return student, log
 
 
@@ -615,54 +591,32 @@ def train_tgstn(
     if total_steps == 0:
         return gen, log
 
-    opt_gen = Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    opt_disc = Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    sched_g = PolySchedule(cfg.lr_gen, cfg.poly_power, total_steps)
-    sched_d = PolySchedule(cfg.lr_disc, cfg.poly_power, total_steps)
+    sweeps = [
+        _Sweep(loss, nodes, net,
+               Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay),
+               PolySchedule(lr, cfg.poly_power, total_steps))
+        for loss, nodes, net, lr in ((gen_total, gn, gen, cfg.lr_gen),
+                                     (disc_loss, dn, disc, cfg.lr_disc))
+    ]
     rng = substream(seed, "batch", "tgstn")
-
     src_imgs = ds.source_images()
     src_onehot = one_hot(ds.source_labels(), ds.classes, dtype=np.float32)
     tgt_imgs = ds.target_images()
-    gen_ids = list(gn.values())
-    disc_ids = list(dn.values())
 
-    it = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(ds.n_source)
-        for k in range(steps_per_epoch):
-            idx_s = order[k * bs : (k + 1) * bs]
-            idx_t = rng.integers(0, ds.n_target, bt)
-            feeds: dict[int, Tensor] = {
-                x_src: Tensor(src_imgs[idx_s]),
-                y_src: Tensor(src_onehot[idx_s]),
-                x_tgt: Tensor(tgt_imgs[idx_t]),
-                **param_feeds(gn, gen),
-                **param_feeds(dn, disc),
-                **param_feeds(phin, phi),
-            }
+    def batches():
+        for _epoch in range(cfg.epochs):
+            order = rng.permutation(ds.n_source)
+            for k in range(steps_per_epoch):
+                idx_s = order[k * bs : (k + 1) * bs]
+                idx_t = rng.integers(0, ds.n_target, bt)
+                yield {x_src: src_imgs[idx_s], y_src: src_onehot[idx_s], x_tgt: tgt_imgs[idx_t]}
 
-            acts = forward(g, feeds)
-            vals = {
-                "style": float(acts[style["full"]]),
-                "sem": float(acts[loss_sem]),
-                "per": float(acts[loss_per]),
-            }
-            _check_finite(it + 1, vals)
+    def hook(it: int, losses: dict[str, float]) -> None:
+        log.rows.append(TGSTNRow(it + 1, *(poly_lr(s.sched, it) for s in sweeps),
+                                 losses["style"], losses["sem"], losses["per"]))
 
-            ggrads = backward(g, gen_total, acts, feeds, wrt=gen_ids)
-            dgrads = backward(g, disc_loss, acts, feeds, wrt=disc_ids)
-            gen.values = opt_gen.step(
-                gen.values, {n: ggrads[node] for n, node in gn.items()}, poly_lr(sched_g, it)
-            )
-            disc.values = opt_disc.step(
-                disc.values, {n: dgrads[node] for n, node in dn.items()}, poly_lr(sched_d, it)
-            )
-            it += 1
-            log.rows.append(
-                TGSTNRow(it, poly_lr(sched_g, it - 1), poly_lr(sched_d, it - 1),
-                         vals["style"], vals["sem"], vals["per"])
-            )
+    _descend(g, [(gn, gen), (dn, disc), (phin, phi)], sweeps,
+             {"style": style["full"], "sem": loss_sem, "per": loss_per}, batches(), hook)
     return gen, log
 
 

@@ -84,6 +84,7 @@ def test_config_dict_round_trip():
         ({"train": {"lr_studnet": 0.1}}, "train.lr_studnet"),
         ({"dataset": {"target": {"appearence": {}}}}, "dataset.target.appearence"),
         ({"dataset": {"target": {"layout": [{"porb": 1.0}]}}}, "dataset.target.layout[0].porb"),
+        ({"bounds": {"m_seed": 0}}, "bounds.m_seed"),
     ],
 )
 def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
@@ -106,6 +107,12 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"train": {"seed": 3}}, "train.seed", "root"),
         ({"tgstn": {"seed": 3}}, "tgstn.seed", "root"),
         ({"train": []}, "train", "object"),
+        ({"train": {"at": False}}, "train.at", "--mode"),
+        ({"train": {"se": True}}, "train.se", "--mode"),
+        ({"train": {"aug": False}}, "train.aug", "--mode"),
+        ({"train": {"st": True}}, "train.st", "--mode"),
+        ({"train": {"mst": False}}, "train.mst", "--mode"),
+        ({"tgstn": {"lr_gen": -0.1}}, "tgstn", "lr_gen must be >= 0"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -113,6 +120,13 @@ def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
         parse_config(data)
     assert err.value.path == path_fragment
     assert msg in str(err.value)
+
+
+def test_written_config_leaves_out_what_the_program_sets():
+    written = RunConfig().to_dict()
+    assert not {"seed", "at", "se", "aug", "st", "mst"} & set(written["train"])
+    assert "seed" not in written["tgstn"] and "m_seed" not in written["bounds"]
+    assert parse_config(written) == RunConfig()
 
 
 def test_dataset_domain_defaults_are_the_stock_benchmark():
@@ -351,6 +365,41 @@ def test_numeric_abort_exits_3_with_payload(workdir, tmp_path):
     assert payload["iteration"] >= 1
     bad = [v for v in payload["losses"].values() if isinstance(v, str)]
     assert bad and all(("nan" in v or "inf" in v) for v in bad)
+
+
+@pytest.mark.parametrize(
+    "command, section, key, net",
+    [("train", "train", "lr_student", "student/"), ("train-tgstn", "tgstn", "lr_gen", "gen/")],
+)
+def test_non_finite_parameters_exit_3_with_payload(workdir, tmp_path, capsys,
+                                                    command, section, key, net):
+    cfg = dict(TINY, **{section: dict(TINY[section], **{key: 1e39})})
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg_path), "--data", workdir["data"], "--out", str(out)]
+    if command == "train":
+        argv += ["--mode", "noadapt"]
+    assert cli.main(argv) == 3
+    payload = json.loads((out / "numeric_abort.json").read_text())
+    assert payload["iteration"] == 1
+    assert payload["params"] and all(p.startswith(net) for p in payload["params"])
+    assert all(isinstance(v, float) for v in payload["losses"].values())
+    err = capsys.readouterr().err
+    assert "numeric_abort.json" in err and "Traceback" not in err
+
+
+def test_ablation_flags_in_a_config_exit_2(workdir, tmp_path, capsys):
+    cfg = dict(TINY, train=dict(TINY["train"], at=False, se=False, aug=False))
+    cfg_path = tmp_path / "flags.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(
+        ["train", "--config", str(cfg_path), "--data", workdir["data"],
+         "--mode", "full", "--oracle-style", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "train.at" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_report_and_mst_flag(workdir, trained, tmp_path):

@@ -170,6 +170,18 @@ def test_train_config_validation():
         TGSTNConfig(epochs=-1)
 
 
+@pytest.mark.parametrize(
+    "cls, name",
+    [(TrainConfig, "lr_student"), (TrainConfig, "lr_disc"), (TrainConfig, "st_lr"),
+     (TGSTNConfig, "lr_gen"), (TGSTNConfig, "lr_disc")],
+)
+def test_negative_learning_rates_rejected(cls, name):
+    # checked up front: a stage that never builds this rate's schedule (the
+    # disc rate in noadapt, st_lr without self-training) still rejects it
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        cls(**{name: -1e-3})
+
+
 # ---------------------------------------------------------------------------
 # training loop contracts
 
@@ -249,6 +261,30 @@ def test_divergent_learning_rate_aborts_with_context(ds):
     assert err.value.iteration >= 1
     assert "seg" in err.value.losses
     assert any(not math.isfinite(v) for v in err.value.losses.values())
+
+
+@pytest.mark.parametrize("stage", ["train_segan", "self_train", "train_tgstn"])
+def test_non_finite_parameters_abort_at_the_first_step(ds, stage):
+    # a 1e39 rate overflows float32, so the first step leaves the stepped
+    # net's parameters non-finite while every loss of that step was finite
+    if stage == "train_segan":
+        run = lambda: train_segan(_fast_cfg(lr_student=1e39), ds)
+        iteration, net = 1, "student/"
+    elif stage == "self_train":
+        student = build_segnet(SegNetSpec(class_count=4), seed=5)
+        pseudo = generate_pseudo_labels(student, ds.target_images())
+        run = lambda: self_train(_fast_cfg(st_lr=1e39), student, pseudo, ds, iter_offset=100)
+        iteration, net = 101, "student/"
+    else:
+        phi = build_segnet(SegNetSpec(class_count=4), seed=7).frozen()
+        run = lambda: train_tgstn(TGSTNConfig(epochs=1, lr_gen=1e39, seed=9), ds, phi)
+        iteration, net = 1, "gen/"
+    with pytest.raises(NumericAbort) as err:
+        run()
+    assert err.value.iteration == iteration
+    assert err.value.params and all(p.startswith(net) for p in err.value.params)
+    assert err.value.params[0] in str(err.value)
+    assert all(math.isfinite(v) for v in err.value.losses.values())
 
 
 def test_aug_requires_style_fn(ds):
@@ -360,6 +396,8 @@ def test_run_ablation_writes_artifacts(ds, tmp_path):
     assert (out / "checkpoint.sgt").exists()
     run_meta = json.loads((out / "run.json").read_text())
     assert run_meta["mode"] == "full" and run_meta["seed"] == cfg.seed
+    flags = [run_meta["config"][k] for k in ("at", "se", "aug", "st", "mst")]
+    assert flags == [True, True, True, True, False]  # set by the mode, not by cfg
 
     loaded, meta = load_bundle(out / "checkpoint.sgt")
     assert meta["seed"] == cfg.seed
