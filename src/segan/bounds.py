@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import ConvOperator, DiscSpec, NetParams, build_discriminator, spectral_norm
+from .utils import record_to_dict
 
 VARIANTS = ("statement", "proof-final-line")
 
@@ -75,18 +76,7 @@ class BoundSpec:
         return len(self.s)
 
     def to_dict(self) -> dict:
-        return {
-            "s": list(self.s),
-            "b": list(self.b),
-            "rho": list(self.rho),
-            "width": self.width,
-            "x_norm": self.x_norm,
-            "epsilon": self.epsilon,
-            "n": self.n,
-            "out_bound": self.out_bound,
-            "delta": self.delta,
-            "phi": self.phi,
-        }
+        return record_to_dict(self)
 
 
 @dataclass
@@ -106,14 +96,7 @@ class BoundReport:
     variant: str = "statement"
 
     def to_dict(self) -> dict:
-        return {
-            "log_cover": self.log_cover,
-            "R": self.R,
-            "radii": list(self.radii),
-            "rademacher": self.rademacher,
-            "gen_bound": self.gen_bound,
-            "variant": self.variant,
-        }
+        return record_to_dict(self)
 
 
 def covering_bound(spec: BoundSpec, variant: str = "statement") -> tuple[float, float]:

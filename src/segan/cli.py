@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, datagen, sgt
 from .bounds import bound_report, measure_discriminator
 from .config import ConfigError, RunConfig, load_config
-from .metrics import MetricReport, transfer_gain, write_report
+from .metrics import read_report, transfer_gain, write_report
 from .networks import ModelBundle, predict_segmentation
 from .trainer import (
     NumericAbort,
@@ -202,7 +202,7 @@ def _parse_scales(text: str) -> tuple[float, ...]:
 def cmd_eval(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
-    bundle, meta = load_bundle(args.checkpoint)
+    bundle, _ = load_bundle(args.checkpoint)
     ds = datagen.load_dataset(args.data)
     if bundle.student is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no segmenter")
@@ -270,7 +270,6 @@ def _load_run(run_dir: Path) -> dict:
         if not p.exists():
             raise FileNotFoundError(f"run directory {run_dir} is missing {p.name}")
     run_info = json.loads(run_path.read_text())
-    report = json.loads(report_path.read_text())
     iters, mious = [], []
     with open(log_path, newline="") as f:
         for row in csv.DictReader(f, skipinitialspace=True):
@@ -281,8 +280,7 @@ def _load_run(run_dir: Path) -> dict:
         "mode": run_info["mode"],
         "seed": run_info["seed"],
         "curve": dict(zip(iters, mious)),
-        "miou": report["miou"],
-        "iou": report["iou"],
+        "report": read_report(report_path),
     }
 
 
@@ -304,22 +302,18 @@ def cmd_export_plots(args) -> int:
         w = csv.writer(f)
         w.writerow(["mode", "seed", "miou"])
         for r in runs:
-            w.writerow([r["mode"], r["seed"], r["miou"]])
+            w.writerow([r["mode"], r["seed"], r["report"].miou])
 
     baselines = {r["seed"]: r for r in runs if resolve_mode(_mode_to_trainer(r["mode"]))
                  == (False, False, False, False, False)}
     adapted = [r for r in runs if r["seed"] in baselines and r is not baselines[r["seed"]]]
-    classes = len(runs[0]["iou"]) if runs else 0
+    gains = [transfer_gain(r["report"], baselines[r["seed"]]["report"]).gain for r in adapted]
+    classes = runs[0]["report"].classes if runs else 0
     with open(out / "fig7_gains.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["class"] + [f"{r['mode']}-s{r['seed']}" for r in adapted])
         for c in range(classes):
-            row: list = [c]
-            for r in adapted:
-                base = baselines[r["seed"]]["iou"][c]
-                cur = r["iou"][c]
-                row.append("" if base is None or cur is None else cur - base)
-            w.writerow(row)
+            w.writerow([c] + ["" if np.isnan(g[c]) else float(g[c]) for g in gains])
 
     _write_manifest(out, "export-plots", cfg, started,
                     inputs={"runs": [str(d) for d in args.runs]})

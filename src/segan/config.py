@@ -9,27 +9,13 @@ a misspelled hyperparameter cannot silently revert to its default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .datagen import (
-    AppearanceParams,
-    ClassPrior,
-    LayoutParams,
-    ShiftParams,
-    benchmark_shifts,
-    shift_params_to_dict,
-)
+from .datagen import ShiftParams, benchmark_shifts
 from .networks import DiscSpec, SegNetSpec, StyleGenSpec
 from .trainer import TGSTNConfig, TrainConfig
-
-
-class ConfigError(Exception):
-    """Malformed run configuration; ``path`` is the dotted field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
+from .utils import ConfigError, record_from_dict, record_to_dict
 
 
 @dataclass
@@ -132,19 +118,11 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        train = _simple_to_dict(self.train)
-        tgstn = _simple_to_dict(self.tgstn)
-        for sect, keys in (("train", train), ("tgstn", tgstn)):
-            for key in _NOT_IN_FILE[sect]:
-                del keys[key]
-        return {
-            "seed": self.seed,
-            "dataset": _dataset_to_dict(self.dataset),
-            "networks": _simple_to_dict(self.networks),
-            "train": train,
-            "tgstn": tgstn,
-            "bounds": _simple_to_dict(self.bounds),
-        }
+        d = record_to_dict(self)
+        for sect, keys in _NOT_IN_FILE.items():
+            for key in keys:
+                del d[sect][key]
+        return d
 
 
 _ROOT_SEED = "stage seeds derive from the top-level seed; set 'seed' at the root"
@@ -158,197 +136,14 @@ _NOT_IN_FILE = {
 }
 
 
-def _simple_to_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-def _dataset_to_dict(ds: DatasetConfig) -> dict:
-    return {
-        "n_source": ds.n_source,
-        "n_target": ds.n_target,
-        "height": ds.height,
-        "width": ds.width,
-        "classes": ds.classes,
-        "source": shift_params_to_dict(ds.source),
-        "target": shift_params_to_dict(ds.target),
-    }
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{path}.{unknown[0]}" if path else unknown[0],
-            f"unknown key; known keys: {', '.join(sorted(allowed))}",
-        )
-
-
-def _scalar(obj: dict, key: str, kind, default, path: str):
-    if key not in obj:
-        return default
-    v = obj[key]
-    label = f"{path}.{key}" if path else key
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise ConfigError(label, f"expected a boolean, got {v!r}")
-        return v
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(label, f"expected an integer, got {v!r}")
-        return v
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(label, f"expected a number, got {v!r}")
-        return float(v)
-    if kind is str:
-        if not isinstance(v, str):
-            raise ConfigError(label, f"expected a string, got {v!r}")
-        return v
-    raise AssertionError(kind)
-
-
-def _number_list(obj: dict, key: str, default, path: str, cast=float):
-    if key not in obj:
-        return default
-    v = obj[key]
-    label = f"{path}.{key}" if path else key
-    if not isinstance(v, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
-    ):
-        raise ConfigError(label, f"expected a list of numbers, got {v!r}")
-    return tuple(cast(x) for x in v)
-
-
-def _parse_dataclass(obj: dict, cls, path: str, default=None):
-    """Populate a flat dataclass whose fields are scalars or number tuples;
-    missing fields fall back to ``default`` (a dataclass instance) when
-    given, else to the class defaults."""
-    obj = _expect_object(obj, path)
-    spec = {f.name: f for f in fields(cls)}
-    _check_keys(obj, spec, path)
-    kwargs = {}
-    inst = cls() if default is None else default
-    for name, f in spec.items():
-        current = getattr(inst, name)
-        if isinstance(current, tuple):
-            cast = int if all(isinstance(x, int) for x in current) else float
-            kwargs[name] = _number_list(obj, name, current, path, cast)
-        elif isinstance(current, bool):
-            kwargs[name] = _scalar(obj, name, bool, current, path)
-        elif isinstance(current, int):
-            kwargs[name] = _scalar(obj, name, int, current, path)
-        elif isinstance(current, float):
-            kwargs[name] = _scalar(obj, name, float, current, path)
-        elif current is None:
-            if name in obj and obj[name] is not None:
-                kwargs[name] = _scalar(obj, name, float, current, path)
-            else:
-                kwargs[name] = current
-        elif isinstance(current, str):
-            kwargs[name] = _scalar(obj, name, str, current, path)
-        else:
-            raise AssertionError(f"unsupported field {cls.__name__}.{name}")
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_prior(obj, path: str) -> ClassPrior:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, ("prob", "mean", "cov", "size_range"), path)
-    prob = _scalar(obj, "prob", float, 1.0, path)
-    mean = _number_list(obj, "mean", (0.5, 0.5), path)
-    size_range = _number_list(obj, "size_range", (0.08, 0.16), path)
-    cov = obj.get("cov", [[0.01, 0.0], [0.0, 0.01]])
-    if (
-        not isinstance(cov, list)
-        or len(cov) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in cov)
-    ):
-        raise ConfigError(f"{path}.cov", f"expected a 2x2 number matrix, got {cov!r}")
-    if len(mean) != 2:
-        raise ConfigError(f"{path}.mean", f"expected two numbers, got {list(mean)}")
-    if len(size_range) != 2:
-        raise ConfigError(f"{path}.size_range", f"expected two numbers, got {list(size_range)}")
-    try:
-        return ClassPrior(
-            prob=prob,
-            mean=tuple(mean),
-            cov=tuple(tuple(float(x) for x in row) for row in cov),
-            size_range=tuple(size_range),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_shift(obj, path: str, default: ShiftParams) -> ShiftParams:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, ("appearance", "layout"), path)
-    appearance = default.appearance
-    if "appearance" in obj:
-        appearance = _parse_dataclass(
-            obj["appearance"], AppearanceParams, f"{path}.appearance", default.appearance
-        )
-    layout = default.layout
-    if "layout" in obj:
-        raw = obj["layout"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{path}.layout", f"expected a list of priors, got {raw!r}")
-        layout = LayoutParams(
-            tuple(_parse_prior(p, f"{path}.layout[{i}]") for i, p in enumerate(raw))
-        )
-    return ShiftParams(appearance=appearance, layout=layout)
-
-
-def _parse_dataset(obj, path: str) -> DatasetConfig:
-    obj = _expect_object(obj, path)
-    allowed = ("n_source", "n_target", "height", "width", "classes", "source", "target")
-    _check_keys(obj, allowed, path)
-    d = DatasetConfig()
-    return DatasetConfig(
-        n_source=_scalar(obj, "n_source", int, d.n_source, path),
-        n_target=_scalar(obj, "n_target", int, d.n_target, path),
-        height=_scalar(obj, "height", int, d.height, path),
-        width=_scalar(obj, "width", int, d.width, path),
-        classes=_scalar(obj, "classes", int, d.classes, path),
-        source=_parse_shift(obj.get("source", {}), f"{path}.source", d.source),
-        target=_parse_shift(obj.get("target", {}), f"{path}.target", d.target),
-    )
-
-
 def parse_config(data: dict) -> RunConfig:
     """Validate a decoded JSON object into a RunConfig."""
-    data = _expect_object(data, "")
-    _check_keys(data, ("seed", "dataset", "networks", "train", "tgstn", "bounds"), "")
-    seed = _scalar(data, "seed", int, 0, "")
     for sect, keys in _NOT_IN_FILE.items():
         for key, reason in keys.items():
-            if isinstance(data.get(sect), dict) and key in data[sect]:
+            if isinstance(data, dict) and isinstance(data.get(sect), dict) and key in data[sect]:
                 raise ConfigError(f"{sect}.{key}", reason)
-    cfg = RunConfig(
-        seed=seed,
-        dataset=_parse_dataset(data.get("dataset", {}), "dataset"),
-        networks=_parse_dataclass(data.get("networks", {}), NetworksConfig, "networks"),
-        train=_parse_dataclass(data.get("train", {}), TrainConfig, "train"),
-        tgstn=_parse_dataclass(data.get("tgstn", {}), TGSTNConfig, "tgstn"),
-        bounds=_parse_dataclass(data.get("bounds", {}), BoundsConfig, "bounds"),
-    )
-    return cfg.with_seed(seed)
+    cfg = record_from_dict(RunConfig, data)
+    return cfg.with_seed(cfg.seed)
 
 
 def load_config(path) -> RunConfig:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import sgt
-from .utils import derive_seed, substream
+from .utils import ConfigError, derive_seed, record_from_dict, record_to_dict, substream
 
 PALETTE = np.array(
     [
@@ -91,19 +91,12 @@ class ClassPrior:
 
 
 @dataclass
-class LayoutParams:
-    """Priors for classes 1..len(priors); class 0 is background."""
-
-    priors: tuple[ClassPrior, ...] = ()
-
-    def __post_init__(self):
-        self.priors = tuple(self.priors)
-
-
-@dataclass
 class ShiftParams:
+    """A domain: its appearance transform and the placement priors of
+    classes 1..len(layout); class 0 is background."""
+
     appearance: AppearanceParams = field(default_factory=AppearanceParams)
-    layout: LayoutParams = field(default_factory=LayoutParams)
+    layout: tuple[ClassPrior, ...] = ()
 
 
 @dataclass
@@ -185,9 +178,9 @@ def generate_scene(params: ShiftParams, seed: int, h: int, w: int, classes: int)
         raise ValueError(f"need at least 2 classes, got {classes}")
     if classes > len(PALETTE):
         raise ValueError(f"palette supports at most {len(PALETTE)} classes, got {classes}")
-    if len(params.layout.priors) != classes - 1:
+    if len(params.layout) != classes - 1:
         raise ValueError(
-            f"layout must define {classes - 1} class priors, got {len(params.layout.priors)}"
+            f"layout must define {classes - 1} class priors, got {len(params.layout)}"
         )
     if min(h, w) < 8:
         raise ValueError(f"scene size {h}x{w} too small")
@@ -197,7 +190,7 @@ def generate_scene(params: ShiftParams, seed: int, h: int, w: int, classes: int)
     yy, xx = np.ogrid[0:h, 0:w]
     m = min(h, w)
 
-    for cls, prior in enumerate(params.layout.priors, start=1):
+    for cls, prior in enumerate(params.layout, start=1):
         # draw everything up front so the stream shape is layout-independent
         present = rng.random() < prior.prob
         offset = _cov_factor(prior.cov) @ rng.standard_normal(2)
@@ -306,12 +299,12 @@ def benchmark_shifts() -> tuple[ShiftParams, ShiftParams]:
         ClassPrior(prob=0.8, mean=(0.48, 0.68), cov=((0.009, 0.0), (0.0, 0.009)),
                    size_range=(0.11, 0.18)),
     )
-    source = ShiftParams(layout=LayoutParams(src_priors))
+    source = ShiftParams(layout=src_priors)
     target = ShiftParams(
         appearance=AppearanceParams(
             palette_rotation=0.8, brightness=0.1, blur=0.7, texture_freq=4.0
         ),
-        layout=LayoutParams(tgt_priors),
+        layout=tgt_priors,
     )
     return source, target
 
@@ -391,51 +384,13 @@ def shift_severity(ds: DomainDataset) -> ShiftSeverity:
 # ARRAY_NAMES, with the shift parameters in its metadata
 
 
-def _appearance_to_dict(ap: AppearanceParams) -> dict:
-    return {
-        "palette_rotation": ap.palette_rotation,
-        "brightness": ap.brightness,
-        "blur": ap.blur,
-        "texture_freq": ap.texture_freq,
-    }
-
-
-def _prior_to_dict(p: ClassPrior) -> dict:
-    return {
-        "prob": p.prob,
-        "mean": list(p.mean),
-        "cov": [list(row) for row in p.cov],
-        "size_range": list(p.size_range),
-    }
-
-
-def shift_params_to_dict(sp: ShiftParams) -> dict:
-    return {
-        "appearance": _appearance_to_dict(sp.appearance),
-        "layout": [_prior_to_dict(p) for p in sp.layout.priors],
-    }
-
-
-def shift_params_from_dict(d: dict) -> ShiftParams:
-    return ShiftParams(
-        appearance=AppearanceParams(**d["appearance"]),
-        layout=LayoutParams(tuple(ClassPrior(**p) for p in d["layout"])),
-    )
-
-
 def save_dataset(ds: DomainDataset, dirpath) -> None:
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "format": DATASET_FORMAT,
-        "h": ds.h,
-        "w": ds.w,
-        "classes": ds.classes,
-        "seed": ds.seed,
-        "source_params": shift_params_to_dict(ds.source_params),
-        "target_params": shift_params_to_dict(ds.target_params),
-    }
-    sgt.save_checkpoint(root / DATASET_FILE, {k: ds.arrays[k] for k in ARRAY_NAMES}, meta)
+    meta = record_to_dict(ds)
+    del meta["arrays"]
+    sgt.save_checkpoint(root / DATASET_FILE, {k: ds.arrays[k] for k in ARRAY_NAMES},
+                        {"format": DATASET_FORMAT, **meta})
 
 
 def load_dataset(dirpath) -> DomainDataset:
@@ -443,18 +398,16 @@ def load_dataset(dirpath) -> DomainDataset:
     if not path.exists():
         raise FileNotFoundError(f"no dataset at {path}")
     arrays, meta = sgt.load_checkpoint(path)
-    if meta.get("format") != DATASET_FORMAT:
-        raise sgt.FormatError(f"{path}: dataset format {meta.get('format')!r}, "
-                              f"expected {DATASET_FORMAT!r}")
+    fmt = meta.pop("format", None)
+    if fmt != DATASET_FORMAT:
+        raise sgt.FormatError(f"{path}: dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
     if sorted(arrays) != sorted(ARRAY_NAMES):
         raise sgt.FormatError(f"{path}: arrays {sorted(arrays)}, expected {sorted(ARRAY_NAMES)}")
     try:
-        h, w = int(meta["h"]), int(meta["w"])
-        ds = DomainDataset(h, w, int(meta["classes"]), int(meta["seed"]),
-                           shift_params_from_dict(meta["source_params"]),
-                           shift_params_from_dict(meta["target_params"]), arrays)
-    except (KeyError, TypeError, ValueError) as e:
-        raise sgt.FormatError(f"{path}: bad dataset metadata: {e!r}") from None
+        ds = record_from_dict(DomainDataset, meta, arrays=arrays)
+    except ConfigError as e:
+        raise sgt.FormatError(f"{path}: bad dataset metadata: {e}") from None
+    h, w = ds.h, ds.w
     for domain in ("source", "target"):
         images, labels = arrays[f"{domain}/images"], arrays[f"{domain}/labels"]
         n = images.shape[0] if images.ndim == 4 else 0

@@ -142,3 +142,11 @@ def write_report(report: MetricReport, out_dir, extra: dict | None = None) -> No
         for c, v in enumerate(report.iou):
             writer.writerow([c, "" if math.isnan(v) else f"{v:.6f}"])
         writer.writerow(["miou", f"{report.miou:.6f}"])
+
+
+def read_report(path) -> MetricReport:
+    """The report that :func:`write_report` put in ``report.json``."""
+    d = json.loads(Path(path).read_text())
+    iou = np.array([math.nan if v is None else v for v in d["iou"]], dtype=np.float64)
+    return MetricReport(iou=iou, miou=d["miou"], pixel_count=d["pixel_count"],
+                        classes=d["classes"])

@@ -9,14 +9,14 @@ node ids, so several nets can share one graph and one backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import kernels
 from .tensor import Graph, forward
-from .utils import substream
+from .utils import ConfigError, record_from_dict, record_to_dict, substream
 
 
 @dataclass
@@ -171,6 +171,19 @@ def param_feeds(nodes: dict[str, int], net: NetParams) -> dict[int, np.ndarray]:
     return {nodes[name]: arr for name, arr in net.values.items()}
 
 
+def segnet_body(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> int:
+    """The segmenter without its head: the node of the body output."""
+    h = g.scalar_add(g.scalar_mul(x, 2.0, name="seg.scale"), -1.0, name="seg.center")
+    for i in range(len(spec.widths)):
+        stride = 2 if i < spec.downsample else 1
+        h = g.conv2d(
+            h, pn[f"conv{i}/w"], bias=pn[f"conv{i}/b"], stride=stride, pad=1,
+            name=f"seg.conv{i}"
+        )
+        h = g.relu(h, name=f"seg.relu{i}")
+    return h
+
+
 def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> dict[str, int]:
     """Returns node ids for "probs" (softmax class map at input resolution)
     and "features" (body output). Inputs in [0,1] are centered to [-1,1]
@@ -186,16 +199,9 @@ def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> di
     probability (at most 10 ulp, 2.1e-7 absolute, seen at batch 2 and 16)
     with identical argmax labels; float64 agrees to rtol 1e-12.
     """
-    h = g.scalar_add(g.scalar_mul(x, 2.0, name="seg.scale"), -1.0, name="seg.center")
-    for i in range(len(spec.widths)):
-        stride = 2 if i < spec.downsample else 1
-        h = g.conv2d(
-            h, pn[f"conv{i}/w"], bias=pn[f"conv{i}/b"], stride=stride, pad=1,
-            name=f"seg.conv{i}"
-        )
-        h = g.relu(h, name=f"seg.relu{i}")
-    features = h
-    logits = g.conv2d(h, pn["head/w"], bias=pn["head/b"], stride=1, pad=0, name="seg.head")
+    features = segnet_body(g, spec, pn, x)
+    logits = g.conv2d(features, pn["head/w"], bias=pn["head/b"], stride=1, pad=0,
+                      name="seg.head")
     probs = g.softmax(logits, name="seg.softmax")
     if spec.downsample:
         probs = g.upsample_nearest(probs, spec.scale, name="seg.up")
@@ -383,18 +389,20 @@ def spectral_norm(op, iters: int = 200, tol: float = 1e-12, seed: int = 0) -> fl
 
 
 def spec_to_dict(spec) -> dict:
-    d = asdict(spec)
-    d["kind"] = type(spec).__name__
-    return d
+    return {**record_to_dict(spec), "kind": type(spec).__name__}
 
 
 _SPEC_KINDS = {"SegNetSpec": SegNetSpec, "DiscSpec": DiscSpec, "StyleGenSpec": StyleGenSpec}
 
 
-def spec_from_dict(d: dict):
+def spec_from_dict(d: dict, path: str = ""):
+    """The spec a :func:`spec_to_dict` object names by its ``kind``; raises
+    :class:`ConfigError` for anything else."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"expected an object, got {type(d).__name__}")
     d = dict(d)
-    kind = d.pop("kind")
-    for key in ("widths",):
-        if key in d:
-            d[key] = tuple(d[key])
-    return _SPEC_KINDS[kind](**d)
+    kind = d.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise ConfigError(f"{path}.kind" if path else "kind",
+                          f"expected one of {', '.join(_SPEC_KINDS)}, got {kind!r}")
+    return record_from_dict(_SPEC_KINDS[kind], d, path)

@@ -57,6 +57,7 @@ from .networks import (
     multi_scale_predict,
     param_feeds,
     predict_segmentation,
+    segnet_body,
     segnet_forward,
     spec_from_dict,
     spec_to_dict,
@@ -64,7 +65,7 @@ from .networks import (
 )
 from .optim import SGD, Adam, PolySchedule, poly_lr
 from .tensor import Graph, backward, forward
-from .utils import derive_seed, one_hot, substream
+from .utils import ConfigError, derive_seed, one_hot, substream
 
 LOG_HEADER = "iter, lr_student, lr_disc, loss_seg, loss_con, loss_adv_g, loss_adv_d, miou_eval"
 
@@ -333,9 +334,11 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
         if not all(math.isfinite(v) for v in values.values()):
             raise NumericAbort(offset + it + 1, values)
         grads = [backward(g, s.loss, acts, feeds, wrt=list(s.nodes.values())) for s in sweeps]
-        for s, grad in zip(sweeps, grads):
-            named = {name: grad[node] for name, node in s.nodes.items()}
-            s.net.values = s.opt.step(s.net.values, named, poly_lr(s.sched, it))
+        # an overflowing step is reported by the parameter check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, grad in zip(sweeps, grads):
+                named = {name: grad[node] for name, node in s.nodes.items()}
+                s.net.values = s.opt.step(s.net.values, named, poly_lr(s.sched, it))
         bad = [g.nodes[s.nodes[name]].name for s in sweeps
                for name, arr in s.net.values.items() if not np.isfinite(arr).all()]
         if bad:
@@ -574,9 +577,9 @@ def train_tgstn(
     style = style_adversarial_terms_node(g, d_real, d_src, d_gen)
 
     phi_gen = segnet_forward(g, phi.spec, phin, transferred)
-    phi_src = segnet_forward(g, phi.spec, phin, x_src)
+    phi_src = segnet_body(g, phi.spec, phin, x_src)
     loss_sem = pixel_ce_node(g, phi_gen["probs"], y_src, name="sem")
-    loss_per = consistency_loss_node(g, phi_gen["features"], phi_src["features"], name="per")
+    loss_per = consistency_loss_node(g, phi_gen["features"], phi_src, name="per")
 
     gen_total = weighted_sum_node(
         g,
@@ -686,8 +689,8 @@ def save_bundle(path, bundle: ModelBundle, **meta) -> None:
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
     tensors, meta = sgt.load_checkpoint(path)
-    if "specs" not in meta:
-        raise sgt.FormatError(f"{path} holds no networks (no 'specs' in its metadata)")
+    if not isinstance(meta.get("specs"), dict):
+        raise sgt.FormatError(f"{path} holds no networks (no 'specs' object in its metadata)")
     nets: dict[str, NetParams | None] = {}
     for comp, spec_dict in meta["specs"].items():
         values = {
@@ -695,7 +698,11 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
             for name, arr in tensors.items()
             if name.startswith(f"{comp}/")
         }
-        nets[comp] = NetParams(spec_from_dict(spec_dict), values)
+        try:
+            spec = spec_from_dict(spec_dict, f"specs.{comp}")
+        except ConfigError as e:
+            raise sgt.FormatError(f"{path}: bad network spec: {e}") from None
+        nets[comp] = NetParams(spec, values)
     bundle = ModelBundle(
         student=nets.get("student"),
         teacher=nets.get("teacher"),

@@ -13,11 +13,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from segan import cli
+from segan import cli, sgt
 from segan.config import ConfigError, RunConfig, load_config, parse_config
 from segan.datagen import benchmark_shifts
 
@@ -68,7 +69,7 @@ def test_config_dict_round_trip():
     )
     assert cfg.dataset.n_source == 12
     assert cfg.dataset.target.appearance.brightness == 0.2
-    assert cfg.dataset.target.layout.priors[0].mean == (0.4, 0.6)
+    assert cfg.dataset.target.layout[0].mean == (0.4, 0.6)
     assert cfg.networks.segnet_widths == (8, 16, 16)
     assert cfg.train.maxiter == 50
     assert cfg.bounds.tight_sigmoid is True
@@ -113,6 +114,7 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"train": {"st": True}}, "train.st", "--mode"),
         ({"train": {"mst": False}}, "train.mst", "--mode"),
         ({"tgstn": {"lr_gen": -0.1}}, "tgstn", "lr_gen must be >= 0"),
+        ({"networks": {"segnet_widths": [8.5, 16, 16]}}, "networks.segnet_widths", "integers"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -142,7 +144,7 @@ def test_dataset_domain_defaults_are_the_stock_benchmark():
     prior = {"prob": 1.0, "mean": [0.5, 0.5], "cov": [[0.01, 0.0], [0.0, 0.01]],
              "size_range": [0.1, 0.2]}
     cfg = parse_config({"dataset": {"target": {"layout": [prior]}}})
-    assert len(cfg.dataset.target.layout.priors) == 1
+    assert len(cfg.dataset.target.layout) == 1
     assert cfg.dataset.source == src
 
 
@@ -380,7 +382,10 @@ def test_non_finite_parameters_exit_3_with_payload(workdir, tmp_path, capsys,
     argv = [command, "--config", str(cfg_path), "--data", workdir["data"], "--out", str(out)]
     if command == "train":
         argv += ["--mode", "noadapt"]
-    assert cli.main(argv) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     payload = json.loads((out / "numeric_abort.json").read_text())
     assert payload["iteration"] == 1
     assert payload["params"] and all(p.startswith(net) for p in payload["params"])
@@ -478,6 +483,31 @@ def test_bounds_payload_is_internally_consistent(workdir, trained, tmp_path):
     assert proof["gen_bound"] <= stmt["gen_bound"]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["gen_bound"] == stmt["gen_bound"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta["specs"]["student"].pop("kind"),
+        lambda meta: meta["specs"]["student"].update(kind="UNet"),
+        lambda meta: meta["specs"]["student"].update(depth=3),
+        lambda meta: meta["specs"]["student"].update(widths="16,32,32"),
+        lambda meta: meta.update(specs=[meta["specs"]["student"]]),
+    ],
+    ids=["no-kind", "unknown-kind", "unknown-field", "string-widths", "specs-list"],
+)
+@pytest.mark.parametrize("command", ["eval", "bounds"])
+def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, command, edit):
+    tensors, meta = sgt.load_checkpoint(trained / "checkpoint.sgt")
+    edit(meta)
+    bad = tmp_path / "bad.sgt"
+    sgt.save_checkpoint(bad, tensors, meta)
+    code = cli.main([command, "--data", workdir["data"], "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bounds_demands_discriminator(workdir, tmp_path, capsys):

@@ -14,7 +14,6 @@ from segan.datagen import (
     AppearanceParams,
     ClassPrior,
     DomainDataset,
-    LayoutParams,
     Scene,
     ShiftParams,
     apply_domain_style,
@@ -26,17 +25,16 @@ from segan.datagen import (
     load_dataset,
     relative_appearance,
     save_dataset,
-    shift_params_from_dict,
-    shift_params_to_dict,
     shift_severity,
 )
+from segan.utils import record_from_dict, record_to_dict
 
 
 def _single_class(prob=1.0, size_range=(0.1, 0.2)):
     prior = ClassPrior(
         prob=prob, mean=(0.5, 0.5), cov=((0.005, 0.0), (0.0, 0.005)), size_range=size_range
     )
-    return ShiftParams(layout=LayoutParams((prior,)))
+    return ShiftParams(layout=(prior,))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +106,7 @@ def test_prior_validation():
         ClassPrior(size_range=(0.2, 0.1))
     with pytest.raises(ValueError, match="positive semi-definite"):
         generate_scene(
-            ShiftParams(layout=LayoutParams((ClassPrior(cov=((1.0, 2.0), (2.0, 1.0))),))),
+            ShiftParams(layout=(ClassPrior(cov=((1.0, 2.0), (2.0, 1.0))),)),
             seed=0, h=32, w=32, classes=2,
         )
     with pytest.raises(ValueError, match="blur"):
@@ -141,7 +139,7 @@ def test_disk_occupancy_matches_expected_area():
     disk = ClassPrior(
         prob=1.0, mean=(0.5, 0.5), cov=((0.005, 0.0), (0.0, 0.005)), size_range=(0.1, 0.2)
     )
-    params = ShiftParams(layout=LayoutParams((bg, disk)))
+    params = ShiftParams(layout=(bg, disk))
     counts = np.array(
         [
             (generate_scene(params, seed=i, h=64, w=64, classes=3).label == 2).sum()
@@ -275,9 +273,7 @@ def test_shifted_dataset_reports_positive_gaps():
     src = _single_class()
     tgt = ShiftParams(
         appearance=AppearanceParams(palette_rotation=0.8, brightness=0.1, blur=0.7),
-        layout=LayoutParams(
-            (ClassPrior(prob=0.6, mean=(0.4, 0.4), cov=((0.009, 0.0), (0.0, 0.009))),)
-        ),
+        layout=(ClassPrior(prob=0.6, mean=(0.4, 0.4), cov=((0.009, 0.0), (0.0, 0.009))),),
     )
     ds = generate_dataset(src, tgt, n_source=8, n_target=8, seed=6, h=32, w=32, classes=2)
     sev = shift_severity(ds)
@@ -383,9 +379,11 @@ def _resave(tmp_path, edit):
                                 "target/labels": a["target/labels"][:0]}), "n >= 1"),
         (lambda a, m: a.update({"source/images": a["source/images"][0]}), "source images"),
         (lambda a, m: m.pop("classes"), "metadata"),
+        (lambda a, m: m.update(h="32"), r"metadata: h: expected an integer"),
     ],
     ids=["format", "missing-array", "extra-array", "image-shape", "label-count",
-         "image-dtype", "label-dtype", "empty-domain", "image-ndim", "missing-meta"],
+         "image-dtype", "label-dtype", "empty-domain", "image-ndim", "missing-meta",
+         "string-meta"],
 )
 def test_load_rejects_malformed_container(tmp_path, edit, match):
     with pytest.raises(sgt.FormatError, match=match):
@@ -395,6 +393,6 @@ def test_load_rejects_malformed_container(tmp_path, edit, match):
 def test_shift_params_dict_round_trip():
     sp = ShiftParams(
         appearance=AppearanceParams(palette_rotation=0.8, brightness=0.1),
-        layout=LayoutParams((ClassPrior(prob=0.9), ClassPrior(prob=0.5, mean=(0.3, 0.6)))),
+        layout=(ClassPrior(prob=0.9), ClassPrior(prob=0.5, mean=(0.3, 0.6))),
     )
-    assert shift_params_from_dict(shift_params_to_dict(sp)) == sp
+    assert record_from_dict(ShiftParams, record_to_dict(sp)) == sp

@@ -14,7 +14,6 @@ import pytest
 from segan.datagen import (
     AppearanceParams,
     ClassPrior,
-    LayoutParams,
     ShiftParams,
     generate_dataset,
 )
@@ -51,16 +50,14 @@ def _tiny_dataset(seed=11, n=6, shifted=True, n_target=None):
         ClassPrior(prob=0.9, mean=(0.68, 0.4), cov=((0.006, 0.0), (0.0, 0.006)), size_range=(0.1, 0.18)),
         ClassPrior(prob=0.9, mean=(0.5, 0.72), cov=((0.006, 0.0), (0.0, 0.006)), size_range=(0.1, 0.16)),
     )
-    src = ShiftParams(layout=LayoutParams(src_priors))
+    src = ShiftParams(layout=src_priors)
     if shifted:
         tgt = ShiftParams(
             appearance=AppearanceParams(palette_rotation=0.8, brightness=0.1, blur=0.7, texture_freq=4.0),
-            layout=LayoutParams(
-                tuple(
-                    ClassPrior(prob=p.prob * 0.85, mean=p.mean, cov=((0.009, 0.0), (0.0, 0.009)),
-                               size_range=p.size_range)
-                    for p in src_priors
-                )
+            layout=tuple(
+                ClassPrior(prob=p.prob * 0.85, mean=p.mean, cov=((0.009, 0.0), (0.0, 0.009)),
+                           size_range=p.size_range)
+                for p in src_priors
             ),
         )
     else:
