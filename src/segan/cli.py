@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,18 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _run_file(path: Path):
+    """Report a run file that lacks a key or holds a malformed value as a
+    ``FormatError`` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise sgt.FormatError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise sgt.FormatError(f"{path}: {exc}") from None
+
+
 def _load_run(run_dir: Path) -> dict:
     log_path = run_dir / "train_log.csv"
     report_path = run_dir / "report.json"
@@ -269,18 +282,22 @@ def _load_run(run_dir: Path) -> dict:
     for p in (log_path, report_path, run_path):
         if not p.exists():
             raise FileNotFoundError(f"run directory {run_dir} is missing {p.name}")
-    run_info = json.loads(run_path.read_text())
+    with _run_file(run_path):
+        run_info = json.loads(run_path.read_text())
+        mode, seed = run_info["mode"], run_info["seed"]
     iters, mious = [], []
-    with open(log_path, newline="") as f:
+    with _run_file(log_path), open(log_path, newline="") as f:
         for row in csv.DictReader(f, skipinitialspace=True):
             iters.append(int(row["iter"]))
             mious.append(float(row["miou_eval"]))
+    with _run_file(report_path):
+        report = read_report(report_path)
     return {
         "dir": run_dir,
-        "mode": run_info["mode"],
-        "seed": run_info["seed"],
+        "mode": mode,
+        "seed": seed,
         "curve": dict(zip(iters, mious)),
-        "report": read_report(report_path),
+        "report": report,
     }
 
 

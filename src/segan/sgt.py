@@ -11,11 +11,14 @@ SGT1 layout (all integers little-endian):
 A checkpoint is a uint32 manifest length, a UTF-8 JSON manifest, then the
 referenced SGT1 blobs concatenated in manifest order. The manifest carries
 tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
+A checkpoint is written to ``<name>.tmp`` beside the target and renamed
+over it, so the target is always either the previous file or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -97,11 +100,16 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blobs.append(blob)
     manifest = json.dumps({"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries})
     raw = manifest.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
-        for blob in blobs:
-            f.write(blob)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<I", len(raw)) + raw)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _check_manifest(manifest) -> None:

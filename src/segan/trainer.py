@@ -329,13 +329,15 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
     for it, feeds in enumerate(batches):
         for nodes, net in nets:
             feeds.update(param_feeds(nodes, net))
-        acts = forward(g, feeds)
-        values = {name: float(acts[node]) for name, node in losses.items()}
-        if not all(math.isfinite(v) for v in values.values()):
-            raise NumericAbort(offset + it + 1, values)
-        grads = [backward(g, s.loss, acts, feeds, wrt=list(s.nodes.values())) for s in sweeps]
-        # an overflowing step is reported by the parameter check below
+        # overflow anywhere in the step is reported by the loss and
+        # parameter checks, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            acts = forward(g, feeds)
+            values = {name: float(acts[node]) for name, node in losses.items()}
+            if not all(math.isfinite(v) for v in values.values()):
+                raise NumericAbort(offset + it + 1, values)
+            grads = [backward(g, s.loss, acts, feeds, wrt=list(s.nodes.values()))
+                     for s in sweeps]
             for s, grad in zip(sweeps, grads):
                 named = {name: grad[node] for name, node in s.nodes.items()}
                 s.net.values = s.opt.step(s.net.values, named, poly_lr(s.sched, it))

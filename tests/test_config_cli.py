@@ -358,11 +358,14 @@ def test_numeric_abort_exits_3_with_payload(workdir, tmp_path):
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    code = cli.main(
-        ["train", "--config", str(cfg_path), "--data", workdir["data"],
-         "--mode", "noadapt", "--out", str(out)]
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(
+            ["train", "--config", str(cfg_path), "--data", workdir["data"],
+             "--mode", "noadapt", "--out", str(out)]
+        )
     assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     payload = json.loads((out / "numeric_abort.json").read_text())
     assert payload["iteration"] >= 1
     bad = [v for v in payload["losses"].values() if isinstance(v, str)]
@@ -619,6 +622,30 @@ def test_export_plots_missing_run_dir_exits_4(workdir, tmp_path, capsys):
     )
     assert code == 4
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("run.json", "{}", "'mode'"),
+        ("train_log.csv", "iter,miou_train\n5,0.5\n", "'miou_eval'"),
+        ("report.json", "{}", "'iou'"),
+    ],
+)
+def test_export_plots_malformed_run_files_exit_4(tmp_path, capsys, name, text, key):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_text(json.dumps({"mode": "at", "seed": 3}))
+    (run / "train_log.csv").write_text("iter,miou_eval\n5,0.5\n")
+    (run / "report.json").write_text(json.dumps(
+        {"iou": [0.5, None], "miou": 0.5, "pixel_count": [10, 0], "classes": 2}))
+    (run / name).write_text(text)
+    code = cli.main(["export-plots", "--runs", str(run), "--out", str(tmp_path / "p")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert str(run / name) in err and f"missing key {key}" in err
+    assert not (tmp_path / "p").exists()
 
 
 def test_parser_level_errors_raise_system_exit():

@@ -2,7 +2,8 @@
 
 Forward passes are checked against scipy.signal.correlate2d; backward
 passes against the adjoint identity <g, conv(x)> == <conv^T(g), x>,
-which holds exactly for linear maps.
+which holds exactly for linear maps. The space-to-depth path is checked
+against the tap loop, which stays the reference for every conv shape.
 """
 
 import numpy as np
@@ -140,3 +141,135 @@ def test_upsample_and_adjoint():
     with pytest.raises(ValueError):
         kernels.upsample_nearest(x, 0)
 
+
+
+# ---------------------------------------------------------------------------
+# space-to-depth path against the tap loop
+
+# The space-to-depth GEMMs sum 4·c_in products per tap where the tap loop
+# sums c_in, so float32 results differ in the last bits. Both tolerances are
+# relative to the largest magnitude of the tap-loop result; the largest
+# float32 difference seen on the disc shapes below is 3.5e-7.
+S2D_FLOAT32_RTOL = 1e-6
+S2D_FLOAT64_RTOL = 1e-13
+
+# (input size, c_in, c_out) of each layer of the stock discriminators:
+# kernel 4, stride 2, pad 1, 64 -> 32 -> 16 -> 8 -> 4 -> 2
+DISC_LAYERS = [(64, 4, 8), (64, 3, 8), (32, 8, 16), (16, 16, 32), (8, 32, 64), (4, 64, 1)]
+
+_TAP_LOOP = ("_conv2d_forward_np", "_conv2d_bwd_input_np", "_conv2d_bwd_weight_np")
+_S2D = ("_conv2d_forward_s2d", "_conv2d_bwd_input_s2d", "_conv2d_bwd_weight_s2d")
+
+
+def _forbid(monkeypatch, names):
+    """Make the named kernel functions raise, to show which path a call takes."""
+    def refuse(*args):
+        raise AssertionError("the other kernel path ran")
+    for name in names:
+        monkeypatch.setattr(kernels, name, refuse)
+
+
+def _all_three(x, w, g, stride, pad):
+    return (
+        kernels.conv2d_forward(x, w, stride, pad),
+        kernels.conv2d_bwd_input(g, w, x.shape[1:3], stride, pad),
+        kernels.conv2d_bwd_weight(x, g, w.shape[:2], stride, pad),
+    )
+
+
+def _tap_loop(x, w, g, stride, pad):
+    xp = kernels._pad_input(x, pad)
+    out = kernels._conv2d_forward_np(xp, w, g.shape, stride)
+    gxp = np.zeros(xp.shape, dtype=x.dtype)
+    kernels._conv2d_bwd_input_np(g, w, gxp, stride)
+    gx = gxp[:, pad : xp.shape[1] - pad, pad : xp.shape[2] - pad]
+    gw = np.zeros(w.shape, dtype=x.dtype)
+    kernels._conv2d_bwd_weight_np(xp, g, gw, stride)
+    return out, gx, gw
+
+
+def _operands(n, h, wd, kernel, c_in, c_out, stride, pad, dtype, seed=0):
+    x = _rand((n, h, wd, c_in), seed, dtype)
+    w = _rand((kernel, kernel, c_in, c_out), seed + 1, dtype)
+    ho = kernels.conv_output_size(h, kernel, stride, pad)
+    wo = kernels.conv_output_size(wd, kernel, stride, pad)
+    g = _rand((n, ho, wo, c_out), seed + 2, dtype)
+    return x, w, g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("size,c_in,c_out", DISC_LAYERS)
+def test_space_to_depth_matches_tap_loop_on_disc_layers(monkeypatch, size, c_in, c_out, n, dtype):
+    x, w, g = _operands(n, size, size, 4, c_in, c_out, 2, 1, dtype)
+    want = _tap_loop(x, w, g, 2, 1)
+    _forbid(monkeypatch, _TAP_LOOP)
+    got = _all_three(x, w, g, 2, 1)
+    rtol = S2D_FLOAT32_RTOL if dtype == np.float32 else S2D_FLOAT64_RTOL
+    for name, a, b in zip(("forward", "input grad", "weight grad"), got, want):
+        assert a.dtype == dtype and a.shape == b.shape and a.flags.c_contiguous, name
+        rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert rel <= rtol, f"{name}: {rel:.3g} relative"
+
+
+@pytest.mark.parametrize(
+    "n,h,wd,kernel,c_in,c_out,stride,pad",
+    [
+        (2, 10, 10, 4, 3, 5, 2, 1),   # the stock disc's k4 s2 p1
+        (1, 8, 12, 4, 2, 3, 2, 0),    # non-square, no padding
+        (2, 7, 10, 6, 2, 3, 3, 1),    # k6 s3: 3x3 phases, 2x2 phase kernel
+        (1, 6, 6, 2, 3, 2, 2, 0),     # k2 s2: one phase tap
+    ],
+)
+def test_space_to_depth_adjoint_and_finite_differences(monkeypatch, n, h, wd, kernel, c_in,
+                                                       c_out, stride, pad):
+    _forbid(monkeypatch, _TAP_LOOP)
+    x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float64, seed=21)
+    out, gx, gw = _all_three(x, w, g, stride, pad)
+    np.testing.assert_allclose(out, _oracle_conv(x, w, stride, pad), rtol=1e-12, atol=1e-12)
+    lhs = float(np.sum(g * out))
+    np.testing.assert_allclose(float(np.sum(gx * x)), lhs, rtol=1e-12)
+    np.testing.assert_allclose(float(np.sum(gw * w)), lhs, rtol=1e-12)
+
+    def loss(x_, w_):
+        return float(np.sum(g * kernels.conv2d_forward(x_, w_, stride, pad)))
+
+    eps = 1e-6
+    rng = np.random.default_rng(5)
+    for arr, grad in ((x, gx), (w, gw)):
+        for _ in range(4):
+            idx = tuple(int(rng.integers(d)) for d in arr.shape)
+            saved = arr[idx]
+            arr[idx] = saved + eps
+            up = loss(x, w)
+            arr[idx] = saved - eps
+            down = loss(x, w)
+            arr[idx] = saved
+            np.testing.assert_allclose(grad[idx], (up - down) / (2 * eps), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n,h,wd,kernel,c_in,c_out,stride,pad",
+    [
+        (2, 9, 9, 4, 3, 4, 2, 1),     # padded 11x11: odd
+        (1, 10, 9, 4, 2, 3, 2, 1),    # padded 12x11: even height, odd width
+        (1, 9, 10, 4, 2, 3, 2, 1),    # padded 11x12: odd height, even width
+        (2, 8, 8, 4, 3, 4, 1, 1),     # stride 1
+        (2, 10, 10, 3, 3, 4, 2, 1),   # kernel 3 is no multiple of stride 2
+    ],
+)
+def test_other_convs_take_the_tap_loop(monkeypatch, n, h, wd, kernel, c_in, c_out, stride, pad):
+    x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
+    want = _tap_loop(x, w, g, stride, pad)
+    _forbid(monkeypatch, _S2D)
+    for a, b in zip(_all_three(x, w, g, stride, pad), want):
+        assert np.array_equal(a, b)
+
+
+def test_space_to_depth_regroups_phases():
+    a = np.arange(2 * 4 * 6 * 3).reshape(2, 4, 6, 3)
+    q = kernels.space_to_depth(a, 2)
+    assert q.shape == (2, 2, 3, 2, 2, 3) and q.flags.c_contiguous
+    for b, i, j, py, px in [(0, 0, 0, 0, 0), (1, 1, 2, 1, 0), (0, 1, 1, 0, 1), (1, 0, 2, 1, 1)]:
+        assert np.array_equal(q[b, i, j, py, px], a[b, 2 * i + py, 2 * j + px])
+    assert np.array_equal(q.swapaxes(2, 3).reshape(a.shape), a)

@@ -125,6 +125,48 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back[name], tensors[name])
 
 
+class _FailingFile:
+    """A file whose second ``write`` fails, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.sgt"
+    sgt.save_checkpoint(path, _sample_tensors(), {"seed": 1})
+    before = path.read_bytes()
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(_FailingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(sgt, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        sgt.save_checkpoint(path, {"other": np.ones(3, np.float32)}, {"seed": 2})
+    # the manifest went out in the first write; the first tensor failed
+    assert [f.writes for f in opened] == [2]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.sgt"]
+    monkeypatch.undo()
+    sgt.save_checkpoint(path, _sample_tensors(), {"seed": 1})
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_manifest_is_readable_json(tmp_path):
     path = tmp_path / "ckpt.sgt"
     sgt.save_checkpoint(path, _sample_tensors(), {"seed": 1})
