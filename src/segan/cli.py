@@ -87,7 +87,8 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with sgt.atomic_open(out / "run_manifest.json") as f:
+        f.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _mode_to_trainer(mode: str) -> str:
@@ -253,7 +254,8 @@ def cmd_bounds(args) -> int:
         "statement": bound_report(spec, "statement").to_dict(),
         "proof_final_line": bound_report(spec, "proof-final-line").to_dict(),
     }
-    (out / "bounds.json").write_text(json.dumps(payload, indent=2) + "\n")
+    with sgt.atomic_open(out / "bounds.json") as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
     _write_manifest(
         out, "bounds", cfg, started,
         inputs={"checkpoint": str(args.checkpoint), "data": args.data},
@@ -309,13 +311,13 @@ def cmd_export_plots(args) -> int:
 
     labels = [f"{r['mode']}-s{r['seed']}" for r in runs]
     all_iters = sorted({i for r in runs for i in r["curve"]})
-    with open(out / "fig6_stability.csv", "w", newline="") as f:
+    with sgt.atomic_open(out / "fig6_stability.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iter"] + labels)
         for it in all_iters:
             w.writerow([it] + [r["curve"].get(it, "") for r in runs])
 
-    with open(out / "table3_ablation.csv", "w", newline="") as f:
+    with sgt.atomic_open(out / "table3_ablation.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["mode", "seed", "miou"])
         for r in runs:
@@ -326,7 +328,7 @@ def cmd_export_plots(args) -> int:
     adapted = [r for r in runs if r["seed"] in baselines and r is not baselines[r["seed"]]]
     gains = [transfer_gain(r["report"], baselines[r["seed"]]["report"]).gain for r in adapted]
     classes = runs[0]["report"].classes if runs else 0
-    with open(out / "fig7_gains.csv", "w", newline="") as f:
+    with sgt.atomic_open(out / "fig7_gains.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["class"] + [f"{r['mode']}-s{r['seed']}" for r in adapted])
         for c in range(classes):
@@ -404,9 +406,9 @@ def main(argv=None) -> int:
     except NumericAbort as abort:
         payload = Path(args.out) / "numeric_abort.json"
         losses = {k: v if np.isfinite(v) else repr(v) for k, v in abort.losses.items()}
-        payload.write_text(json.dumps(
-            {"iteration": abort.iteration, "losses": losses, "params": abort.params}, indent=2
-        ) + "\n")
+        with sgt.atomic_open(payload) as f:
+            f.write(json.dumps({"iteration": abort.iteration, "losses": losses,
+                                "params": abort.params}, indent=2) + "\n")
         print(f"{abort}; details in {payload}", file=sys.stderr)
         return EXIT_NUMERIC
     except ConfigError as exc:

@@ -419,4 +419,9 @@ def load_dataset(dirpath) -> DomainDataset:
                 f"{labels.dtype} {labels.shape}; expected n >= 1 scenes of float32 "
                 f"(n, {h}, {w}, 3) and uint8 (n, {h}, {w})"
             )
+        if labels.max() >= ds.classes:
+            raise sgt.FormatError(
+                f"{path}: {domain} labels reach {labels.max()}, but the dataset has "
+                f"{ds.classes} classes"
+            )
     return ds

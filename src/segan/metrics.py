@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sgt
+
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, classes: int) -> np.ndarray:
     """(classes, classes) count matrix, rows ground truth, columns prediction."""
@@ -135,8 +137,9 @@ def write_report(report: MetricReport, out_dir, extra: dict | None = None) -> No
     payload = report.to_dict()
     if extra:
         payload.update(extra)
-    (out / "report.json").write_text(json.dumps(payload, indent=2))
-    with open(out / "report.csv", "w", newline="") as f:
+    with sgt.atomic_open(out / "report.json") as f:
+        f.write(json.dumps(payload, indent=2))
+    with sgt.atomic_open(out / "report.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["class", "iou"])
         for c, v in enumerate(report.iou):

@@ -11,8 +11,11 @@ SGT1 layout (all integers little-endian):
 A checkpoint is a uint32 manifest length, a UTF-8 JSON manifest, then the
 referenced SGT1 blobs concatenated in manifest order. The manifest carries
 tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
-A checkpoint is written to ``<name>.tmp`` beside the target and renamed
-over it, so the target is always either the previous file or the new one.
+
+Every file the program writes (checkpoints, datasets, reports, logs and
+manifests) goes through :func:`atomic_open`: it is written to
+``<name>.tmp`` beside the target and renamed over it, so the target is
+always either the previous file or the new one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +87,21 @@ def read_sgt(path) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open ``<name>.tmp`` beside ``path`` for writing, and rename it over
+    ``path`` when the block ends. If the block raises, the temp file is
+    removed and ``path`` keeps its previous content."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     blobs = []
     entries = []
@@ -100,16 +119,10 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blobs.append(blob)
     manifest = json.dumps({"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries})
     raw = manifest.encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(struct.pack("<I", len(raw)) + raw)
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_open(path, "wb") as f:
+        f.write(struct.pack("<I", len(raw)) + raw)
+        for blob in blobs:
+            f.write(blob)
 
 
 def _check_manifest(manifest) -> None:

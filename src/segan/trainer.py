@@ -54,6 +54,7 @@ from .networks import (
     build_segnet,
     build_style_generator,
     disc_forward,
+    infer_in_slices,
     multi_scale_predict,
     param_feeds,
     predict_segmentation,
@@ -212,7 +213,8 @@ class TrainLog:
                 f"{r.iteration},{r.lr_student:.8g},{r.lr_disc:.8g},{r.loss_seg:.8g},"
                 f"{r.loss_con:.8g},{r.loss_adv_g:.8g},{r.loss_adv_d:.8g},{r.miou_eval:.6f}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        with sgt.atomic_open(path) as f:
+            f.write("\n".join(lines) + "\n")
 
 
 def ema_update(prev, now, alpha: float):
@@ -394,8 +396,7 @@ def train_segan(
                              Adam(beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay),
                              PolySchedule(cfg.lr_disc, cfg.poly_power, cfg.maxiter)))
 
-    src_imgs = ds.source_images()
-    src_onehot = one_hot(ds.source_labels(), ds.classes, dtype=np.float32)
+    src_imgs, src_labels = ds.source_images(), ds.source_labels()
     tgt_imgs = ds.target_images()
     aug_imgs = np.asarray(style_fn(src_imgs), dtype=np.float32) if cfg.aug else None
     if cfg.aug and aug_imgs.shape != src_imgs.shape:
@@ -410,7 +411,8 @@ def train_segan(
         for _ in range(cfg.maxiter):
             idx_s = batch_rng.integers(0, ds.n_source, cfg.batch_source)
             idx_t = batch_rng.integers(0, ds.n_target, cfg.batch_target)
-            feeds = {sg.inputs["x_src"]: src_imgs[idx_s], sg.inputs["y_src"]: src_onehot[idx_s]}
+            feeds = {sg.inputs["x_src"]: src_imgs[idx_s],
+                     sg.inputs["y_src"]: one_hot(src_labels[idx_s], ds.classes)}
             if "x_aug" in sg.inputs:
                 feeds[sg.inputs["x_aug"]] = aug_imgs[idx_s]
             if "x_tgt" in sg.inputs:
@@ -482,12 +484,11 @@ def self_train(
                    PolySchedule(st_lr, cfg.poly_power, cfg.st_maxiter))
     rng = substream(seed, "batch", "selftrain")
     tgt_imgs = ds.target_images()
-    pseudo_f = pseudo.astype(np.float32)
 
     def batches():
         for _ in range(cfg.st_maxiter):
             idx = rng.integers(0, ds.n_target, bt)
-            yield {x: tgt_imgs[idx], y: pseudo_f[idx]}
+            yield {x: tgt_imgs[idx], y: pseudo[idx].astype(np.float32)}
 
     def hook(it: int, losses: dict[str, float]) -> None:
         step = it + 1
@@ -525,7 +526,8 @@ class TGSTNLog:
                 f"{r.iteration},{r.lr_gen:.8g},{r.lr_disc:.8g},{r.loss_style:.8g},"
                 f"{r.loss_sem:.8g},{r.loss_per:.8g}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        with sgt.atomic_open(path) as f:
+            f.write("\n".join(lines) + "\n")
 
 
 def check_tgstn_batches(cfg: TGSTNConfig, ds: DomainDataset) -> None:
@@ -604,8 +606,7 @@ def train_tgstn(
                                      (disc_loss, dn, disc, cfg.lr_disc))
     ]
     rng = substream(seed, "batch", "tgstn")
-    src_imgs = ds.source_images()
-    src_onehot = one_hot(ds.source_labels(), ds.classes, dtype=np.float32)
+    src_imgs, src_labels = ds.source_images(), ds.source_labels()
     tgt_imgs = ds.target_images()
 
     def batches():
@@ -614,7 +615,8 @@ def train_tgstn(
             for k in range(steps_per_epoch):
                 idx_s = order[k * bs : (k + 1) * bs]
                 idx_t = rng.integers(0, ds.n_target, bt)
-                yield {x_src: src_imgs[idx_s], y_src: src_onehot[idx_s], x_tgt: tgt_imgs[idx_t]}
+                yield {x_src: src_imgs[idx_s], y_src: one_hot(src_labels[idx_s], ds.classes),
+                       x_tgt: tgt_imgs[idx_t]}
 
     def hook(it: int, losses: dict[str, float]) -> None:
         log.rows.append(TGSTNRow(it + 1, *(poly_lr(s.sched, it) for s in sweeps),
@@ -626,18 +628,15 @@ def train_tgstn(
 
 
 def apply_style_generator(gen: NetParams, images: np.ndarray) -> np.ndarray:
-    """Run the generator over a stack of images."""
-    images = np.asarray(images, dtype=np.float32)
-    squeeze = images.ndim == 3
-    if squeeze:
-        images = images[None]
-    g = Graph()
-    x = g.input("x", images.shape)
-    pn = add_param_inputs(g, "gen", gen)
-    out = stylegen_forward(g, gen.spec, pn, x)
-    feeds = {x: images, **param_feeds(pn, gen)}
-    result = forward(g, feeds)[out]
-    return result[0] if squeeze else result
+    """Run the generator over an (h,w,c) image or an (n,h,w,c) stack.
+
+    The stack runs in slices of ``networks.INFER_PIXELS`` input pixels (8
+    images at 64x64), so memory is bounded by the slice, not the stack. As
+    in :func:`predict_segmentation`, only float rounding could move against
+    one whole-batch graph; on the stock generator the output is
+    bit-identical, and the tests hold it to that.
+    """
+    return infer_in_slices(gen, "gen", stylegen_forward, images)[0]
 
 
 def oracle_style_fn(ds: DomainDataset):
@@ -752,7 +751,6 @@ def run_ablation(
         save_bundle(out / "checkpoint.sgt", bundle,
                     seed=seed, iteration=cfg.maxiter + (cfg.st_maxiter if cfg.st else 0),
                     config=asdict(cfg), mode=mode)
-        (out / "run.json").write_text(
-            json.dumps({"mode": mode, "seed": seed, "config": asdict(cfg)}, indent=2)
-        )
+        with sgt.atomic_open(out / "run.json") as f:
+            f.write(json.dumps({"mode": mode, "seed": seed, "config": asdict(cfg)}, indent=2))
     return report, bundle, log

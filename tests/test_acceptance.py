@@ -1,15 +1,14 @@
 """Behavioral acceptance gate.
 
 One test per numbered criterion; each prints a single ``criterion NN ...
-PASS`` line with the measured quantities (mirrored past pytest's capture so
-the lines land in plain ``pytest -v`` output). The heavyweight ablation
+PASS`` line with the measured quantities (``tests/conftest.py`` repeats
+the captured lines in the run's terminal summary). The heavyweight ablation
 sweep is shared by criteria 06-08 through a module fixture.
 """
 
 import json
 import math
 import statistics
-import sys
 import time
 
 import numpy as np
@@ -51,8 +50,6 @@ from segan.trainer import (
 
 def _announce(line: str) -> None:
     print(line)
-    if sys.stdout is not sys.__stdout__:
-        print(line, file=sys.__stdout__, flush=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Network builders, forward shape contracts, prediction helpers, and
 spectral norms against dense linear-algebra oracles."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from segan import networks
+from segan.datagen import benchmark_shifts, generate_dataset
 from segan.networks import (
+    INFER_PIXELS,
     ConvOperator,
     DiscSpec,
     ModelBundle,
@@ -254,6 +258,80 @@ def test_disc_last_layer_has_no_activation():
 
 
 # ---------------------------------------------------------------------------
+# sliced inference
+
+SLICE = INFER_PIXELS // (64 * 64)  # stock 64x64 images per inference slice
+
+
+@pytest.fixture(scope="module")
+def stock_images():
+    """200 target images of the stock benchmark."""
+    ds = generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3)
+    return ds.target_images()
+
+
+def _whole_batch_probs(net: NetParams, images: np.ndarray) -> np.ndarray:
+    """The segmenter's probabilities from one graph over the whole stack."""
+    g = Graph()
+    x = g.input("x", images.shape)
+    pn = add_param_inputs(g, "seg", net)
+    probs = segnet_forward(g, net.spec, pn, x)["probs"]
+    return forward(g, {x: images, **param_feeds(pn, net)})[probs]
+
+
+def _assert_within_slice_tolerance(probs, labels, ref):
+    # the named tolerance: 16 ulp per float32 probability, equal argmax
+    assert probs.dtype == np.float32 and labels.dtype == np.uint8
+    assert probs.shape == ref.shape and labels.shape == ref.shape[:-1]
+    ulp = np.spacing(np.maximum(np.abs(probs), np.abs(ref)))
+    assert (np.abs(probs - ref) <= 16 * ulp).all()
+    assert np.array_equal(labels, ref.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("n", [None, SLICE - 1, SLICE, SLICE + 1])
+def test_sliced_prediction_matches_whole_batch_graph(n):
+    net = build_segnet(SegNetSpec(), seed=4)
+    shape = (64, 64, 3) if n is None else (n, 64, 64, 3)
+    images = np.random.default_rng(5).random(shape).astype(np.float32)
+    probs, labels = predict_segmentation(net, images)
+    ref = _whole_batch_probs(net, images if n is not None else images[None])
+    if n is None:
+        ref = ref[0]
+    _assert_within_slice_tolerance(probs, labels, ref)
+
+
+def test_sliced_prediction_of_200_stock_images(stock_images):
+    net = build_segnet(SegNetSpec(), seed=4)
+    probs, labels = predict_segmentation(net, stock_images)
+    _assert_within_slice_tolerance(probs, labels, _whole_batch_probs(net, stock_images))
+
+
+def test_prediction_builds_at_most_two_graphs_and_runs_one_per_slice(monkeypatch):
+    built, ran = [], []
+    monkeypatch.setattr(networks, "Graph", lambda: built.append(Graph()) or built[-1])
+    monkeypatch.setattr(networks, "forward", lambda g, feeds: ran.append(g) or forward(g, feeds))
+    net = build_segnet(SegNetSpec(), seed=4)
+    images = np.zeros((2 * SLICE + 3, 64, 64, 3), dtype=np.float32)
+    probs, labels = predict_segmentation(net, images)
+    assert probs.shape == (2 * SLICE + 3, 64, 64, 4) and labels.shape == (2 * SLICE + 3, 64, 64)
+    assert [g.shape(0)[0] for g in built] == [SLICE, 3]
+    assert [g.shape(0)[0] for g in ran] == [SLICE, SLICE, 3]
+
+
+def test_prediction_memory_is_bounded_by_the_slice(stock_images):
+    # the whole-batch graph peaked at 6.2x the outputs on this stack
+    net = build_segnet(SegNetSpec(), seed=4)
+    predict_segmentation(net, stock_images[:1])
+    tracemalloc.start()
+    try:
+        probs, labels = predict_segmentation(net, stock_images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (probs.nbytes + labels.nbytes)
+
+
+# ---------------------------------------------------------------------------
 # style generator
 
 
@@ -296,6 +374,11 @@ def test_multi_scale_single_and_repeated_scale_are_identity():
     assert np.array_equal(p1, p_ref) and np.array_equal(l1, l_ref)
     p2, l2 = multi_scale_predict(net, img, [1.0, 1.0])
     assert np.array_equal(p2, p_ref) and np.array_equal(l2, l_ref)
+    # a stack of more than one inference slice
+    images = np.random.default_rng(6).random((SLICE + 3, 64, 64, 3)).astype(np.float32)
+    p_ref, l_ref = predict_segmentation(net, images)
+    p1, l1 = multi_scale_predict(net, images, [1.0])
+    assert np.array_equal(p1, p_ref) and np.array_equal(l1, l_ref)
 
 
 def test_multi_scale_constant_image():

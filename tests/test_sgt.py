@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from segan import sgt
+from segan.metrics import iou_report, write_report
+from segan.trainer import LogRow, TGSTNLog, TGSTNRow, TrainLog
 
 
 @pytest.mark.parametrize(
@@ -126,15 +128,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 class _FailingFile:
-    """A file whose second ``write`` fails, as on a full disk."""
+    """A file whose ``fail_at``-th ``write`` fails, as on a full disk."""
 
-    def __init__(self, f):
+    def __init__(self, f, fail_at=2):
         self.f = f
+        self.fail_at = fail_at
         self.writes = 0
 
     def write(self, data):
         self.writes += 1
-        if self.writes == 2:
+        if self.writes == self.fail_at:
             raise OSError("no space left on device")
         return self.f.write(data)
 
@@ -165,6 +168,45 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypa
     monkeypatch.undo()
     sgt.save_checkpoint(path, _sample_tensors(), {"seed": 1})
     assert path.read_bytes() == before
+
+
+def _write_report(out, k):
+    write_report(iou_report(np.array([[k, 1], [2, 3]])), out, extra={"seed": k})
+
+
+def _write_train_log(out, k):
+    TrainLog([LogRow(k, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]).to_csv(out / "train_log.csv")
+
+
+def _write_tgstn_log(out, k):
+    TGSTNLog([TGSTNRow(k, 0.1, 0.2, 0.3, 0.4, 0.5)]).to_csv(out / "tgstn_log.csv")
+
+
+@pytest.mark.parametrize(
+    "name, write, fail_at",
+    [
+        ("report.csv", _write_report, 2),  # report.json is written first, in one write
+        ("report.json", _write_report, 1),
+        ("train_log.csv", _write_train_log, 1),
+        ("tgstn_log.csv", _write_tgstn_log, 1),
+    ],
+)
+def test_interrupted_text_write_keeps_the_previous_file(tmp_path, monkeypatch, name, write,
+                                                        fail_at):
+    write(tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_open(*args, **kwargs):
+        return _FailingFile(open(*args, **kwargs), fail_at)
+
+    monkeypatch.setattr(sgt, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(tmp_path, 2)
+    assert (tmp_path / name).read_bytes() == before[name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    monkeypatch.undo()
+    write(tmp_path, 2)
+    assert (tmp_path / name).read_bytes() != before[name]
 
 
 def test_checkpoint_manifest_is_readable_json(tmp_path):

@@ -15,9 +15,21 @@ from segan.datagen import (
     AppearanceParams,
     ClassPrior,
     ShiftParams,
+    benchmark_shifts,
     generate_dataset,
 )
-from segan.networks import ModelBundle, SegNetSpec, StyleGenSpec, build_segnet, build_style_generator, predict_segmentation
+from segan.networks import (
+    INFER_PIXELS,
+    ModelBundle,
+    SegNetSpec,
+    StyleGenSpec,
+    add_param_inputs,
+    build_segnet,
+    build_style_generator,
+    param_feeds,
+    predict_segmentation,
+    stylegen_forward,
+)
 from segan.losses import self_train_loss
 from segan.trainer import (
     LOG_HEADER,
@@ -41,6 +53,7 @@ from segan.trainer import (
     train_segan,
     train_tgstn,
 )
+from segan.tensor import Graph, forward
 from segan.utils import derive_seed
 
 
@@ -441,6 +454,34 @@ def test_tgstn_style_fn_wraps_generator(ds):
     np.testing.assert_allclose(fn(imgs), apply_style_generator(gen, imgs), rtol=0)
     # residual generator at initialization is the identity
     assert np.array_equal(fn(imgs), imgs)
+
+
+def _whole_batch_styled(gen, images: np.ndarray) -> np.ndarray:
+    """The generator's output from one graph over the whole stack."""
+    g = Graph()
+    x = g.input("x", images.shape)
+    pn = add_param_inputs(g, "gen", gen)
+    out = stylegen_forward(g, gen.spec, pn, x)
+    return forward(g, {x: images, **param_feeds(pn, gen)})[out]
+
+
+@pytest.mark.parametrize("n", [None, "below", "equal", "above", "stock"])
+def test_sliced_style_generator_is_bit_identical_to_whole_batch_graph(n):
+    gen = build_style_generator(StyleGenSpec(), seed=6)
+    gen.values["out/w"] = np.random.default_rng(1).standard_normal(
+        gen.values["out/w"].shape).astype(np.float32) * 0.1  # leave the identity start
+    per_slice = INFER_PIXELS // (64 * 64)
+    if n == "stock":
+        images = generate_dataset(*benchmark_shifts(), n_source=200, n_target=1,
+                                  seed=3).source_images()
+    else:
+        count = {None: 1, "below": per_slice - 1, "equal": per_slice, "above": per_slice + 1}[n]
+        images = np.random.default_rng(2).random((count, 64, 64, 3)).astype(np.float32)
+    ref = _whole_batch_styled(gen, images)
+    out = apply_style_generator(gen, images[0] if n is None else images)
+    assert not np.array_equal(ref, images)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, ref[0] if n is None else ref)
 
 
 # ---------------------------------------------------------------------------
