@@ -27,6 +27,7 @@ from .config import ConfigError, RunConfig, load_config
 from .metrics import read_report, transfer_gain, write_report
 from .networks import ModelBundle, predict_segmentation
 from .trainer import (
+    MODES,
     NumericAbort,
     check_tgstn_batches,
     evaluate_student,
@@ -45,8 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-CLI_MODES = ("noadapt", "at", "at-se", "at-se-aug", "full", "full-mst")
 
 _VERSIONS = {
     "segan": __version__,
@@ -89,10 +88,6 @@ def _write_manifest(
         manifest.update(extra)
     with sgt.atomic_open(out / "run_manifest.json") as f:
         f.write(json.dumps(manifest, indent=2) + "\n")
-
-
-def _mode_to_trainer(mode: str) -> str:
-    return {"at-se": "at+se", "at-se-aug": "at+se+aug", "full-mst": "full+mst"}.get(mode, mode)
 
 
 def _style_fn(args, ds, cfg: RunConfig, needs_aug: bool):
@@ -146,7 +141,7 @@ def cmd_train_tgstn(args) -> int:
         ds, cfg.seed, seg_spec=cfg.networks.segnet_spec(ds.classes)
     )
     gen, log = train_tgstn(
-        cfg.tgstn, ds, phi,
+        cfg.tgstn, ds, phi, cfg.seed,
         gen_spec=cfg.networks.stylegen_spec(),
         disc_spec=cfg.networks.disc_spec(3),
     )
@@ -172,11 +167,10 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data)
     out = _prepare_out(args.out, args.force)
-    mode = _mode_to_trainer(args.mode)
-    _, _, needs_aug, _, _ = resolve_mode(mode)
+    _, _, needs_aug, _, _ = resolve_mode(args.mode)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
     report, bundle, log = run_ablation(
-        mode, ds, cfg.train, style_fn=style_fn, out_dir=out,
+        args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn, out_dir=out,
         seg_spec=cfg.networks.segnet_spec(ds.classes),
         disc_spec=cfg.networks.disc_spec(ds.classes),
     )
@@ -323,8 +317,7 @@ def cmd_export_plots(args) -> int:
         for r in runs:
             w.writerow([r["mode"], r["seed"], r["report"].miou])
 
-    baselines = {r["seed"]: r for r in runs if resolve_mode(_mode_to_trainer(r["mode"]))
-                 == (False, False, False, False, False)}
+    baselines = {r["seed"]: r for r in runs if r["mode"] == "noadapt"}
     adapted = [r for r in runs if r["seed"] in baselines and r is not baselines[r["seed"]]]
     gains = [transfer_gain(r["report"], baselines[r["seed"]]["report"]).gain for r in adapted]
     classes = runs[0]["report"].classes if runs else 0
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the segmenter in an ablation mode")
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--mode", required=True, choices=CLI_MODES)
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--tgstn", default=None, help="style generator checkpoint")
     p.add_argument("--oracle-style", action="store_true",
                    help="style source images with the generating appearance shift")

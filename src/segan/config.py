@@ -4,6 +4,11 @@ A run config is a single JSON object with optional sections ``seed``,
 ``dataset``, ``networks``, ``train``, ``tgstn``, and ``bounds``. Missing
 sections and fields fall back to defaults; unknown keys are hard errors so
 a misspelled hyperparameter cannot silently revert to its default.
+
+The config holds only what a file sets. The one seed is the root ``seed``,
+which the stages receive as an argument, and the ablation mode is the
+``--mode`` of ``segan train``; a file that sets either inside a stage
+section is rejected with the reason.
 """
 
 from __future__ import annotations
@@ -108,27 +113,17 @@ class RunConfig:
     bounds: BoundsConfig = field(default_factory=BoundsConfig)
 
     def with_seed(self, seed: int | None) -> "RunConfig":
-        """Root seed override (the --seed flag); propagates to the stages."""
-        seed = self.seed if seed is None else int(seed)
-        return replace(
-            self,
-            seed=seed,
-            train=replace(self.train, seed=seed),
-            tgstn=replace(self.tgstn, seed=seed),
-        )
+        """Root seed override (the --seed flag); None keeps the file's."""
+        return self if seed is None else replace(self, seed=int(seed))
 
     def to_dict(self) -> dict:
-        d = record_to_dict(self)
-        for sect, keys in _NOT_IN_FILE.items():
-            for key in keys:
-                del d[sect][key]
-        return d
+        return record_to_dict(self)
 
 
 _ROOT_SEED = "stage seeds derive from the top-level seed; set 'seed' at the root"
 _FROM_MODE = "the ablation flags come from the --mode of 'segan train'"
-# Stage fields the program sets itself: a config file may not give them, and
-# RunConfig.to_dict leaves them out.
+# Stage keys that older configs may carry but the program sets itself; a
+# config file that gives one is rejected with the reason.
 _NOT_IN_FILE = {
     "train": {"seed": _ROOT_SEED,
               **dict.fromkeys(("at", "se", "aug", "st", "mst"), _FROM_MODE)},
@@ -142,8 +137,7 @@ def parse_config(data: dict) -> RunConfig:
         for key, reason in keys.items():
             if isinstance(data, dict) and isinstance(data.get(sect), dict) and key in data[sect]:
                 raise ConfigError(f"{sect}.{key}", reason)
-    cfg = record_from_dict(RunConfig, data)
-    return cfg.with_seed(cfg.seed)
+    return record_from_dict(RunConfig, data)
 
 
 def load_config(path) -> RunConfig:

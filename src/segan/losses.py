@@ -73,8 +73,8 @@ def adversarial_terms_node(
     """Alignment objective on discriminator score maps.
 
     full = E[log(1-D(src))] (+ E[log(1-D(aug))]) + E[log D(tgt)], where
-    D = sigmoid(raw). The discriminator ascends "full"; the segmenter
-    descends either "full" or just "tgt".
+    D = sigmoid(raw). The discriminator ascends "full" and the segmenter
+    descends it; the per-domain parts are returned alongside.
     """
     terms: dict[str, int] = {}
     terms["src"] = _mean_log_sigmoid(g, g.scalar_mul(d_src, -1.0), "adv.src")

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 A :class:`Graph` is a static, topologically ordered list of operator nodes
-built ahead of time; :func:`forward` evaluates it for a set of feeds, and
-:func:`backward` accumulates vector-Jacobian products from a scalar loss
-node back to the fed leaves. :func:`finite_diff_grad` is an independent
+built ahead of time; :func:`forward` evaluates it for a set of feeds (float
+arrays keyed by input node id), and :func:`backward` accumulates
+vector-Jacobian products from a scalar loss node back to the input leaves
+it is asked for. :func:`finite_diff_grad` is an independent
 central-difference check that only ever calls :func:`forward`.
 
 Shapes are inferred and validated at build time, so mismatches surface when
@@ -29,34 +30,6 @@ class GraphError(Exception):
 
 class ShapeError(GraphError):
     """Operands fed to a node do not fit; message names the node."""
-
-
-@dataclass
-class Tensor:
-    """Dense array leaf. ``grad`` is populated by :func:`backward` when
-    ``requires_grad`` is set."""
-
-    data: np.ndarray
-    requires_grad: bool = False
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-
-def tensor(values, requires_grad: bool = False, dtype=None) -> Tensor:
-    arr = np.asarray(values, dtype=dtype)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 @dataclass
@@ -320,7 +293,7 @@ def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
     raise GraphError(f"unknown op {op!r}")
 
 
-def forward(graph: Graph, feeds: dict[int, Tensor | np.ndarray]) -> list[np.ndarray]:
+def forward(graph: Graph, feeds: dict[int, np.ndarray]) -> list[np.ndarray]:
     """Evaluate every node; returns activations indexed by node id."""
     input_ids = {i for i, n in enumerate(graph.nodes) if n.op == "input"}
     missing = input_ids - set(feeds)
@@ -333,7 +306,7 @@ def forward(graph: Graph, feeds: dict[int, Tensor | np.ndarray]) -> list[np.ndar
 
     values: dict[int, np.ndarray] = {}
     for i, v in feeds.items():
-        arr = np.asarray(v.data if isinstance(v, Tensor) else v)
+        arr = np.asarray(v)
         if not np.issubdtype(arr.dtype, np.floating):
             raise GraphError(f"{graph._label(i)}: feeds must be float arrays, got {arr.dtype}")
         if arr.shape != graph.nodes[i].shape:
@@ -466,25 +439,17 @@ def backward(
     graph: Graph,
     loss: int,
     acts: list[np.ndarray],
-    feeds: dict[int, Tensor | np.ndarray],
-    wrt: list[int] | None = None,
+    wrt: list[int],
 ) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(leaf) for the requested leaves.
+    """Accumulate d(loss)/d(leaf) for the input leaves ``wrt``.
 
-    ``wrt`` defaults to every fed Tensor with ``requires_grad``. Gradients
-    are returned keyed by node id and also written to ``Tensor.grad``.
-    Subgraphs that do not lead to any requested leaf are skipped.
+    Gradients are returned keyed by node id. Subgraphs that do not lead to
+    any requested leaf are skipped.
     """
     if acts[loss].size != 1:
         raise GraphError(
             f"{graph._label(loss)}: backward needs a scalar loss, shape is {acts[loss].shape}"
         )
-    if wrt is None:
-        wrt = [
-            i
-            for i, v in feeds.items()
-            if isinstance(v, Tensor) and v.requires_grad
-        ]
     for i in wrt:
         if graph.nodes[i].op != "input":
             raise GraphError(f"{graph._label(i)}: gradients only flow to input leaves")
@@ -516,11 +481,7 @@ def backward(
         g = grads.get(i)
         if g is None:
             g = np.zeros(graph.nodes[i].shape, dtype=dtype)
-        g = np.array(g, dtype=dtype)  # broadcast views become owned arrays
-        out[i] = g
-        v = feeds.get(i)
-        if isinstance(v, Tensor):
-            v.grad = g
+        out[i] = np.array(g, dtype=dtype)  # broadcast views become owned arrays
     return out
 
 
@@ -528,7 +489,7 @@ def finite_diff_grad(
     graph: Graph,
     loss: int,
     wrt_id: int,
-    feeds: dict[int, Tensor | np.ndarray],
+    feeds: dict[int, np.ndarray],
     h: float = 1e-4,
 ) -> np.ndarray:
     """Central-difference gradient of the loss w.r.t. one leaf.
@@ -536,10 +497,7 @@ def finite_diff_grad(
     Runs forward passes only, in float64, so it is an independent check on
     :func:`backward`. Cost is two evaluations per coordinate of the leaf.
     """
-    base = {
-        i: np.asarray(v.data if isinstance(v, Tensor) else v, dtype=np.float64)
-        for i, v in feeds.items()
-    }
+    base = {i: np.asarray(v, dtype=np.float64) for i, v in feeds.items()}
     x = base[wrt_id].copy()
     grad = np.zeros_like(x)
     flat_x = x.reshape(-1)

@@ -17,17 +17,22 @@ average of the student, logs and checkpoints. Self-training descends the
 pseudo-label cross entropy; TGSTN descends the generator objective and the
 negated style-alignment loss.
 
+Which terms a run trains with is its ablation mode, one rung of the
+paper's cumulative ladder in :data:`MODES`. The mode and the seed are
+arguments of every stage; the stage configs hold only what a config file
+sets.
+
 Determinism: all sampling and initialization derive from one seed through
 named substreams, and batch indices for both domains are drawn every
-iteration regardless of which terms are enabled, so runs with different
-flags stay comparable and equal-seed runs are bit-identical.
+iteration regardless of which terms are enabled, so runs in different
+modes stay comparable and equal-seed runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -70,24 +75,20 @@ from .utils import ConfigError, derive_seed, one_hot, substream
 
 LOG_HEADER = "iter, lr_student, lr_disc, loss_seg, loss_con, loss_adv_g, loss_adv_d, miou_eval"
 
-MODES = ("NoAdapt", "AT", "AT+SE", "AT+SE+Aug", "+ST", "+MST")
-_MODE_FLAGS = {
-    "noadapt": (False, False, False, False, False),
-    "at": (True, False, False, False, False),
-    "at+se": (True, True, False, False, False),
-    "at+se+aug": (True, True, True, False, False),
-    "+st": (True, True, True, True, False),
-    "+mst": (True, True, True, True, True),
-}
-_MODE_ALIASES = {"full": "+st", "full+mst": "+mst"}
+# The rungs of the paper's cumulative ablation, in the spellings of ``segan
+# train --mode``: no adaptation, then adversarial training (AT),
+# self-ensembling (SE), style augmentation (Aug), self-training (ST) and
+# multi-scale testing (MST), each added to the rung before.
+MODES = ("noadapt", "at", "at-se", "at-se-aug", "full", "full-mst")
 
 
 def resolve_mode(mode: str) -> tuple[bool, bool, bool, bool, bool]:
-    key = mode.strip().lower()
-    key = _MODE_ALIASES.get(key, key)
-    if key not in _MODE_FLAGS:
-        raise ValueError(f"unknown mode {mode!r}; choose from {MODES} or 'full'")
-    return _MODE_FLAGS[key]
+    """The (at, se, aug, st, mst) terms of a mode: each rung of the ladder
+    adds one term to the rung before it."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+    rung = MODES.index(mode)
+    return tuple(k < rung for k in range(5))
 
 
 class NumericAbort(RuntimeError):
@@ -126,13 +127,6 @@ class TrainConfig:
     eval_interval: int = 100
     checkpoint_interval: int = 0  # 0 disables interval checkpoints
     eval_count: int = 16
-    seed: int = 0
-    at: bool = False
-    se: bool = False
-    aug: bool = False
-    st: bool = False
-    mst: bool = False
-    adv_target_only: bool = False
     mst_scales: tuple[float, ...] = (0.75, 1.0, 1.25)
 
     def __post_init__(self):
@@ -167,7 +161,6 @@ class TGSTNConfig:
     epochs: int = 5
     batch_source: int = 2
     batch_target: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -251,7 +244,10 @@ class _SeganGraph:
 
 
 def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
-                       teacher: NetParams | None, disc: NetParams | None) -> _SeganGraph:
+                       teacher: NetParams | None, disc: NetParams | None,
+                       aug: bool) -> _SeganGraph:
+    """A teacher adds the consistency term (SE), a discriminator the
+    adversarial term (AT), and ``aug`` the styled-source branch (Aug)."""
     g = Graph()
     sspec: SegNetSpec = student.spec
     bs, bt = cfg.batch_source, cfg.batch_target
@@ -263,29 +259,29 @@ def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
     probs_src = segnet_forward(g, sspec, sn, inputs["x_src"])["probs"]
 
     probs_aug = None
-    if cfg.aug:
+    if aug:
         inputs["x_aug"] = g.input("x_aug", (bs, h, w, 3))
         probs_aug = segnet_forward(g, sspec, sn, inputs["x_aug"])["probs"]
     losses = {"seg": seg_loss_node(g, probs_src, inputs["y_src"], probs_aug)}
     parts: list[tuple[int, float]] = [(losses["seg"], 1.0)]
 
-    if cfg.at or cfg.se:
+    if disc is not None or teacher is not None:
         inputs["x_tgt"] = g.input("x_tgt", (bt, h, w, 3))
         probs_tgt_student = segnet_forward(g, sspec, sn, inputs["x_tgt"])["probs"]
 
-    if cfg.se:
+    if teacher is not None:
         params["teacher"] = add_param_inputs(g, "teacher", teacher)
         probs_tgt_teacher = segnet_forward(g, sspec, params["teacher"], inputs["x_tgt"])["probs"]
         losses["con"] = consistency_loss_node(g, probs_tgt_student, probs_tgt_teacher)
         parts.append((losses["con"], cfg.lambda_con))
 
-    if cfg.at:
+    if disc is not None:
         dn = params["disc"] = add_param_inputs(g, "disc", disc)
         d_src = disc_forward(g, disc.spec, dn, probs_src)
-        d_aug = disc_forward(g, disc.spec, dn, probs_aug) if cfg.aug else None
+        d_aug = disc_forward(g, disc.spec, dn, probs_aug) if aug else None
         d_tgt = disc_forward(g, disc.spec, dn, probs_tgt_student)
         terms = adversarial_terms_node(g, d_src, d_tgt, d_aug)
-        losses["adv_g"] = terms["tgt"] if cfg.adv_target_only else terms["full"]
+        losses["adv_g"] = terms["full"]
         losses["adv_d"] = g.scalar_mul(terms["full"], -1.0, name="disc_descend")
         parts.append((losses["adv_g"], cfg.lambda_adv))
 
@@ -338,7 +334,7 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
             values = {name: float(acts[node]) for name, node in losses.items()}
             if not all(math.isfinite(v) for v in values.values()):
                 raise NumericAbort(offset + it + 1, values)
-            grads = [backward(g, s.loss, acts, feeds, wrt=list(s.nodes.values()))
+            grads = [backward(g, s.loss, acts, list(s.nodes.values()))
                      for s in sweeps]
             for s, grad in zip(sweeps, grads):
                 named = {name: grad[node] for name, node in s.nodes.items()}
@@ -353,22 +349,24 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
 def train_segan(
     cfg: TrainConfig,
     ds: DomainDataset,
+    mode: str,
+    seed: int,
     style_fn=None,
-    seed: int | None = None,
     seg_spec: SegNetSpec | None = None,
     disc_spec: DiscSpec | None = None,
     out_dir=None,
     log: TrainLog | None = None,
 ) -> tuple[ModelBundle, TrainLog]:
-    """Adversarial stage of Algorithm 1 (lines up to the EMA update).
+    """Adversarial stage of Algorithm 1 (lines up to the EMA update), with
+    the AT, SE and Aug terms of ``mode``.
 
     ``style_fn`` maps a stack of source images to their target-styled
-    counterparts; it is required when the Aug flag is set and is applied
-    once up front since the generator stays fixed during this stage.
+    counterparts; it is required when the mode has the Aug term and is
+    applied once up front since the generator stays fixed during this stage.
     """
-    seed = cfg.seed if seed is None else seed
-    if cfg.aug and style_fn is None:
-        raise ValueError("Aug flag is set but no style transform was supplied")
+    at, se, aug, _, _ = resolve_mode(mode)
+    if aug and style_fn is None:
+        raise ValueError(f"mode {mode!r} styles source images but no style transform was supplied")
 
     seg_spec = seg_spec or SegNetSpec(class_count=ds.classes)
     if seg_spec.class_count != ds.classes:
@@ -377,9 +375,9 @@ def train_segan(
         )
     student = build_segnet(seg_spec, derive_seed(seed, "student"))
     teacher = NetParams(seg_spec, {k: v.copy() for k, v in student.values.items()},
-                        trainable=False) if cfg.se else None
+                        trainable=False) if se else None
     disc = None
-    if cfg.at:
+    if at:
         dspec = disc_spec or DiscSpec(in_channels=ds.classes)
         if dspec.in_channels != ds.classes:
             raise ValueError(
@@ -387,7 +385,7 @@ def train_segan(
             )
         disc = build_discriminator(dspec, derive_seed(seed, "disc"))
 
-    sg = _build_segan_graph(cfg, ds, student, teacher, disc)
+    sg = _build_segan_graph(cfg, ds, student, teacher, disc, aug)
     sweeps = [_Sweep(sg.losses["total"], sg.params["student"], student,
                      SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
                      PolySchedule(cfg.lr_student, cfg.poly_power, cfg.maxiter))]
@@ -398,8 +396,8 @@ def train_segan(
 
     src_imgs, src_labels = ds.source_images(), ds.source_labels()
     tgt_imgs = ds.target_images()
-    aug_imgs = np.asarray(style_fn(src_imgs), dtype=np.float32) if cfg.aug else None
-    if cfg.aug and aug_imgs.shape != src_imgs.shape:
+    aug_imgs = np.asarray(style_fn(src_imgs), dtype=np.float32) if aug else None
+    if aug and aug_imgs.shape != src_imgs.shape:
         raise ValueError(
             f"style transform changed the batch shape: {aug_imgs.shape} vs {src_imgs.shape}"
         )
@@ -432,7 +430,7 @@ def train_segan(
         if out_dir is not None and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_bundle(Path(out_dir) / f"checkpoint_{step:06d}.sgt",
                         ModelBundle(student, teacher, disc),
-                        seed=seed, iteration=step, config=asdict(cfg))
+                        seed=seed, iteration=step, config=asdict(cfg), mode=mode)
 
     nets = {"student": student, "teacher": teacher, "disc": disc}
     _descend(sg.graph, [(nodes, nets[k]) for k, nodes in sg.params.items()],
@@ -445,10 +443,9 @@ def train_segan(
 
 
 def generate_pseudo_labels(teacher: NetParams, images: np.ndarray) -> np.ndarray:
-    """One-hot uint8 maps of the teacher's per-pixel argmax; ties resolve to
-    the lowest class index."""
-    _, labels = predict_segmentation(teacher, images)
-    return one_hot(labels, teacher.spec.class_count, dtype=np.uint8)
+    """(n,h,w) uint8 label maps of the teacher's per-pixel argmax; ties
+    resolve to the lowest class index."""
+    return predict_segmentation(teacher, images)[1]
 
 
 def self_train(
@@ -456,15 +453,15 @@ def self_train(
     student: NetParams,
     pseudo: np.ndarray,
     ds: DomainDataset,
-    seed: int | None = None,
+    seed: int,
     log: TrainLog | None = None,
     iter_offset: int = 0,
 ) -> tuple[NetParams, TrainLog]:
-    """Descend the pseudo-label cross entropy on target images for
-    ``cfg.st_maxiter`` iterations on a fresh poly schedule."""
-    seed = cfg.seed if seed is None else seed
+    """Descend the cross entropy against the (n_target,h,w) pseudo-label
+    maps on target images for ``cfg.st_maxiter`` iterations on a fresh poly
+    schedule."""
     pseudo = np.asarray(pseudo)
-    expected = (ds.n_target, ds.h, ds.w, ds.classes)
+    expected = (ds.n_target, ds.h, ds.w)
     if pseudo.shape != expected:
         raise ValueError(f"pseudo labels have shape {pseudo.shape}, expected {expected}")
     log = log if log is not None else TrainLog()
@@ -488,7 +485,7 @@ def self_train(
     def batches():
         for _ in range(cfg.st_maxiter):
             idx = rng.integers(0, ds.n_target, bt)
-            yield {x: tgt_imgs[idx], y: pseudo[idx].astype(np.float32)}
+            yield {x: tgt_imgs[idx], y: one_hot(pseudo[idx], ds.classes)}
 
     def hook(it: int, losses: dict[str, float]) -> None:
         step = it + 1
@@ -544,7 +541,7 @@ def train_tgstn(
     cfg: TGSTNConfig,
     ds: DomainDataset,
     phi: NetParams,
-    seed: int | None = None,
+    seed: int,
     gen_spec: StyleGenSpec | None = None,
     disc_spec: DiscSpec | None = None,
 ) -> tuple[NetParams, TGSTNLog]:
@@ -559,7 +556,6 @@ def train_tgstn(
             f"guiding segmenter emits {phi.spec.class_count} classes, dataset has {ds.classes}"
         )
     check_tgstn_batches(cfg, ds)
-    seed = cfg.seed if seed is None else seed
 
     gen = build_style_generator(gen_spec or StyleGenSpec(), derive_seed(seed, "gen"))
     disc = build_discriminator(disc_spec or DiscSpec(in_channels=3),
@@ -666,8 +662,8 @@ def pretrain_phi(
 ) -> NetParams:
     """Source-only supervised segmenter, frozen, for guiding style transfer."""
     cfg = TrainConfig(maxiter=maxiter, lr_student=lr, eval_interval=max(1, maxiter),
-                      eval_count=1, seed=seed)
-    bundle, _ = train_segan(cfg, ds, seed=derive_seed(seed, "phi"), seg_spec=seg_spec)
+                      eval_count=1)
+    bundle, _ = train_segan(cfg, ds, "noadapt", derive_seed(seed, "phi"), seg_spec=seg_spec)
     return bundle.student.frozen()
 
 
@@ -721,27 +717,23 @@ def run_ablation(
     mode: str,
     ds: DomainDataset,
     cfg: TrainConfig,
+    seed: int,
     style_fn=None,
-    seed: int | None = None,
     out_dir=None,
     seg_spec: SegNetSpec | None = None,
     disc_spec: DiscSpec | None = None,
 ) -> tuple[MetricReport, ModelBundle, TrainLog]:
-    """Run one cumulative configuration and evaluate on held-out labels."""
-    at, se, aug, st, mst = resolve_mode(mode)
-    cfg = replace(cfg, at=at, se=se, aug=aug, st=st, mst=mst)
-    seed = cfg.seed if seed is None else seed
-
+    """Run one rung of the ablation ladder and evaluate on held-out labels."""
+    _, _, _, st, mst = resolve_mode(mode)
     bundle, log = train_segan(
-        cfg, ds, style_fn=style_fn, seed=seed,
+        cfg, ds, mode, seed, style_fn=style_fn,
         seg_spec=seg_spec, disc_spec=disc_spec, out_dir=out_dir,
     )
-    if cfg.st:
+    if st:
         pseudo = generate_pseudo_labels(bundle.teacher, ds.target_images())
-        self_train(cfg, bundle.student, pseudo, ds, seed=seed, log=log,
-                   iter_offset=cfg.maxiter)
+        self_train(cfg, bundle.student, pseudo, ds, seed, log=log, iter_offset=cfg.maxiter)
 
-    scales = cfg.mst_scales if cfg.mst else None
+    scales = cfg.mst_scales if mst else None
     report = evaluate_student(bundle.student, ds, count=0, scales=scales)
 
     if out_dir is not None:
@@ -749,7 +741,7 @@ def run_ablation(
         out.mkdir(parents=True, exist_ok=True)
         log.to_csv(out / "train_log.csv")
         save_bundle(out / "checkpoint.sgt", bundle,
-                    seed=seed, iteration=cfg.maxiter + (cfg.st_maxiter if cfg.st else 0),
+                    seed=seed, iteration=cfg.maxiter + (cfg.st_maxiter if st else 0),
                     config=asdict(cfg), mode=mode)
         with sgt.atomic_open(out / "run.json") as f:
             f.write(json.dumps({"mode": mode, "seed": seed, "config": asdict(cfg)}, indent=2))

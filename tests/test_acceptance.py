@@ -35,7 +35,7 @@ from segan.losses import (
     weighted_sum_node,
 )
 from segan.metrics import evaluate_predictions, stability_index, transfer_gain
-from segan.tensor import Graph, Tensor, backward, finite_diff_grad, forward
+from segan.tensor import Graph, backward, finite_diff_grad, forward
 from segan.trainer import (
     TGSTNConfig,
     TrainConfig,
@@ -117,17 +117,17 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
             for leaf in leaves:
                 if leaf not in feeds:
                     shape = g.nodes[leaf].shape
-                    feeds[leaf] = Tensor(rng.standard_normal(shape), requires_grad=True)
+                    feeds[leaf] = rng.standard_normal(shape)
         onehot = np.eye(3, dtype=np.float64)[rng.integers(0, 3, (1, 3, 3))]
-        feeds[consts["y"]] = Tensor(onehot)
-        feeds[consts["pseudo"]] = Tensor(np.eye(3, dtype=np.float64)[rng.integers(0, 3, (1, 3, 3))])
+        feeds[consts["y"]] = onehot
+        feeds[consts["pseudo"]] = np.eye(3, dtype=np.float64)[rng.integers(0, 3, (1, 3, 3))]
         t = rng.standard_normal((1, 3, 3, 3))
         t = np.exp(t) / np.exp(t).sum(axis=-1, keepdims=True)
-        feeds[consts["teacher"]] = Tensor(t)
+        feeds[consts["teacher"]] = t
 
         for label, loss, leaves in cases:
             acts = forward(g, feeds)
-            grads = backward(g, loss, acts, feeds, wrt=leaves)
+            grads = backward(g, loss, acts, wrt=leaves)
             for leaf in leaves:
                 fd = finite_diff_grad(g, loss, leaf, feeds, h=1e-5)
                 denom = max(float(np.max(np.abs(fd))), 1e-8)
@@ -242,7 +242,7 @@ def test_criterion_05_metrics_oracle():
 # criteria 6-8: shared ablation sweep on the stock benchmark
 
 
-MODES = ("noadapt", "at", "at+se+aug", "full")
+MODES = ("noadapt", "at", "at-se-aug", "full")
 SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -259,10 +259,10 @@ def sweep():
         cfg = TrainConfig(
             lr_student=0.1, momentum=0.9, lr_disc=1e-3, lambda_adv=0.01, lambda_con=3.0,
             alpha=0.95, maxiter=600, st_maxiter=400, st_lr=0.01, eval_interval=40,
-            eval_count=16, batch_source=2, batch_target=2, seed=seed,
+            eval_count=16, batch_source=2, batch_target=2,
         )
         for mode in MODES:
-            report, _, log = run_ablation(mode, ds, cfg, style_fn=style)
+            report, _, log = run_ablation(mode, ds, cfg, seed, style_fn=style)
             miou[mode].append(report.miou)
             stability[mode].append(stability_index([r.miou_eval for r in log.rows]))
             reports[(mode, seed)] = report
@@ -277,13 +277,13 @@ def sweep():
 def test_criterion_06_module_contribution_ordering(sweep):
     miou = sweep["miou"]
     med = {m: statistics.median(miou[m]) for m in MODES}
-    assert med["noadapt"] < med["at"] < med["at+se+aug"] <= med["full"], med
-    strict = [("noadapt", "at"), ("at", "at+se+aug")]
+    assert med["noadapt"] < med["at"] < med["at-se-aug"] <= med["full"], med
+    strict = [("noadapt", "at"), ("at", "at-se-aug")]
     for a, b in strict:
         wins = sum(miou[b][i] > miou[a][i] for i in range(len(SEEDS)))
         assert wins >= 4, f"{a} -> {b}: {wins}/5"
-    wins = sum(miou["full"][i] >= miou["at+se+aug"][i] for i in range(len(SEEDS)))
-    assert wins >= 4, f"at+se+aug -> full: {wins}/5"
+    wins = sum(miou["full"][i] >= miou["at-se-aug"][i] for i in range(len(SEEDS)))
+    assert wins >= 4, f"at-se-aug -> full: {wins}/5"
     assert sweep["elapsed"] < 1800.0, f"sweep took {sweep['elapsed']:.0f}s"
     _announce(
         "criterion 06 ablation ordering: PASS (medians "
@@ -363,9 +363,7 @@ def test_criterion_10_style_transfer_closes_gap():
     gaps = []
     for seed in SEEDS:
         phi = pretrain_phi(ds, seed)
-        gen, _ = train_tgstn(
-            TGSTNConfig(lambda_sem=1.0, lambda_per=0.1, epochs=100, seed=seed), ds, phi
-        )
+        gen, _ = train_tgstn(TGSTNConfig(lambda_sem=1.0, lambda_per=0.1, epochs=100), ds, phi, seed)
         styled = apply_style_generator(gen, imgs)
         assert styled.shape == imgs.shape
         assert styled.min() >= 0.0 and styled.max() <= 1.0

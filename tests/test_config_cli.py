@@ -18,9 +18,10 @@ import warnings
 import numpy as np
 import pytest
 
-from segan import cli, sgt
+from segan import cli, datagen, sgt
 from segan.config import ConfigError, RunConfig, load_config, parse_config
 from segan.datagen import benchmark_shifts
+from segan.trainer import load_bundle, pretrain_phi, run_ablation, train_tgstn
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +34,25 @@ def test_empty_config_is_all_defaults():
     assert load_config(None) == RunConfig()
 
 
-def test_seed_propagates_to_stages():
+def test_seed_propagates_to_stages(workdir, tmp_path):
     cfg = parse_config({"seed": 7})
-    assert cfg.train.seed == 7 and cfg.tgstn.seed == 7
-    again = cfg.with_seed(9)
-    assert again.seed == 9 and again.train.seed == 9 and again.tgstn.seed == 9
+    assert cfg.with_seed(9).seed == 9
     assert cfg.with_seed(None).seed == 7
+    # --seed reaches every stage: the CLI's nets equal the library's at seed 9
+    cfg = load_config(workdir["config"])
+    ds = datagen.load_dataset(workdir["data"])
+    argv = ["--config", workdir["config"], "--data", workdir["data"], "--seed", "9"]
+    assert cli.main(["train", *argv, "--mode", "noadapt", "--out", str(tmp_path / "t")]) == 0
+    _, bundle, _ = run_ablation("noadapt", ds, cfg.train, 9)
+    loaded, _ = load_bundle(tmp_path / "t" / "checkpoint.sgt")
+    for name, arr in bundle.student.values.items():
+        assert np.array_equal(loaded.student.values[name], arr), name
+    assert cli.main(["train-tgstn", *argv, "--out", str(tmp_path / "g")]) == 0
+    phi = pretrain_phi(ds, 9, seg_spec=cfg.networks.segnet_spec(ds.classes))
+    gen, _ = train_tgstn(cfg.tgstn, ds, phi, 9)
+    loaded, _ = load_bundle(tmp_path / "g" / "tgstn.sgt")
+    for name, arr in gen.values.items():
+        assert np.array_equal(loaded.generator.values[name], arr), name
 
 
 def test_config_dict_round_trip():
@@ -86,6 +100,7 @@ def test_config_dict_round_trip():
         ({"dataset": {"target": {"appearence": {}}}}, "dataset.target.appearence"),
         ({"dataset": {"target": {"layout": [{"porb": 1.0}]}}}, "dataset.target.layout[0].porb"),
         ({"bounds": {"m_seed": 0}}, "bounds.m_seed"),
+        ({"train": {"adv_target_only": True}}, "train.adv_target_only"),
     ],
 )
 def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
@@ -317,6 +332,21 @@ def test_train_writes_reports_and_logs(trained):
     # log rows at eval_interval=5 for 10 iterations, plus the final row
     # is already on the interval
     assert [r.split(",")[0] for r in rows[1:]] == ["5", "10"]
+
+
+def test_mode_has_one_spelling_in_every_artifact(workdir, tmp_path):
+    out = tmp_path / "at-se"
+    assert cli.main(
+        ["train", "--config", workdir["config"], "--data", workdir["data"],
+         "--mode", "at-se", "--out", str(out)]
+    ) == 0
+    for name in ("run.json", "report.json", "run_manifest.json"):
+        assert json.loads((out / name).read_text())["mode"] == "at-se", name
+    assert load_bundle(out / "checkpoint.sgt")[1]["mode"] == "at-se"
+    plots = tmp_path / "plots"
+    assert cli.main(["export-plots", "--runs", str(out), "--out", str(plots)]) == 0
+    with open(plots / "fig6_stability.csv", newline="") as f:
+        assert next(csv.reader(f)) == ["iter", "at-se-s3"]
 
 
 def test_twin_train_runs_are_bit_identical(workdir, tmp_path):

@@ -23,7 +23,7 @@ from segan.losses import (
     style_adversarial_terms_node,
     weighted_sum_node,
 )
-from segan.tensor import Graph, backward, finite_diff_grad, forward, tensor
+from segan.tensor import Graph, backward, finite_diff_grad, forward
 from segan.trainer import TGSTNConfig
 
 LN4 = math.log(4.0)
@@ -327,9 +327,9 @@ def test_pixel_ce_gradient_matches_finite_difference():
     nl = g.input("logits", logits.shape)
     oh = g.input("oh", y.shape)
     loss = pixel_ce_node(g, g.softmax(nl), oh)
-    feeds = {nl: tensor(logits, requires_grad=True), oh: y}
+    feeds = {nl: logits, oh: y}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[nl])
     fd = finite_diff_grad(g, loss, nl, feeds, h=1e-5)
     np.testing.assert_allclose(grads[nl], fd, rtol=1e-5, atol=1e-8)
 
@@ -343,9 +343,9 @@ def test_consistency_gradient_matches_finite_difference():
     nb = g.input("b", b.shape)
     # differentiate through the softmax producing the student map
     loss = consistency_loss_node(g, g.softmax(na), nb)
-    feeds = {na: tensor(a, requires_grad=True), nb: b}
+    feeds = {na: a, nb: b}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[na])
     fd = finite_diff_grad(g, loss, na, feeds, h=1e-5)
     np.testing.assert_allclose(grads[na], fd, rtol=1e-5, atol=1e-9)
 
@@ -358,9 +358,9 @@ def test_adversarial_gradient_matches_finite_difference():
     ns = g.input("s", d_src.shape)
     nt = g.input("t", d_tgt.shape)
     loss = adversarial_terms_node(g, ns, nt)["full"]
-    feeds = {ns: tensor(d_src, requires_grad=True), nt: tensor(d_tgt, requires_grad=True)}
+    feeds = {ns: d_src, nt: d_tgt}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[ns, nt])
     for leaf in (ns, nt):
         fd = finite_diff_grad(g, loss, leaf, feeds, h=1e-5)
         np.testing.assert_allclose(grads[leaf], fd, rtol=1e-5, atol=1e-9)

@@ -166,7 +166,7 @@ def _head_orders(net: NetParams, images: np.ndarray):
         loss = g.reduce_sum(g.mul(probs, r))
         feeds = {x: images, r: weights, **param_feeds(pn, net)}
         acts = forward(g, feeds)
-        grads = backward(g, loss, acts, feeds, wrt=list(pn.values()))
+        grads = backward(g, loss, acts, wrt=list(pn.values()))
         out.append((acts[probs], {name: grads[i] for name, i in pn.items()}))
     return out
 
@@ -205,13 +205,13 @@ def test_head_at_body_resolution_float32_tolerance(batch):
 
 
 def test_training_graph_has_one_body_resolution_softmax_per_segnet_pass():
-    cfg = TrainConfig(at=True, se=True, aug=True)
+    cfg = TrainConfig()
     spec = SegNetSpec()
     student = build_segnet(spec, seed=1)
     teacher = student.copy().frozen()
     disc = build_discriminator(DiscSpec(), seed=1)
     ds = SimpleNamespace(h=64, w=64, classes=spec.class_count)
-    g = _build_segan_graph(cfg, ds, student, teacher, disc).graph
+    g = _build_segan_graph(cfg, ds, student, teacher, disc, aug=True).graph
     softmaxes = [n for n in g.nodes if n.op == "softmax"]
     # student on source, styled source and target; teacher on target
     assert len(softmaxes) == 4

@@ -13,11 +13,9 @@ from segan.tensor import (
     Graph,
     GraphError,
     ShapeError,
-    Tensor,
     backward,
     finite_diff_grad,
     forward,
-    tensor,
 )
 
 
@@ -121,7 +119,7 @@ def test_forward_is_deterministic():
 def test_square_gradient_at_three_is_six():
     g, x, loss = _scalar_graph(lambda g, x: g.square(x))
     acts = forward(g, {x: np.asarray(3.0)})
-    grads = backward(g, loss, acts, {x: np.asarray(3.0)}, wrt=[x])
+    grads = backward(g, loss, acts, wrt=[x])
     np.testing.assert_allclose(grads[x], 6.0, rtol=1e-12)
 
 
@@ -136,22 +134,14 @@ def test_softmax_ce_gradient_is_probs_minus_onehot():
     oh = g.input("oh", (4, 5))
     probs = g.softmax(logits)
     ce = g.scalar_mul(g.reduce_mean(g.onehot_gather(g.log(probs), oh)), -1.0)
-    feeds = {logits: tensor(logits_val, requires_grad=True), oh: oh_val}
+    feeds = {logits: logits_val, oh: oh_val}
     acts = forward(g, feeds)
-    grads = backward(g, ce, acts, feeds)
+    grads = backward(g, ce, acts, wrt=[logits])
 
     p = np.exp(logits_val - logits_val.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     want = (p - oh_val) / 4.0  # mean over the 4 rows
     np.testing.assert_allclose(grads[logits], want, rtol=1e-10, atol=1e-12)
-
-
-def test_backward_writes_tensor_grad():
-    g, x, loss = _scalar_graph(lambda g, x: g.square(x))
-    t = tensor(3.0, requires_grad=True)
-    acts = forward(g, {x: t})
-    backward(g, loss, acts, {x: t})
-    np.testing.assert_allclose(t.grad, 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +162,13 @@ def test_three_layer_conv_net_matches_finite_difference():
     loss = g.reduce_mean(g.square(g.tanh(h3)))
     feeds = {
         x: rng.standard_normal((1, 8, 8, 2)),
-        w1: tensor(rng.standard_normal((3, 3, 2, 4)) * 0.5, requires_grad=True),
-        b1: tensor(rng.standard_normal(4) * 0.1, requires_grad=True),
-        w2: tensor(rng.standard_normal((3, 3, 4, 4)) * 0.5, requires_grad=True),
-        w3: tensor(rng.standard_normal((1, 1, 4, 3)) * 0.5, requires_grad=True),
+        w1: rng.standard_normal((3, 3, 2, 4)) * 0.5,
+        b1: rng.standard_normal(4) * 0.1,
+        w2: rng.standard_normal((3, 3, 4, 4)) * 0.5,
+        w3: rng.standard_normal((1, 1, 4, 3)) * 0.5,
     }
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[w1, b1, w2, w3])
     for wid in (w1, b1, w2, w3):
         fd = finite_diff_grad(g, loss, wid, feeds, h=1e-3)
         denom = max(np.abs(fd).max(), 1e-8)
@@ -200,9 +190,9 @@ def test_pointwise_chains_match_finite_difference(build):
     g = Graph()
     x = g.input("x", (3, 4))
     loss = build(g, x)
-    feeds = {x: tensor(rng.standard_normal((3, 4)), requires_grad=True)}
+    feeds = {x: rng.standard_normal((3, 4))}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[x])
     fd = finite_diff_grad(g, loss, x, feeds, h=1e-5)
     np.testing.assert_allclose(grads[x], fd, rtol=1e-5, atol=1e-7)
 
@@ -216,11 +206,11 @@ def test_matmul_and_concat_gradients_match_finite_difference():
     both = g.concat([prod, g.scalar_mul(prod, -1.0)], axis=1)
     loss = g.reduce_sum(g.square(both))
     feeds = {
-        a: tensor(rng.standard_normal((2, 3)), requires_grad=True),
-        b: tensor(rng.standard_normal((3, 2)), requires_grad=True),
+        a: rng.standard_normal((2, 3)),
+        b: rng.standard_normal((3, 2)),
     }
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[a, b])
     for leaf in (a, b):
         fd = finite_diff_grad(g, loss, leaf, feeds, h=1e-5)
         np.testing.assert_allclose(grads[leaf], fd, rtol=1e-6, atol=1e-8)
@@ -238,9 +228,9 @@ def test_relu_kink_disagrees_with_central_difference():
     # at exactly 0, backward picks the positive-side subgradient (1) while
     # the symmetric difference quotient reports 0.5; the checker must see it
     g, x, loss = _scalar_graph(lambda g, x: g.relu(x))
-    feeds = {x: tensor(0.0, requires_grad=True)}
+    feeds = {x: np.asarray(0.0)}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[x])
     fd = finite_diff_grad(g, loss, x, feeds, h=1e-4)
     np.testing.assert_allclose(grads[x], 1.0)
     np.testing.assert_allclose(fd, 0.5, atol=1e-12)
@@ -257,11 +247,11 @@ def test_unreachable_leaf_gets_zero_gradient():
     y = g.input("y", (2,))
     loss = g.reduce_sum(g.square(x))
     feeds = {
-        x: tensor(np.array([1.0, 2.0]), requires_grad=True),
-        y: tensor(np.array([5.0, 5.0]), requires_grad=True),
+        x: np.array([1.0, 2.0]),
+        y: np.array([5.0, 5.0]),
     }
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[x, y])
     np.testing.assert_allclose(grads[x], [2.0, 4.0])
     assert np.array_equal(grads[y], np.zeros(2))
 
@@ -270,9 +260,9 @@ def test_constant_wrt_loss_gives_zero_everywhere():
     g = Graph()
     x = g.input("x", (3,))
     loss = g.reduce_mean(g.scalar_mul(x, 0.0))
-    feeds = {x: tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)}
+    feeds = {x: np.array([1.0, -2.0, 3.0])}
     acts = forward(g, feeds)
-    grads = backward(g, loss, acts, feeds)
+    grads = backward(g, loss, acts, wrt=[x])
     assert np.array_equal(grads[x], np.zeros(3))
     fd = finite_diff_grad(g, loss, x, feeds)
     np.testing.assert_allclose(fd, np.zeros(3), atol=1e-12)
@@ -328,22 +318,17 @@ def test_backward_requires_scalar_loss_and_input_leaves():
     x = g.input("x", (2,))
     sq = g.square(x)
     loss = g.reduce_sum(sq)
-    feeds = {x: tensor(np.ones(2), requires_grad=True)}
-    acts = forward(g, feeds)
+    acts = forward(g, {x: np.ones(2)})
     with pytest.raises(GraphError, match="scalar"):
-        backward(g, sq, acts, feeds)
+        backward(g, sq, acts, wrt=[x])
     with pytest.raises(GraphError, match="input leaves"):
-        backward(g, loss, acts, feeds, wrt=[sq])
+        backward(g, loss, acts, wrt=[sq])
 
 
-def test_tensor_wrapper_and_feed_time_validation():
-    t = tensor([1.0, 2.0], requires_grad=True)
-    assert t.shape == (2,)
-    assert t.grad is None
-    assert tensor([1, 2]).dtype == np.float32  # ints coerced to float
-    # non-numeric data passes construction but is rejected when fed
+def test_feed_time_validation():
+    # non-numeric data is rejected when fed
     g = Graph()
     x = g.input("x", ())
     g.square(x)
     with pytest.raises(GraphError, match="float"):
-        forward(g, {x: Tensor(data="not an array")})
+        forward(g, {x: np.asarray("not an array")})

@@ -1,4 +1,4 @@
-"""Training stages: EMA algebra, mode flags, loop determinism, abort
+"""Training stages: EMA algebra, the mode ladder, loop determinism, abort
 behavior, self-training, and the style-transfer stage.
 
 Runs here use miniature datasets and iteration counts; the full-scale
@@ -7,6 +7,7 @@ behavioral criteria live in test_acceptance.py.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from segan.networks import (
 from segan.losses import self_train_loss
 from segan.trainer import (
     LOG_HEADER,
+    MODES,
     LogRow,
     NumericAbort,
     TGSTNConfig,
@@ -97,10 +99,12 @@ def _fast_cfg(**kw):
         eval_count=4,
         batch_source=2,
         batch_target=2,
-        seed=3,
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+SEED = 3
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +112,20 @@ def _fast_cfg(**kw):
 
 
 def test_mode_table_is_cumulative():
-    assert resolve_mode("NoAdapt") == (False, False, False, False, False)
-    assert resolve_mode("AT") == (True, False, False, False, False)
-    assert resolve_mode("AT+SE") == (True, True, False, False, False)
-    assert resolve_mode("AT+SE+Aug") == (True, True, True, False, False)
-    assert resolve_mode("+ST") == (True, True, True, True, False)
-    assert resolve_mode("+MST") == (True, True, True, True, True)
+    assert resolve_mode("noadapt") == (False, False, False, False, False)
+    assert resolve_mode("at") == (True, False, False, False, False)
+    assert resolve_mode("at-se") == (True, True, False, False, False)
+    assert resolve_mode("at-se-aug") == (True, True, True, False, False)
+    assert resolve_mode("full") == (True, True, True, True, False)
+    assert resolve_mode("full-mst") == (True, True, True, True, True)
 
 
 def test_mode_aliases_and_case():
-    assert resolve_mode("full") == resolve_mode("+ST")
-    assert resolve_mode("full+mst") == resolve_mode("+MST")
-    assert resolve_mode("at+se") == resolve_mode("AT+SE")
-    with pytest.raises(ValueError, match="unknown mode"):
-        resolve_mode("everything")
+    # one spelling per mode: no aliases, no case folding
+    for mode in ("at+se", "+st", "AT", "full+mst", "everything"):
+        with pytest.raises(ValueError, match="unknown mode") as err:
+            resolve_mode(mode)
+        assert str(MODES) in str(err.value), mode
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +201,8 @@ def test_negative_learning_rates_rejected(cls, name):
 
 
 def test_noadapt_builds_no_disc_or_teacher(ds):
-    cfg = _fast_cfg(maxiter=4, at=False, se=False)
-    bundle, log = train_segan(cfg, ds)
+    cfg = _fast_cfg(maxiter=4)
+    bundle, log = train_segan(cfg, ds, "noadapt", SEED)
     assert bundle.disc is None
     assert bundle.teacher is None
     assert bundle.student is not None
@@ -207,7 +211,7 @@ def test_noadapt_builds_no_disc_or_teacher(ds):
 
 def test_log_cadence_and_header(ds, tmp_path):
     cfg = _fast_cfg(maxiter=12, eval_interval=5)
-    _, log = train_segan(cfg, ds)
+    _, log = train_segan(cfg, ds, "noadapt", SEED)
     assert [r.iteration for r in log.rows] == [5, 10, 12]
     log.to_csv(tmp_path / "log.csv")
     text = (tmp_path / "log.csv").read_text().splitlines()
@@ -226,9 +230,9 @@ def test_log_rejects_non_increasing_iterations():
 
 
 def test_training_is_deterministic(ds):
-    cfg = _fast_cfg(maxiter=10, at=True, se=True)
-    a, log_a = train_segan(cfg, ds)
-    b, log_b = train_segan(cfg, ds)
+    cfg = _fast_cfg(maxiter=10)
+    a, log_a = train_segan(cfg, ds, "at-se", SEED)
+    b, log_b = train_segan(cfg, ds, "at-se", SEED)
     for name in a.student.values:
         assert np.array_equal(a.student.values[name], b.student.values[name])
     for name in a.disc.values:
@@ -240,26 +244,26 @@ def test_zero_weights_reduce_to_pure_segmentation_run(ds):
     # with lambda_con = lambda_adv = 0 the student gradient is exactly the
     # supervised gradient, so the weights must match a no-adaptation run
     # bit for bit even though the discriminator keeps updating
-    plain, _ = train_segan(_fast_cfg(maxiter=15), ds)
+    plain, _ = train_segan(_fast_cfg(maxiter=15), ds, "noadapt", SEED)
     zeroed, _ = train_segan(
-        _fast_cfg(maxiter=15, at=True, se=True, lambda_con=0.0, lambda_adv=0.0), ds
+        _fast_cfg(maxiter=15, lambda_con=0.0, lambda_adv=0.0), ds, "at-se", SEED
     )
     for name in plain.student.values:
         assert np.array_equal(plain.student.values[name], zeroed.student.values[name])
 
 
 def test_alpha_one_freezes_teacher_at_initialization(ds):
-    cfg = _fast_cfg(maxiter=8, at=True, se=True, alpha=1.0)
-    bundle, _ = train_segan(cfg, ds)
-    init = build_segnet(SegNetSpec(class_count=4), derive_seed(cfg.seed, "student"))
+    cfg = _fast_cfg(maxiter=8, alpha=1.0)
+    bundle, _ = train_segan(cfg, ds, "at-se", SEED)
+    init = build_segnet(SegNetSpec(class_count=4), derive_seed(SEED, "student"))
     for name in init.values:
         assert np.array_equal(bundle.teacher.values[name], init.values[name])
         assert not np.array_equal(bundle.teacher.values[name], bundle.student.values[name])
 
 
 def test_alpha_zero_teacher_tracks_student_exactly(ds):
-    cfg = _fast_cfg(maxiter=8, at=True, se=True, alpha=0.0)
-    bundle, _ = train_segan(cfg, ds)
+    cfg = _fast_cfg(maxiter=8, alpha=0.0)
+    bundle, _ = train_segan(cfg, ds, "at-se", SEED)
     for name in bundle.student.values:
         assert np.array_equal(bundle.teacher.values[name], bundle.student.values[name])
 
@@ -267,7 +271,7 @@ def test_alpha_zero_teacher_tracks_student_exactly(ds):
 def test_divergent_learning_rate_aborts_with_context(ds):
     cfg = _fast_cfg(maxiter=50, lr_student=1e9)
     with pytest.raises(NumericAbort) as err:
-        train_segan(cfg, ds)
+        train_segan(cfg, ds, "noadapt", SEED)
     assert err.value.iteration >= 1
     assert "seg" in err.value.losses
     assert any(not math.isfinite(v) for v in err.value.losses.values())
@@ -278,16 +282,17 @@ def test_non_finite_parameters_abort_at_the_first_step(ds, stage):
     # a 1e39 rate overflows float32, so the first step leaves the stepped
     # net's parameters non-finite while every loss of that step was finite
     if stage == "train_segan":
-        run = lambda: train_segan(_fast_cfg(lr_student=1e39), ds)
+        run = lambda: train_segan(_fast_cfg(lr_student=1e39), ds, "noadapt", SEED)
         iteration, net = 1, "student/"
     elif stage == "self_train":
         student = build_segnet(SegNetSpec(class_count=4), seed=5)
         pseudo = generate_pseudo_labels(student, ds.target_images())
-        run = lambda: self_train(_fast_cfg(st_lr=1e39), student, pseudo, ds, iter_offset=100)
+        run = lambda: self_train(_fast_cfg(st_lr=1e39), student, pseudo, ds, SEED,
+                                 iter_offset=100)
         iteration, net = 101, "student/"
     else:
         phi = build_segnet(SegNetSpec(class_count=4), seed=7).frozen()
-        run = lambda: train_tgstn(TGSTNConfig(epochs=1, lr_gen=1e39, seed=9), ds, phi)
+        run = lambda: train_tgstn(TGSTNConfig(epochs=1, lr_gen=1e39), ds, phi, 9)
         iteration, net = 1, "gen/"
     with pytest.raises(NumericAbort) as err:
         run()
@@ -299,18 +304,20 @@ def test_non_finite_parameters_abort_at_the_first_step(ds, stage):
 
 def test_aug_requires_style_fn(ds):
     with pytest.raises(ValueError, match="style"):
-        train_segan(_fast_cfg(maxiter=2, at=True, se=True, aug=True), ds)
+        train_segan(_fast_cfg(maxiter=2), ds, "at-se-aug", SEED)
     with pytest.raises(ValueError, match="shape"):
         train_segan(
-            _fast_cfg(maxiter=2, at=True, se=True, aug=True),
+            _fast_cfg(maxiter=2),
             ds,
+            "at-se-aug",
+            SEED,
             style_fn=lambda imgs: imgs[:, :16],
         )
 
 
 def test_class_count_mismatches_are_rejected(ds):
     with pytest.raises(ValueError, match="classes"):
-        train_segan(_fast_cfg(maxiter=2), ds, seg_spec=SegNetSpec(class_count=3))
+        train_segan(_fast_cfg(maxiter=2), ds, "noadapt", SEED, seg_spec=SegNetSpec(class_count=3))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +341,19 @@ def test_evaluate_student_count_semantics(ds):
 def test_pseudo_labels_are_one_hot_argmax(ds):
     net = build_segnet(SegNetSpec(class_count=4), seed=2)
     pseudo = generate_pseudo_labels(net, ds.target_images())
-    assert pseudo.shape == (ds.n_target, 32, 32, 4)
+    assert pseudo.shape == (ds.n_target, 32, 32)
     assert pseudo.dtype == np.uint8
-    assert (pseudo.sum(axis=-1) == 1).all()
+    assert pseudo.max() < 4
     _, labels = predict_segmentation(net, ds.target_images())
-    assert np.array_equal(pseudo.argmax(axis=-1), labels)
+    assert np.array_equal(pseudo, labels)
 
 
 def test_self_train_zero_iterations_returns_input_unchanged(ds):
     cfg = _fast_cfg(st_maxiter=0)
     student = build_segnet(SegNetSpec(class_count=4), seed=3)
     before = {k: v.copy() for k, v in student.values.items()}
-    out, log = self_train(cfg, student, generate_pseudo_labels(student, ds.target_images()), ds)
+    out, log = self_train(cfg, student, generate_pseudo_labels(student, ds.target_images()), ds,
+                          SEED)
     for name in before:
         assert np.array_equal(out.values[name], before[name])
     assert log.rows == []
@@ -355,7 +363,7 @@ def test_self_train_validates_pseudo_shape(ds):
     cfg = _fast_cfg()
     student = build_segnet(SegNetSpec(class_count=4), seed=3)
     with pytest.raises(ValueError, match="pseudo"):
-        self_train(cfg, student, np.zeros((2, 32, 32, 4), dtype=np.uint8), ds)
+        self_train(cfg, student, np.zeros((2, 32, 32), dtype=np.uint8), ds, SEED)
 
 
 def test_self_training_on_own_argmax_descends():
@@ -363,13 +371,13 @@ def test_self_training_on_own_argmax_descends():
     # each iteration is a deterministic gradient step and the logged loss
     # must be non-increasing over the first 10 steps
     ds1 = _tiny_dataset(n=2, n_target=1)
-    warm, _ = train_segan(_fast_cfg(maxiter=15, batch_target=1), ds1)
+    warm, _ = train_segan(_fast_cfg(maxiter=15, batch_target=1), ds1, "noadapt", SEED)
     student = warm.student
     pseudo = generate_pseudo_labels(student, ds1.target_images())
     cfg = _fast_cfg(
         st_maxiter=10, st_lr=0.002, momentum=0.0, batch_target=1, eval_interval=1
     )
-    _, log = self_train(cfg, student, pseudo, ds1)
+    _, log = self_train(cfg, student, pseudo, ds1, SEED)
     losses = [r.loss_seg for r in log.rows]
     assert len(losses) == 10
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
@@ -379,7 +387,7 @@ def test_self_train_offsets_log_iterations(ds):
     cfg = _fast_cfg(st_maxiter=4, eval_interval=2)
     student = build_segnet(SegNetSpec(class_count=4), seed=4)
     pseudo = generate_pseudo_labels(student, ds.target_images())
-    _, log = self_train(cfg, student, pseudo, ds, iter_offset=100)
+    _, log = self_train(cfg, student, pseudo, ds, SEED, iter_offset=100)
     assert [r.iteration for r in log.rows] == [102, 104]
 
 
@@ -390,8 +398,8 @@ def test_self_train_offsets_log_iterations(ds):
 def test_mst_with_unit_scale_equals_plain_self_training(ds):
     cfg = _fast_cfg(maxiter=12, st_maxiter=6, mst_scales=(1.0,))
     style = oracle_style_fn(ds)
-    r_st, _, _ = run_ablation("full", ds, cfg, style_fn=style)
-    r_mst, _, _ = run_ablation("full+mst", ds, cfg, style_fn=style)
+    r_st, _, _ = run_ablation("full", ds, cfg, SEED, style_fn=style)
+    r_mst, _, _ = run_ablation("full-mst", ds, cfg, SEED, style_fn=style)
     assert r_mst.miou == r_st.miou
     np.testing.assert_allclose(r_mst.iou, r_st.iou, rtol=0)
 
@@ -400,17 +408,16 @@ def test_run_ablation_writes_artifacts(ds, tmp_path):
     cfg = _fast_cfg(maxiter=10, st_maxiter=4, eval_interval=5)
     out = tmp_path / "run"
     report, bundle, log = run_ablation(
-        "full", ds, cfg, style_fn=oracle_style_fn(ds), out_dir=out
+        "full", ds, cfg, SEED, style_fn=oracle_style_fn(ds), out_dir=out
     )
     assert (out / "train_log.csv").exists()
     assert (out / "checkpoint.sgt").exists()
     run_meta = json.loads((out / "run.json").read_text())
-    assert run_meta["mode"] == "full" and run_meta["seed"] == cfg.seed
-    flags = [run_meta["config"][k] for k in ("at", "se", "aug", "st", "mst")]
-    assert flags == [True, True, True, True, False]  # set by the mode, not by cfg
+    assert run_meta["mode"] == "full" and run_meta["seed"] == SEED
+    assert run_meta["config"] == json.loads(json.dumps(asdict(cfg)))  # the mode is not in cfg
 
     loaded, meta = load_bundle(out / "checkpoint.sgt")
-    assert meta["seed"] == cfg.seed
+    assert meta["seed"] == SEED and meta["mode"] == "full"
     assert meta["iteration"] == 14  # maxiter + st_maxiter
     for name in bundle.student.values:
         assert np.array_equal(loaded.student.values[name], bundle.student.values[name])
@@ -419,9 +426,10 @@ def test_run_ablation_writes_artifacts(ds, tmp_path):
 
 def test_interval_checkpoints_are_emitted(ds, tmp_path):
     cfg = _fast_cfg(maxiter=6, checkpoint_interval=3)
-    train_segan(cfg, ds, out_dir=tmp_path)
+    train_segan(cfg, ds, "noadapt", SEED, out_dir=tmp_path)
     assert (tmp_path / "checkpoint_000003.sgt").exists()
-    assert (tmp_path / "checkpoint_000006.sgt").exists()
+    _, meta = load_bundle(tmp_path / "checkpoint_000006.sgt")
+    assert (meta["mode"], meta["seed"], meta["iteration"]) == ("noadapt", SEED, 6)
 
 
 def test_bundle_round_trip_supports_partial_bundles(tmp_path):
@@ -491,15 +499,15 @@ def test_sliced_style_generator_is_bit_identical_to_whole_batch_graph(n):
 def test_tgstn_rejects_trainable_or_mismatched_phi(ds):
     phi = build_segnet(SegNetSpec(class_count=4), seed=7)
     with pytest.raises(ValueError, match="frozen"):
-        train_tgstn(TGSTNConfig(epochs=1), ds, phi)
+        train_tgstn(TGSTNConfig(epochs=1), ds, phi, 0)
     phi3 = build_segnet(SegNetSpec(class_count=3), seed=7).frozen()
     with pytest.raises(ValueError, match="classes"):
-        train_tgstn(TGSTNConfig(epochs=1), ds, phi3)
+        train_tgstn(TGSTNConfig(epochs=1), ds, phi3, 0)
 
 
 def test_tgstn_zero_epochs_returns_untrained_generator(ds):
     phi = build_segnet(SegNetSpec(class_count=4), seed=7).frozen()
-    gen, log = train_tgstn(TGSTNConfig(epochs=0, seed=9), ds, phi)
+    gen, log = train_tgstn(TGSTNConfig(epochs=0), ds, phi, 9)
     init = build_style_generator(StyleGenSpec(), derive_seed(9, "gen"))
     assert log.rows == []
     for name in init.values:
@@ -508,9 +516,9 @@ def test_tgstn_zero_epochs_returns_untrained_generator(ds):
 
 def test_tgstn_logs_every_step_and_is_deterministic(ds):
     phi = pretrain_phi(ds, seed=8, maxiter=20)
-    cfg = TGSTNConfig(epochs=2, batch_source=2, batch_target=2, seed=9)
-    gen_a, log_a = train_tgstn(cfg, ds, phi)
-    gen_b, log_b = train_tgstn(cfg, ds, phi)
+    cfg = TGSTNConfig(epochs=2, batch_source=2, batch_target=2)
+    gen_a, log_a = train_tgstn(cfg, ds, phi, 9)
+    gen_b, log_b = train_tgstn(cfg, ds, phi, 9)
     steps = 2 * (ds.n_source // 2)
     assert len(log_a.rows) == steps
     assert [r.iteration for r in log_a.rows] == list(range(1, steps + 1))
@@ -528,8 +536,8 @@ def test_tgstn_feature_anchor_dominates_when_weighted_up(ds):
     imgs = ds.source_images()[:3]
     results = {}
     for lam in (0.0, 1e4):
-        cfg = TGSTNConfig(epochs=2, lambda_sem=0.0, lambda_per=lam, seed=10)
-        gen, log = train_tgstn(cfg, ds, phi)
+        cfg = TGSTNConfig(epochs=2, lambda_sem=0.0, lambda_per=lam)
+        gen, log = train_tgstn(cfg, ds, phi, 10)
         dev = float(np.abs(apply_style_generator(gen, imgs) - imgs).max())
         results[lam] = (log.rows[-1].loss_per, dev)
     anchored_per, anchored_dev = results[1e4]
