@@ -2,8 +2,16 @@
 
 Subcommands: ``gen-data``, ``train-tgstn``, ``train``, ``eval``, ``bounds``,
 ``export-plots``. Every run refuses to write into a populated output
-directory unless ``--force`` is given and leaves a ``run_manifest.json``
-describing the resolved configuration.
+directory unless ``--force`` is given.
+
+Each run's one record is ``run_manifest.json``, written last, so it is
+present only for a complete run. It holds the command, the ablation
+``mode`` (for ``train``), the root seed, the resolved configuration, the
+inputs, the format versions, the duration and the command's result
+(``miou``, ``gen_bound``, ``appearance_gap`` or ``shift_severity``). No
+other file repeats these facts: a ``train`` directory holds
+``train_log.csv``, ``checkpoint.sgt`` (whose metadata keeps the network
+specs, seed and iteration), ``report.json``, ``report.csv`` and the record.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort (a non-finite
 loss or parameter in ``train`` or ``train-tgstn``), 4 I/O error.
@@ -72,22 +80,20 @@ def _prepare_out(path: str, force: bool) -> Path:
     return out
 
 
-def _write_manifest(
-    out: Path, command: str, cfg: RunConfig, started: float, inputs: dict, extra: dict | None = None
-) -> None:
-    manifest = {
+def _write_record(out: Path, command: str, cfg: RunConfig, started: float, inputs: dict,
+                  **result) -> None:
+    """Write the run's one record, ``run_manifest.json``; call it last."""
+    record = {
         "command": command,
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "inputs": inputs,
-        "out": str(out),
         "versions": _VERSIONS,
         "duration_sec": round(time.time() - started, 3),
+        **result,
     }
-    if extra:
-        manifest.update(extra)
     with sgt.atomic_open(out / "run_manifest.json") as f:
-        f.write(json.dumps(manifest, indent=2) + "\n")
+        f.write(json.dumps(record, indent=2) + "\n")
 
 
 def _style_fn(args, ds, cfg: RunConfig, needs_aug: bool):
@@ -122,10 +128,9 @@ def cmd_gen_data(args) -> int:
     )
     datagen.save_dataset(ds, out)
     sev = datagen.shift_severity(ds)
-    _write_manifest(
+    _write_record(
         out, "gen-data", cfg, started, inputs={"config": args.config},
-        extra={"shift_severity": {"appearance_gap": sev.appearance_gap,
-                                  "layout_gap": sev.layout_gap}},
+        shift_severity={"appearance_gap": sev.appearance_gap, "layout_gap": sev.layout_gap},
     )
     print(f"wrote {ds.n_source}+{ds.n_target} scenes to {out}")
     return EXIT_OK
@@ -145,18 +150,17 @@ def cmd_train_tgstn(args) -> int:
         gen_spec=cfg.networks.stylegen_spec(),
         disc_spec=cfg.networks.disc_spec(3),
     )
-    save_bundle(out / "tgstn.sgt", ModelBundle(generator=gen),
-                seed=cfg.seed, config=cfg.to_dict()["tgstn"])
+    save_bundle(out / "tgstn.sgt", ModelBundle(generator=gen), seed=cfg.seed)
     log.to_csv(out / "tgstn_log.csv")
     src = ds.source_images()
     gap_raw = datagen.appearance_gap(src, ds.target_images())
     gap_styled = datagen.appearance_gap(
         np.asarray(tgstn_style_fn(gen)(src)), ds.target_images()
     )
-    _write_manifest(
+    _write_record(
         out, "train-tgstn", cfg, started,
         inputs={"config": args.config, "data": args.data},
-        extra={"appearance_gap": {"raw": gap_raw, "styled": gap_styled}},
+        appearance_gap={"raw": gap_raw, "styled": gap_styled},
     )
     print(f"appearance gap {gap_raw:.4f} -> {gap_styled:.4f}; checkpoint in {out}")
     return EXIT_OK
@@ -167,19 +171,22 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data)
     out = _prepare_out(args.out, args.force)
-    _, _, needs_aug, _, _ = resolve_mode(args.mode)
+    _, _, needs_aug, st, _ = resolve_mode(args.mode)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
     report, bundle, log = run_ablation(
         args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn, out_dir=out,
         seg_spec=cfg.networks.segnet_spec(ds.classes),
         disc_spec=cfg.networks.disc_spec(ds.classes),
     )
-    write_report(report, out, extra={"mode": args.mode, "seed": cfg.seed})
-    _write_manifest(
+    log.to_csv(out / "train_log.csv")
+    save_bundle(out / "checkpoint.sgt", bundle, seed=cfg.seed,
+                iteration=cfg.train.maxiter + (cfg.train.st_maxiter if st else 0))
+    write_report(report, out)
+    _write_record(
         out, "train", cfg, started,
         inputs={"config": args.config, "data": args.data,
                 "tgstn": args.tgstn, "oracle_style": args.oracle_style},
-        extra={"mode": args.mode, "miou": report.miou},
+        mode=args.mode, miou=report.miou,
     )
     print(f"mode {args.mode}: final target mIoU {report.miou:.4f}; artifacts in {out}")
     return EXIT_OK
@@ -211,12 +218,12 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out, args.force)
     scales = _parse_scales(args.mst) if args.mst else None
     report = evaluate_student(bundle.student, ds, count=0, scales=scales)
-    write_report(report, out, extra={"checkpoint": str(args.checkpoint),
-                                     "mst": list(scales) if scales else None})
-    _write_manifest(
+    write_report(report, out)
+    _write_record(
         out, "eval", cfg, started,
-        inputs={"checkpoint": str(args.checkpoint), "data": args.data},
-        extra={"miou": report.miou},
+        inputs={"checkpoint": str(args.checkpoint), "data": args.data,
+                "mst": list(scales) if scales else None},
+        miou=report.miou,
     )
     print(f"target mIoU {report.miou:.4f}; report in {out}")
     return EXIT_OK
@@ -250,10 +257,10 @@ def cmd_bounds(args) -> int:
     }
     with sgt.atomic_open(out / "bounds.json") as f:
         f.write(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(
+    _write_record(
         out, "bounds", cfg, started,
         inputs={"checkpoint": str(args.checkpoint), "data": args.data},
-        extra={"gen_bound": payload["statement"]["gen_bound"]},
+        gen_bound=payload["statement"]["gen_bound"],
     )
     print(f"gen_bound {payload['statement']['gen_bound']:.6g}; bounds.json in {out}")
     return EXIT_OK
@@ -274,13 +281,13 @@ def _run_file(path: Path):
 def _load_run(run_dir: Path) -> dict:
     log_path = run_dir / "train_log.csv"
     report_path = run_dir / "report.json"
-    run_path = run_dir / "run.json"
-    for p in (log_path, report_path, run_path):
+    record_path = run_dir / "run_manifest.json"
+    for p in (log_path, report_path, record_path):
         if not p.exists():
             raise FileNotFoundError(f"run directory {run_dir} is missing {p.name}")
-    with _run_file(run_path):
-        run_info = json.loads(run_path.read_text())
-        mode, seed = run_info["mode"], run_info["seed"]
+    with _run_file(record_path):
+        record = json.loads(record_path.read_text())
+        mode, seed = record["mode"], record["seed"]
     iters, mious = [], []
     with _run_file(log_path), open(log_path, newline="") as f:
         for row in csv.DictReader(f, skipinitialspace=True):
@@ -327,8 +334,8 @@ def cmd_export_plots(args) -> int:
         for c in range(classes):
             w.writerow([c] + ["" if np.isnan(g[c]) else float(g[c]) for g in gains])
 
-    _write_manifest(out, "export-plots", cfg, started,
-                    inputs={"runs": [str(d) for d in args.runs]})
+    _write_record(out, "export-plots", cfg, started,
+                  inputs={"runs": [str(d) for d in args.runs]})
     print(f"wrote fig6_stability.csv, table3_ablation.csv, fig7_gains.csv to {out}")
     return EXIT_OK
 

@@ -99,6 +99,8 @@ class BoundsConfig:
             raise ConfigError("bounds.n", f"must be >= 1, got {self.n}")
         if self.batch_count < 1:
             raise ConfigError("bounds.batch_count", f"must be >= 1, got {self.batch_count}")
+        if self.power_iters < 1:
+            raise ConfigError("bounds.power_iters", f"must be >= 1, got {self.power_iters}")
 
 
 @dataclass

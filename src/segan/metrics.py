@@ -130,15 +130,12 @@ def transfer_gain(adapted: MetricReport, baseline: MetricReport) -> TransferGain
     return TransferGain(gain=gain, negative_classes=negative)
 
 
-def write_report(report: MetricReport, out_dir, extra: dict | None = None) -> None:
+def write_report(report: MetricReport, out_dir) -> None:
     """Write report.json and a per-class report.csv into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
     with sgt.atomic_open(out / "report.json") as f:
-        f.write(json.dumps(payload, indent=2))
+        f.write(json.dumps(report.to_dict(), indent=2))
     with sgt.atomic_open(out / "report.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["class", "iou"])

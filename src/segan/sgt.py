@@ -164,6 +164,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(
                 f"tensor {entry['name']!r}: shape {list(arr.shape)} != manifest {entry['shape']}"
             )
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise FormatError(f"tensor {entry['name']!r} holds non-finite values")
         tensors[entry["name"]] = arr
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after last tensor")

@@ -30,9 +30,8 @@ modes stay comparable and equal-seed runs are bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -430,7 +429,7 @@ def train_segan(
         if out_dir is not None and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_bundle(Path(out_dir) / f"checkpoint_{step:06d}.sgt",
                         ModelBundle(student, teacher, disc),
-                        seed=seed, iteration=step, config=asdict(cfg), mode=mode)
+                        seed=seed, iteration=step)
 
     nets = {"student": student, "teacher": teacher, "disc": disc}
     _descend(sg.graph, [(nodes, nets[k]) for k, nodes in sg.params.items()],
@@ -723,7 +722,8 @@ def run_ablation(
     seg_spec: SegNetSpec | None = None,
     disc_spec: DiscSpec | None = None,
 ) -> tuple[MetricReport, ModelBundle, TrainLog]:
-    """Run one rung of the ablation ladder and evaluate on held-out labels."""
+    """Run one rung of the ablation ladder and evaluate on held-out labels.
+    ``out_dir`` receives only the adversarial stage's interval checkpoints."""
     _, _, _, st, mst = resolve_mode(mode)
     bundle, log = train_segan(
         cfg, ds, mode, seed, style_fn=style_fn,
@@ -735,14 +735,4 @@ def run_ablation(
 
     scales = cfg.mst_scales if mst else None
     report = evaluate_student(bundle.student, ds, count=0, scales=scales)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        log.to_csv(out / "train_log.csv")
-        save_bundle(out / "checkpoint.sgt", bundle,
-                    seed=seed, iteration=cfg.maxiter + (cfg.st_maxiter if st else 0),
-                    config=asdict(cfg), mode=mode)
-        with sgt.atomic_open(out / "run.json") as f:
-            f.write(json.dumps({"mode": mode, "seed": seed, "config": asdict(cfg)}, indent=2))
     return report, bundle, log

@@ -2,13 +2,12 @@
 
 CLI tests call ``cli.main`` in process and assert on exit codes and the
 files each subcommand leaves behind; one test goes through the installed
-console script to cover packaging and the backend environment flag.
+console script to cover packaging.
 """
 
 import csv
 import json
 import math
-import os
 import shutil
 import struct
 import subprocess
@@ -130,6 +129,7 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"train": {"mst": False}}, "train.mst", "--mode"),
         ({"tgstn": {"lr_gen": -0.1}}, "tgstn", "lr_gen must be >= 0"),
         ({"networks": {"segnet_widths": [8.5, 16, 16]}}, "networks.segnet_widths", "integers"),
+        ({"bounds": {"power_iters": 0}}, "bounds.power_iters", ">= 1"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -320,13 +320,11 @@ def test_malformed_dataset_manifest_exits_4(workdir, tmp_path, capsys):
 
 
 def test_train_writes_reports_and_logs(trained):
-    for name in ("report.json", "report.csv", "train_log.csv", "checkpoint.sgt",
-                 "run.json", "run_manifest.json"):
-        assert (trained / name).exists(), name
     report = json.loads((trained / "report.json").read_text())
     assert 0.0 <= report["miou"] <= 1.0
     assert len(report["iou"]) == 4
-    assert report["mode"] == "at"
+    record = json.loads((trained / "run_manifest.json").read_text())
+    assert record["mode"] == "at" and record["miou"] == report["miou"]
     rows = (trained / "train_log.csv").read_text().splitlines()
     assert rows[0].split(", ")[0] == "iter"
     # log rows at eval_interval=5 for 10 iterations, plus the final row
@@ -334,15 +332,33 @@ def test_train_writes_reports_and_logs(trained):
     assert [r.split(",")[0] for r in rows[1:]] == ["5", "10"]
 
 
-def test_mode_has_one_spelling_in_every_artifact(workdir, tmp_path):
+def test_train_run_has_one_record(workdir, tmp_path):
     out = tmp_path / "at-se"
     assert cli.main(
         ["train", "--config", workdir["config"], "--data", workdir["data"],
          "--mode", "at-se", "--out", str(out)]
     ) == 0
-    for name in ("run.json", "report.json", "run_manifest.json"):
-        assert json.loads((out / name).read_text())["mode"] == "at-se", name
-    assert load_bundle(out / "checkpoint.sgt")[1]["mode"] == "at-se"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.sgt", "report.csv", "report.json", "run_manifest.json", "train_log.csv"]
+    record = json.loads((out / "run_manifest.json").read_text())
+    cfg = load_config(workdir["config"])
+    assert (record["command"], record["mode"], record["seed"]) == ("train", "at-se", 3)
+    assert parse_config(record["config"]) == cfg
+    assert "out" not in record
+    # the mode is written only in the record
+    for name in ("report.json", "report.csv", "train_log.csv", "checkpoint.sgt"):
+        assert b"at-se" not in (out / name).read_bytes(), name
+    assert set(json.loads((out / "report.json").read_text())) == {
+        "iou", "miou", "pixel_count", "classes"}
+    # the checkpoint holds what load_bundle and bounds read, and the trained nets
+    loaded, meta = load_bundle(out / "checkpoint.sgt")
+    assert set(meta) == {"specs", "seed", "iteration"}
+    assert (meta["seed"], meta["iteration"]) == (3, 10)
+    ds = datagen.load_dataset(workdir["data"])
+    _, bundle, _ = run_ablation("at-se", ds, cfg.train, 3)
+    for comp in ("student", "teacher", "disc"):
+        for name, arr in getattr(bundle, comp).values.items():
+            assert np.array_equal(getattr(loaded, comp).values[name], arr), (comp, name)
     plots = tmp_path / "plots"
     assert cli.main(["export-plots", "--runs", str(out), "--out", str(plots)]) == 0
     with open(plots / "fig6_stability.csv", newline="") as f:
@@ -456,7 +472,10 @@ def test_eval_report_and_mst_flag(workdir, trained, tmp_path):
     r_plain = json.loads((plain / "report.json").read_text())
     r_unit = json.loads((unit / "report.json").read_text())
     assert r_plain["miou"] == r_unit["miou"]
-    assert r_plain["mst"] is None and r_unit["mst"] == [1.0]
+    m_plain = json.loads((plain / "run_manifest.json").read_text())
+    m_unit = json.loads((unit / "run_manifest.json").read_text())
+    assert m_plain["inputs"]["mst"] is None and m_unit["inputs"]["mst"] == [1.0]
+    assert m_unit["inputs"]["checkpoint"] == str(trained / "checkpoint.sgt")
     # eval covers the whole target split
     assert r_plain["pixel_count"] == 6 * 32 * 32
 
@@ -521,18 +540,21 @@ def test_bounds_payload_is_internally_consistent(workdir, trained, tmp_path):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda meta: meta["specs"]["student"].pop("kind"),
-        lambda meta: meta["specs"]["student"].update(kind="UNet"),
-        lambda meta: meta["specs"]["student"].update(depth=3),
-        lambda meta: meta["specs"]["student"].update(widths="16,32,32"),
-        lambda meta: meta.update(specs=[meta["specs"]["student"]]),
+        lambda t, meta: meta["specs"]["student"].pop("kind"),
+        lambda t, meta: meta["specs"]["student"].update(kind="UNet"),
+        lambda t, meta: meta["specs"]["student"].update(depth=3),
+        lambda t, meta: meta["specs"]["student"].update(widths="16,32,32"),
+        lambda t, meta: meta.update(specs=[meta["specs"]["student"]]),
+        lambda t, meta: t["student/conv0/w"].__setitem__((0, 0, 0, 0), np.nan),
+        lambda t, meta: t["disc/conv0/w"].__setitem__((0, 0, 0, 0), -np.inf),
     ],
-    ids=["no-kind", "unknown-kind", "unknown-field", "string-widths", "specs-list"],
+    ids=["no-kind", "unknown-kind", "unknown-field", "string-widths", "specs-list",
+         "nan-weight", "inf-weight"],
 )
 @pytest.mark.parametrize("command", ["eval", "bounds"])
 def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, command, edit):
     tensors, meta = sgt.load_checkpoint(trained / "checkpoint.sgt")
-    edit(meta)
+    edit(tensors, meta)
     bad = tmp_path / "bad.sgt"
     sgt.save_checkpoint(bad, tensors, meta)
     code = cli.main([command, "--data", workdir["data"], "--checkpoint", str(bad),
@@ -572,12 +594,17 @@ def test_train_tgstn_then_styled_training(workdir, tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert set(manifest["appearance_gap"]) == {"raw", "styled"}
 
+    assert set(load_bundle(out / "tgstn.sgt")[1]) == {"specs", "seed"}
+
     styled = tmp_path / "styled_run"
     code = cli.main(
         ["train", "--config", workdir["config"], "--data", workdir["data"],
          "--mode", "full", "--tgstn", str(out / "tgstn.sgt"), "--out", str(styled)]
     )
     assert code == 0
+    loaded, meta = load_bundle(styled / "checkpoint.sgt")
+    assert meta["iteration"] == 14  # maxiter + st_maxiter
+    assert loaded.teacher is not None and loaded.disc is not None
 
     both = cli.main(
         ["train", "--config", workdir["config"], "--data", workdir["data"],
@@ -654,10 +681,23 @@ def test_export_plots_missing_run_dir_exits_4(workdir, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_export_plots_run_without_record_exits_4(tmp_path, capsys):
+    # a record is written last, so a directory without one is an unfinished run
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "train_log.csv").write_text("iter,miou_eval\n5,0.5\n")
+    (run / "report.json").write_text(json.dumps(
+        {"iou": [0.5, None], "miou": 0.5, "pixel_count": 10, "classes": 2}))
+    code = cli.main(["export-plots", "--runs", str(run), "--out", str(tmp_path / "p")])
+    assert code == 4
+    assert "missing run_manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize(
     "name, text, key",
     [
-        ("run.json", "{}", "'mode'"),
+        ("run_manifest.json", "{}", "'mode'"),
         ("train_log.csv", "iter,miou_train\n5,0.5\n", "'miou_eval'"),
         ("report.json", "{}", "'iou'"),
     ],
@@ -665,7 +705,7 @@ def test_export_plots_missing_run_dir_exits_4(workdir, tmp_path, capsys):
 def test_export_plots_malformed_run_files_exit_4(tmp_path, capsys, name, text, key):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "run.json").write_text(json.dumps({"mode": "at", "seed": 3}))
+    (run / "run_manifest.json").write_text(json.dumps({"mode": "at", "seed": 3}))
     (run / "train_log.csv").write_text("iter,miou_eval\n5,0.5\n")
     (run / "report.json").write_text(json.dumps(
         {"iou": [0.5, None], "miou": 0.5, "pixel_count": [10, 0], "classes": 2}))
@@ -687,21 +727,19 @@ def test_parser_level_errors_raise_system_exit():
     assert err.value.code == 2
 
 
-def test_console_script_with_numpy_backend(workdir, tmp_path):
+def test_console_script_run_matches_in_process_run(workdir, tmp_path):
     exe = shutil.which("segan")
     assert exe, "console script not installed"
-    env = dict(os.environ, SEGAN_BACKEND="numpy")
-    ver = subprocess.run([exe, "--version"], capture_output=True, text=True, env=env)
+    ver = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert ver.returncode == 0 and ver.stdout.startswith("segan ")
     out = tmp_path / "sub"
     res = subprocess.run(
         [exe, "train", "--config", workdir["config"], "--data", workdir["data"],
          "--mode", "noadapt", "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
     assert (out / "checkpoint.sgt").exists()
-    # backend choice cannot change results
     ref = tmp_path / "ref"
     assert cli.main(
         ["train", "--config", workdir["config"], "--data", workdir["data"],

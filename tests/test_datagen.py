@@ -382,10 +382,12 @@ def _resave(tmp_path, edit):
         (lambda a, m: m.update(h="32"), r"metadata: h: expected an integer"),
         (lambda a, m: a["source/labels"].__setitem__((0, 0, 0), 2),
          "source labels reach 2, but the dataset has 2 classes"),
+        (lambda a, m: a["target/images"].__setitem__((0, 0, 0, 0), np.nan),
+         "'target/images' holds non-finite values"),
     ],
     ids=["format", "missing-array", "extra-array", "image-shape", "label-count",
          "image-dtype", "label-dtype", "empty-domain", "image-ndim", "missing-meta",
-         "string-meta", "label-range"],
+         "string-meta", "label-range", "nan-image"],
 )
 def test_load_rejects_malformed_container(tmp_path, edit, match):
     with pytest.raises(sgt.FormatError, match=match):

@@ -171,7 +171,7 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypa
 
 
 def _write_report(out, k):
-    write_report(iou_report(np.array([[k, 1], [2, 3]])), out, extra={"seed": k})
+    write_report(iou_report(np.array([[k, 1], [2, 3]])), out)
 
 
 def _write_train_log(out, k):

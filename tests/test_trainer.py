@@ -5,9 +5,7 @@ Runs here use miniature datasets and iteration counts; the full-scale
 behavioral criteria live in test_acceptance.py.
 """
 
-import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -404,24 +402,16 @@ def test_mst_with_unit_scale_equals_plain_self_training(ds):
     np.testing.assert_allclose(r_mst.iou, r_st.iou, rtol=0)
 
 
-def test_run_ablation_writes_artifacts(ds, tmp_path):
-    cfg = _fast_cfg(maxiter=10, st_maxiter=4, eval_interval=5)
-    out = tmp_path / "run"
-    report, bundle, log = run_ablation(
-        "full", ds, cfg, SEED, style_fn=oracle_style_fn(ds), out_dir=out
+def test_run_ablation_writes_only_interval_checkpoints(ds, tmp_path):
+    # ``segan train`` writes the rest of the run directory
+    cfg = _fast_cfg(maxiter=10, st_maxiter=4, eval_interval=5, checkpoint_interval=5)
+    _, bundle, log = run_ablation(
+        "full", ds, cfg, SEED, style_fn=oracle_style_fn(ds), out_dir=tmp_path
     )
-    assert (out / "train_log.csv").exists()
-    assert (out / "checkpoint.sgt").exists()
-    run_meta = json.loads((out / "run.json").read_text())
-    assert run_meta["mode"] == "full" and run_meta["seed"] == SEED
-    assert run_meta["config"] == json.loads(json.dumps(asdict(cfg)))  # the mode is not in cfg
-
-    loaded, meta = load_bundle(out / "checkpoint.sgt")
-    assert meta["seed"] == SEED and meta["mode"] == "full"
-    assert meta["iteration"] == 14  # maxiter + st_maxiter
-    for name in bundle.student.values:
-        assert np.array_equal(loaded.student.values[name], bundle.student.values[name])
-    assert loaded.teacher is not None and loaded.disc is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint_000005.sgt", "checkpoint_000010.sgt"]
+    assert bundle.teacher is not None and bundle.disc is not None
+    assert log.rows[-1].iteration == 14  # maxiter + st_maxiter
 
 
 def test_interval_checkpoints_are_emitted(ds, tmp_path):
@@ -429,7 +419,7 @@ def test_interval_checkpoints_are_emitted(ds, tmp_path):
     train_segan(cfg, ds, "noadapt", SEED, out_dir=tmp_path)
     assert (tmp_path / "checkpoint_000003.sgt").exists()
     _, meta = load_bundle(tmp_path / "checkpoint_000006.sgt")
-    assert (meta["mode"], meta["seed"], meta["iteration"]) == ("noadapt", SEED, 6)
+    assert (meta["seed"], meta["iteration"]) == (SEED, 6)
 
 
 def test_bundle_round_trip_supports_partial_bundles(tmp_path):
