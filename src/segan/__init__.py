@@ -8,7 +8,7 @@ Subpackages of interest:
 * :mod:`segan.losses`   training objectives
 * :mod:`segan.datagen`  synthetic two-domain benchmark
 * :mod:`segan.trainer`  training loops and ablation runner
-* :mod:`segan.metrics`  IoU reports, stability, transfer gains
+* :mod:`segan.metrics`  IoU reports, transfer gains
 * :mod:`segan.bounds`   covering-number / Rademacher / generalization bounds
 * :mod:`segan.cli`      ``segan`` command line entry point
 """

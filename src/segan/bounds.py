@@ -15,8 +15,10 @@ Two readings of the covering bound circulate in the derivation this follows:
 the statement form (sum of (b_i/s_i)^{2/3}, cubed) and the proof's final
 line (sum of b_i^2/s_i^2). The statement form is the default; the other is
 available as ``variant="proof-final-line"``. Likewise the Dudley objective
-carries sqrt(R) where the quoted closed form carries R; both are kept, see
-:func:`dudley_objective` and :func:`rademacher_bound`.
+4a/sqrt(n) + (12 sqrt(R)/n) log(sqrt(n)/a) carries sqrt(R) where the quoted
+closed form carries R; :func:`rademacher_bound` is the closed form, which is
+the objective's minimum with R^2 in place of R (the tests check it against
+a grid search of the objective).
 
 All logarithms are natural.
 """
@@ -146,19 +148,6 @@ def layer_radii(spec: BoundSpec, epsilon: float | None = None) -> LayerRadii:
             tail *= spec.rho[j] * spec.s[j]
         radii.append(float(alphas[i] * eps / (spec.rho[i] * tail)))
     return LayerRadii(tuple(radii), tuple(float(a) for a in alphas), bool(degenerate))
-
-
-def dudley_objective(alpha: float, R: float, n: int) -> float:
-    """Entropy-integral objective 4a/sqrt(n) + (12 sqrt(R)/n) log(sqrt(n)/a).
-
-    Its unique minimizer over (0, sqrt(n)] is alpha* = 3 sqrt(R/n) whenever
-    that lies inside the interval.
-    """
-    if not 0 < alpha <= math.sqrt(n):
-        raise ValueError(f"alpha must lie in (0, sqrt(n)], got {alpha}")
-    if R <= 0:
-        raise ValueError(f"R must be > 0, got {R}")
-    return 4 * alpha / math.sqrt(n) + (12 * math.sqrt(R) / n) * math.log(math.sqrt(n) / alpha)
 
 
 def rademacher_bound(R: float, n: int) -> float:

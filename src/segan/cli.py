@@ -288,6 +288,10 @@ def _load_run(run_dir: Path) -> dict:
     with _run_file(record_path):
         record = json.loads(record_path.read_text())
         mode, seed = record["mode"], record["seed"]
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
     iters, mious = [], []
     with _run_file(log_path), open(log_path, newline="") as f:
         for row in csv.DictReader(f, skipinitialspace=True):
@@ -308,6 +312,12 @@ def cmd_export_plots(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     runs = [_load_run(Path(d)) for d in args.runs]
+    classes = runs[0]["report"].classes
+    for r in runs[1:]:
+        with _run_file(r["dir"] / "report.json"):
+            if r["report"].classes != classes:
+                raise ValueError(f"{r['report'].classes} classes, but {runs[0]['dir']} "
+                                 f"has {classes}")
     out = _prepare_out(args.out, args.force)
 
     labels = [f"{r['mode']}-s{r['seed']}" for r in runs]
@@ -327,7 +337,6 @@ def cmd_export_plots(args) -> int:
     baselines = {r["seed"]: r for r in runs if r["mode"] == "noadapt"}
     adapted = [r for r in runs if r["seed"] in baselines and r is not baselines[r["seed"]]]
     gains = [transfer_gain(r["report"], baselines[r["seed"]]["report"]).gain for r in adapted]
-    classes = runs[0]["report"].classes if runs else 0
     with sgt.atomic_open(out / "fig7_gains.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["class"] + [f"{r['mode']}-s{r['seed']}" for r in adapted])

@@ -56,14 +56,6 @@ class AppearanceParams:
         if self.texture_freq < 0:
             raise ValueError(f"texture_freq must be >= 0, got {self.texture_freq}")
 
-    def is_identity(self) -> bool:
-        return (
-            self.palette_rotation == 0
-            and self.brightness == 0
-            and self.blur == 0
-            and self.texture_freq == 0
-        )
-
 
 @dataclass
 class ClassPrior:

@@ -1,34 +1,25 @@
-"""Training objectives.
+"""Training objectives, as graph builders.
 
-Every loss exists twice: a graph builder (``*_node``) used by the training
-loops, and an eager numpy evaluation used directly by tests and reports.
-The two are written independently and asserted equal in the test suite.
+Each ``*_node`` function appends a loss to a :class:`~segan.tensor.Graph`
+and returns its node id. The test suite checks the losses against
+independent eager float64 twins in ``tests/references.py``.
 
 Conventions:
 
-* graph segmentation losses take the segmenter's softmax probabilities;
-  their eager twins take raw logits and apply the softmax themselves;
+* segmentation losses take the segmenter's softmax probabilities;
   probabilities are clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before any
   log
 * discriminator scores are raw (pre-sigmoid) maps; expectations are means
   over all map cells and the batch
-* consistency / perceptual penalties sum over channels and average over
-  cells
+* consistency and perceptual penalties (both ``consistency_loss_node``) sum
+  over channels and average over cells
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .tensor import Graph
 
 PROB_FLOOR = 1e-7
-
-
-# ---------------------------------------------------------------------------
-# graph builders
 
 
 def pixel_ce_node(g: Graph, probs: int, onehot: int, name: str = "ce") -> int:
@@ -111,115 +102,3 @@ def weighted_sum_node(g: Graph, terms: list[tuple[int, float]], name: str = "tot
         acc = part if acc is None else g.add(acc, part)
     return g.scalar_mul(acc, 1.0, name=name)
 
-
-# ---------------------------------------------------------------------------
-# eager references (numpy only, float64)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _check_onehot(y: np.ndarray) -> None:
-    if not (np.isin(y, (0.0, 1.0)).all() and np.allclose(y.sum(axis=-1), 1.0)):
-        raise ValueError("labels must be one-hot along the last axis")
-
-
-def _pixel_ce(logits: np.ndarray, onehot: np.ndarray) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if logits.shape != onehot.shape:
-        raise ValueError(f"logits shape {logits.shape} != labels shape {onehot.shape}")
-    _check_onehot(onehot)
-    p = np.clip(_softmax(logits), PROB_FLOOR, 1 - PROB_FLOOR)
-    return float(-np.mean((np.log(p) * onehot).sum(axis=-1)))
-
-
-def seg_loss(
-    logits_src: np.ndarray, y_onehot: np.ndarray, logits_aug: np.ndarray | None = None
-) -> float:
-    if logits_aug is None:
-        return _pixel_ce(logits_src, y_onehot)
-    return 0.5 * _pixel_ce(logits_src, y_onehot) + 0.5 * _pixel_ce(logits_aug, y_onehot)
-
-
-def consistency_loss(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
-    a = np.asarray(probs_a, dtype=np.float64)
-    b = np.asarray(probs_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"probability map shapes differ: {a.shape} vs {b.shape}")
-    return float(np.mean(np.square(a - b).sum(axis=-1)))
-
-
-def _mean_log_d(raw: np.ndarray, target_real: bool) -> float:
-    raw = np.asarray(raw, dtype=np.float64)
-    p = _sigmoid(raw) if target_real else _sigmoid(-raw)
-    return float(np.mean(np.log(np.clip(p, PROB_FLOOR, 1 - PROB_FLOOR))))
-
-
-def adversarial_loss(
-    d_src: np.ndarray, d_tgt: np.ndarray, d_aug: np.ndarray | None = None
-) -> float:
-    total = _mean_log_d(d_src, target_real=False) + _mean_log_d(d_tgt, target_real=True)
-    if d_aug is not None:
-        total += _mean_log_d(d_aug, target_real=False)
-    return total
-
-
-def style_adversarial_loss(
-    d_real_tgt: np.ndarray, d_src: np.ndarray, d_transferred: np.ndarray
-) -> float:
-    return (
-        _mean_log_d(d_real_tgt, target_real=True)
-        + _mean_log_d(d_src, target_real=False)
-        + _mean_log_d(d_transferred, target_real=False)
-    )
-
-
-def self_train_loss(logits: np.ndarray, pseudo_onehot: np.ndarray) -> float:
-    return _pixel_ce(logits, pseudo_onehot)
-
-
-def semantic_consistency_loss(phi_logits: np.ndarray, y_onehot: np.ndarray) -> float:
-    return _pixel_ce(phi_logits, y_onehot)
-
-
-def perceptual_loss(feat_a: np.ndarray, feat_b: np.ndarray) -> float:
-    return consistency_loss(feat_a, feat_b)
-
-
-# ---------------------------------------------------------------------------
-# integral probability metric
-
-
-@dataclass
-class IPMEstimate:
-    value: float
-    witness_index: int
-    sample_sizes: tuple[int, int]
-
-
-def ipm_estimate(fns, mu_samples: np.ndarray, nu_samples: np.ndarray) -> IPMEstimate:
-    """sup over the given critics of |E_mu f - E_nu f|, on empirical samples.
-
-    Each critic maps an array of samples to an array of scalars. The witness
-    index identifies the maximizing critic.
-    """
-    if len(fns) == 0:
-        raise ValueError("need at least one critic function")
-    mu = np.asarray(mu_samples, dtype=np.float64)
-    nu = np.asarray(nu_samples, dtype=np.float64)
-    if mu.shape[0] == 0 or nu.shape[0] == 0:
-        raise ValueError("both sample sets must be non-empty")
-    best, best_idx = -1.0, 0
-    for idx, fn in enumerate(fns):
-        gap = abs(float(np.mean(fn(mu))) - float(np.mean(fn(nu))))
-        if gap > best:
-            best, best_idx = gap, idx
-    return IPMEstimate(best, best_idx, (mu.shape[0], nu.shape[0]))

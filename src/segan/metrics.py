@@ -1,5 +1,5 @@
-"""Segmentation quality metrics: confusion matrices, IoU reports, training
-stability, and per-class transfer gains between runs."""
+"""Segmentation quality metrics: confusion matrices, IoU reports and
+per-class transfer gains between runs, plus the ``report.json`` codec."""
 
 from __future__ import annotations
 
@@ -36,28 +36,21 @@ class MetricReport:
     miou: float
     pixel_count: int
     classes: int
-    miou_subset: float | None = None
-    subset: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "iou": [None if math.isnan(v) else float(v) for v in self.iou],
             "miou": self.miou,
             "pixel_count": self.pixel_count,
             "classes": self.classes,
         }
-        if self.subset is not None:
-            d["subset"] = list(self.subset)
-            d["miou_subset"] = self.miou_subset
-        return d
 
 
-def iou_report(cm: np.ndarray, subset: tuple[int, ...] | None = None) -> MetricReport:
+def iou_report(cm: np.ndarray) -> MetricReport:
     """Per-class intersection-over-union from a confusion matrix.
 
     Classes whose union is empty (absent from both prediction and ground
-    truth) carry nan and are excluded from means. A subset restricts the
-    extra ``miou_subset`` average to the listed class ids.
+    truth) carry nan and are excluded from the mean.
     """
     cm = np.asarray(cm, dtype=np.int64)
     classes = cm.shape[0]
@@ -70,53 +63,18 @@ def iou_report(cm: np.ndarray, subset: tuple[int, ...] | None = None) -> MetricR
     iou[nonempty] = tp[nonempty] / union[nonempty]
     if not nonempty.any():
         raise ValueError("all class unions are empty; nothing to score")
-    report = MetricReport(
+    return MetricReport(
         iou=iou,
         miou=float(np.nanmean(iou)),
         pixel_count=int(cm.sum()),
         classes=classes,
     )
-    if subset is not None:
-        subset = tuple(int(c) for c in subset)
-        if any(not 0 <= c < classes for c in subset) or not subset:
-            raise ValueError(f"subset {subset} not within [0, {classes})")
-        sub = iou[list(subset)]
-        report.subset = subset
-        report.miou_subset = float(np.nanmean(sub)) if not np.isnan(sub).all() else float("nan")
-    return report
-
-
-def evaluate_predictions(pred: np.ndarray, gt: np.ndarray, classes: int) -> MetricReport:
-    return iou_report(confusion_matrix(pred, gt, classes))
-
-
-def stability_index(miou_series, window_fraction: float = 1.0 / 3.0) -> float:
-    """Population standard deviation of the final stretch of an evaluation
-    series; lower means a steadier finish. The window is the last
-    ceil(len * window_fraction) points and must hold at least 5."""
-    series = np.asarray(list(miou_series), dtype=np.float64)
-    if not 0 < window_fraction <= 1:
-        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
-    n = math.ceil(len(series) * window_fraction)
-    if n < 5:
-        raise ValueError(
-            f"stability window holds {n} points, need at least 5; "
-            f"series length {len(series)}"
-        )
-    window = series[-n:]
-    return float(np.std(window))
 
 
 @dataclass
 class TransferGain:
     gain: np.ndarray  # (classes,) adapted iou - baseline iou, nan where undefined
     negative_classes: tuple[int, ...]  # classes the adaptation made worse
-
-    def to_dict(self) -> dict:
-        return {
-            "gain": [None if math.isnan(v) else float(v) for v in self.gain],
-            "negative_classes": list(self.negative_classes),
-        }
 
 
 def transfer_gain(adapted: MetricReport, baseline: MetricReport) -> TransferGain:
@@ -144,9 +102,27 @@ def write_report(report: MetricReport, out_dir) -> None:
         writer.writerow(["miou", f"{report.miou:.6f}"])
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def read_report(path) -> MetricReport:
-    """The report that :func:`write_report` put in ``report.json``."""
+    """The report that :func:`write_report` put in ``report.json``. A missing
+    key raises ``KeyError``, a value of the wrong type or size ``ValueError``."""
     d = json.loads(Path(path).read_text())
-    iou = np.array([math.nan if v is None else v for v in d["iou"]], dtype=np.float64)
-    return MetricReport(iou=iou, miou=d["miou"], pixel_count=d["pixel_count"],
-                        classes=d["classes"])
+    iou, miou, pixel_count, classes = d["iou"], d["miou"], d["pixel_count"], d["classes"]
+    if not isinstance(iou, list) or not all(v is None or _is_number(v) for v in iou):
+        raise ValueError(f"iou must be a list of numbers and nulls, got {iou!r}")
+    if not _is_int(classes) or classes != len(iou):
+        raise ValueError(f"classes must be the integer {len(iou)} (the length of iou), "
+                         f"got {classes!r}")
+    if not _is_number(miou):
+        raise ValueError(f"miou must be a number, got {miou!r}")
+    if not _is_int(pixel_count) or pixel_count < 0:
+        raise ValueError(f"pixel_count must be a non-negative integer, got {pixel_count!r}")
+    return MetricReport(iou=np.array([math.nan if v is None else v for v in iou], np.float64),
+                        miou=miou, pixel_count=pixel_count, classes=classes)

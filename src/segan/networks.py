@@ -101,9 +101,6 @@ class NetParams:
     def frozen(self) -> "NetParams":
         return NetParams(self.spec, self.values, trainable=False)
 
-    def param_count(self) -> int:
-        return sum(v.size for v in self.values.values())
-
 
 @dataclass
 class ModelBundle:
@@ -359,19 +356,6 @@ def multi_scale_predict(
 # linear-operator views and spectral norms
 
 
-class MatrixOperator:
-    def __init__(self, mat: np.ndarray):
-        self.mat = np.asarray(mat, dtype=np.float64)
-        self.in_dim = self.mat.shape[1]
-        self.out_dim = self.mat.shape[0]
-
-    def matvec(self, v):
-        return self.mat @ v
-
-    def rmatvec(self, u):
-        return self.mat.T @ u
-
-
 class ConvOperator:
     """The linear map of one (bias-free) conv layer at a fixed input size."""
 
@@ -406,12 +390,11 @@ def materialize(op) -> np.ndarray:
 def spectral_norm(op, iters: int = 200, tol: float = 1e-12, seed: int = 0) -> float:
     """Largest singular value via power iteration on ``A^T A``.
 
-    ``op`` is a 2-d ndarray or anything with matvec/rmatvec and in_dim. The
-    start vector is seeded, so results are reproducible; scaling the operator
-    scales the result exactly (up to float rounding).
+    ``op`` is a linear operator with ``matvec``, ``rmatvec`` and ``in_dim``,
+    such as a :class:`ConvOperator`. The start vector is seeded, so results
+    are reproducible; scaling the operator scales the result exactly (up to
+    float rounding).
     """
-    if isinstance(op, np.ndarray):
-        op = MatrixOperator(op)
     rng = substream(seed, "specnorm")
     v = rng.standard_normal(op.in_dim)
     nv = np.linalg.norm(v)

@@ -4,8 +4,7 @@ A :class:`Graph` is a static, topologically ordered list of operator nodes
 built ahead of time; :func:`forward` evaluates it for a set of feeds (float
 arrays keyed by input node id), and :func:`backward` accumulates
 vector-Jacobian products from a scalar loss node back to the input leaves
-it is asked for. :func:`finite_diff_grad` is an independent
-central-difference check that only ever calls :func:`forward`.
+it is asked for. The op set is what the networks and losses build.
 
 Shapes are inferred and validated at build time, so mismatches surface when
 the graph is assembled, not mid-training. Activation layout is channel-last
@@ -58,9 +57,6 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def _label(self, idx: int) -> str:
         n = self.nodes[idx]
         return f"node {idx} ({n.op} '{n.name}')"
@@ -83,29 +79,17 @@ class Graph:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binary_same_shape(self, op: str, a: int, b: int, name) -> int:
+    def add(self, a: int, b: int, name: str | None = None) -> int:
         sa, sb = self.shape(a), self.shape(b)
         if sa != sb:
-            raise ShapeError(f"{op} '{name or op}': operand shapes differ, {sa} vs {sb}")
-        return self._push(op, (a, b), sa, name)
-
-    def add(self, a: int, b: int, name: str | None = None) -> int:
-        return self._binary_same_shape("add", a, b, name)
-
-    def mul(self, a: int, b: int, name: str | None = None) -> int:
-        return self._binary_same_shape("mul", a, b, name)
+            raise ShapeError(f"add '{name or 'add'}': operand shapes differ, {sa} vs {sb}")
+        return self._push("add", (a, b), sa, name)
 
     def scalar_mul(self, a: int, value: float, name: str | None = None) -> int:
         return self._push("scalar_mul", (a,), self.shape(a), name, value=float(value))
 
     def scalar_add(self, a: int, value: float, name: str | None = None) -> int:
         return self._push("scalar_add", (a,), self.shape(a), name, value=float(value))
-
-    def matmul(self, a: int, b: int, name: str | None = None) -> int:
-        sa, sb = self.shape(a), self.shape(b)
-        if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
-            raise ShapeError(f"matmul '{name or 'matmul'}': cannot multiply {sa} by {sb}")
-        return self._push("matmul", (a, b), (sa[0], sb[1]), name)
 
     # -- structure ---------------------------------------------------------
 
@@ -148,21 +132,6 @@ class Graph:
         out = (s[0], s[1] * factor, s[2] * factor, s[3])
         return self._push("upsample", (x,), out, name, factor=int(factor))
 
-    def concat(self, parts: list[int], axis: int, name: str | None = None) -> int:
-        if not parts:
-            raise GraphError("concat: no operands")
-        shapes = [self.shape(p) for p in parts]
-        ndim = len(shapes[0])
-        ax = axis % ndim
-        for s in shapes[1:]:
-            if len(s) != ndim or any(s[i] != shapes[0][i] for i in range(ndim) if i != ax):
-                raise ShapeError(
-                    f"concat '{name or 'concat'}': incompatible shapes {shapes} on axis {ax}"
-                )
-        out = list(shapes[0])
-        out[ax] = sum(s[ax] for s in shapes)
-        return self._push("concat", tuple(parts), tuple(out), name, axis=ax)
-
     # -- pointwise ---------------------------------------------------------
 
     def _unary(self, op: str, x: int, name, **attrs) -> int:
@@ -173,9 +142,6 @@ class Graph:
 
     def leaky_relu(self, x: int, slope: float = 0.2, name: str | None = None) -> int:
         return self._unary("leaky_relu", x, name, slope=float(slope))
-
-    def tanh(self, x: int, name: str | None = None) -> int:
-        return self._unary("tanh", x, name)
 
     def sigmoid(self, x: int, name: str | None = None) -> int:
         return self._unary("sigmoid", x, name)
@@ -250,14 +216,10 @@ def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
     op, at = node.op, node.attrs
     if op == "add":
         return args[0] + args[1]
-    if op == "mul":
-        return args[0] * args[1]
     if op == "scalar_mul":
         return args[0] * args[0].dtype.type(at["value"])
     if op == "scalar_add":
         return args[0] + args[0].dtype.type(at["value"])
-    if op == "matmul":
-        return args[0] @ args[1]
     if op == "conv2d":
         out = kernels.conv2d_forward(args[0], args[1], at["stride"], at["pad"])
         if len(args) == 3:
@@ -265,15 +227,11 @@ def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
         return out
     if op == "upsample":
         return kernels.upsample_nearest(args[0], at["factor"])
-    if op == "concat":
-        return np.concatenate(args, axis=at["axis"])
     if op == "relu":
         return np.maximum(args[0], 0)
     if op == "leaky_relu":
         x = args[0]
         return np.where(x >= 0, x, x.dtype.type(at["slope"]) * x)
-    if op == "tanh":
-        return np.tanh(args[0])
     if op == "sigmoid":
         return _stable_sigmoid(args[0])
     if op == "log":
@@ -337,7 +295,7 @@ def _node_vjps(
     node: Node, acts, out: np.ndarray, grad: np.ndarray, want: list[bool]
 ) -> list[np.ndarray | None]:
     """Gradient contributions to each input of ``node``; None where not wanted.
-    ``out`` is the node's forward value, which tanh, sigmoid and softmax reuse."""
+    ``out`` is the node's forward value, which sigmoid and softmax reuse."""
     op, at = node.op, node.attrs
     args = [acts[i] for i in node.inputs]
     res: list[np.ndarray | None] = [None] * len(node.inputs)
@@ -347,22 +305,12 @@ def _node_vjps(
             res[0] = grad
         if want[1]:
             res[1] = grad
-    elif op == "mul":
-        if want[0]:
-            res[0] = grad * args[1]
-        if want[1]:
-            res[1] = grad * args[0]
     elif op == "scalar_mul":
         if want[0]:
             res[0] = grad * grad.dtype.type(at["value"])
     elif op == "scalar_add":
         if want[0]:
             res[0] = grad
-    elif op == "matmul":
-        if want[0]:
-            res[0] = grad @ args[1].T
-        if want[1]:
-            res[1] = args[0].T @ grad
     elif op == "conv2d":
         stride, pad = at["stride"], at["pad"]
         if want[0]:
@@ -378,16 +326,6 @@ def _node_vjps(
     elif op == "upsample":
         if want[0]:
             res[0] = kernels.upsample_nearest_bwd(grad, at["factor"])
-    elif op == "concat":
-        ax = at["axis"]
-        offset = 0
-        for k, a in enumerate(args):
-            size = a.shape[ax]
-            if want[k]:
-                sl = [slice(None)] * grad.ndim
-                sl[ax] = slice(offset, offset + size)
-                res[k] = grad[tuple(sl)]
-            offset += size
     elif op == "relu":
         if want[0]:
             res[0] = grad * (args[0] >= 0)
@@ -395,9 +333,6 @@ def _node_vjps(
         if want[0]:
             slope = args[0].dtype.type(at["slope"])
             res[0] = grad * np.where(args[0] >= 0, args[0].dtype.type(1), slope)
-    elif op == "tanh":
-        if want[0]:
-            res[0] = grad * (1 - out * out)
     elif op == "sigmoid":
         if want[0]:
             res[0] = grad * out * (1 - out)
@@ -484,30 +419,3 @@ def backward(
         out[i] = np.array(g, dtype=dtype)  # broadcast views become owned arrays
     return out
 
-
-def finite_diff_grad(
-    graph: Graph,
-    loss: int,
-    wrt_id: int,
-    feeds: dict[int, np.ndarray],
-    h: float = 1e-4,
-) -> np.ndarray:
-    """Central-difference gradient of the loss w.r.t. one leaf.
-
-    Runs forward passes only, in float64, so it is an independent check on
-    :func:`backward`. Cost is two evaluations per coordinate of the leaf.
-    """
-    base = {i: np.asarray(v, dtype=np.float64) for i, v in feeds.items()}
-    x = base[wrt_id].copy()
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for j in range(flat_x.size):
-        orig = flat_x[j]
-        flat_x[j] = orig + h
-        hi = forward(graph, {**base, wrt_id: x})[loss]
-        flat_x[j] = orig - h
-        lo = forward(graph, {**base, wrt_id: x})[loss]
-        flat_x[j] = orig
-        flat_g[j] = (float(hi) - float(lo)) / (2 * h)
-    return grad

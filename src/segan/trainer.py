@@ -195,9 +195,6 @@ class TrainLog:
             )
         self.rows.append(row)
 
-    def miou_series(self) -> list[float]:
-        return [r.miou_eval for r in self.rows]
-
     def to_csv(self, path) -> None:
         lines = [LOG_HEADER]
         for r in self.rows:
@@ -373,8 +370,7 @@ def train_segan(
             f"segmenter emits {seg_spec.class_count} classes, dataset has {ds.classes}"
         )
     student = build_segnet(seg_spec, derive_seed(seed, "student"))
-    teacher = NetParams(seg_spec, {k: v.copy() for k, v in student.values.items()},
-                        trainable=False) if se else None
+    teacher = student.copy().frozen() if se else None
     disc = None
     if at:
         dspec = disc_spec or DiscSpec(in_channels=ds.classes)

@@ -1,0 +1,131 @@
+"""Independent references the tests hold the program to.
+
+Nothing here runs in the program. The eager loss twins evaluate each graph
+loss of ``segan.losses`` directly in float64 numpy, from raw logits; the
+finite-difference gradient only ever calls ``forward``; the stability index
+is acceptance criterion 07's quantity; the Dudley objective is the entropy
+integral whose minimum ``bounds.rademacher_bound`` states in closed form.
+"""
+
+import math
+
+import numpy as np
+
+from segan.losses import PROB_FLOOR
+from segan.tensor import forward
+
+# ---------------------------------------------------------------------------
+# eager loss twins
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def pixel_ce(logits: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean over pixels of -log softmax probability of the marked class; the
+    twin of ``pixel_ce_node``, so of the self-training and semantic losses."""
+    logits = np.asarray(logits, dtype=np.float64)
+    onehot = np.asarray(onehot, dtype=np.float64)
+    if logits.shape != onehot.shape:
+        raise ValueError(f"logits shape {logits.shape} != labels shape {onehot.shape}")
+    if not (np.isin(onehot, (0.0, 1.0)).all() and np.allclose(onehot.sum(axis=-1), 1.0)):
+        raise ValueError("labels must be one-hot along the last axis")
+    p = np.clip(_softmax(logits), PROB_FLOOR, 1 - PROB_FLOOR)
+    return float(-np.mean((np.log(p) * onehot).sum(axis=-1)))
+
+
+def seg_loss(
+    logits_src: np.ndarray, y_onehot: np.ndarray, logits_aug: np.ndarray | None = None
+) -> float:
+    if logits_aug is None:
+        return pixel_ce(logits_src, y_onehot)
+    return 0.5 * pixel_ce(logits_src, y_onehot) + 0.5 * pixel_ce(logits_aug, y_onehot)
+
+
+def consistency_loss(probs_a: np.ndarray, probs_b: np.ndarray) -> float:
+    """Twin of ``consistency_loss_node``, so of the perceptual loss too."""
+    a = np.asarray(probs_a, dtype=np.float64)
+    b = np.asarray(probs_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"probability map shapes differ: {a.shape} vs {b.shape}")
+    return float(np.mean(np.square(a - b).sum(axis=-1)))
+
+
+def _mean_log_d(raw: np.ndarray, target_real: bool) -> float:
+    raw = np.asarray(raw, dtype=np.float64)
+    p = _sigmoid(raw) if target_real else _sigmoid(-raw)
+    return float(np.mean(np.log(np.clip(p, PROB_FLOOR, 1 - PROB_FLOOR))))
+
+
+def adversarial_loss(
+    d_src: np.ndarray, d_tgt: np.ndarray, d_aug: np.ndarray | None = None
+) -> float:
+    total = _mean_log_d(d_src, target_real=False) + _mean_log_d(d_tgt, target_real=True)
+    if d_aug is not None:
+        total += _mean_log_d(d_aug, target_real=False)
+    return total
+
+
+def style_adversarial_loss(
+    d_real_tgt: np.ndarray, d_src: np.ndarray, d_transferred: np.ndarray
+) -> float:
+    return (
+        _mean_log_d(d_real_tgt, target_real=True)
+        + _mean_log_d(d_src, target_real=False)
+        + _mean_log_d(d_transferred, target_real=False)
+    )
+
+
+# ---------------------------------------------------------------------------
+# gradients, stability, bounds
+
+
+def finite_diff_grad(graph, loss: int, wrt_id: int, feeds: dict, h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of the loss w.r.t. one leaf, in float64.
+    Cost is two forward passes per coordinate of the leaf."""
+    base = {i: np.asarray(v, dtype=np.float64) for i, v in feeds.items()}
+    x = base[wrt_id].copy()
+    grad = np.zeros_like(x)
+    flat_x = x.reshape(-1)
+    flat_g = grad.reshape(-1)
+    for j in range(flat_x.size):
+        orig = flat_x[j]
+        flat_x[j] = orig + h
+        hi = forward(graph, {**base, wrt_id: x})[loss]
+        flat_x[j] = orig - h
+        lo = forward(graph, {**base, wrt_id: x})[loss]
+        flat_x[j] = orig
+        flat_g[j] = (float(hi) - float(lo)) / (2 * h)
+    return grad
+
+
+def stability_index(miou_series, window_fraction: float = 1.0 / 3.0) -> float:
+    """Population standard deviation of the last ceil(len * window_fraction)
+    points of an evaluation series (at least 5); lower is a steadier finish."""
+    series = np.asarray(list(miou_series), dtype=np.float64)
+    if not 0 < window_fraction <= 1:
+        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
+    n = math.ceil(len(series) * window_fraction)
+    if n < 5:
+        raise ValueError(
+            f"stability window holds {n} points, need at least 5; "
+            f"series length {len(series)}"
+        )
+    return float(np.std(series[-n:]))
+
+
+def dudley_objective(alpha: float, R: float, n: int) -> float:
+    """4a/sqrt(n) + (12 sqrt(R)/n) log(sqrt(n)/a); its unique minimizer over
+    (0, sqrt(n)] is alpha* = 3 sqrt(R/n) whenever that lies inside."""
+    if not 0 < alpha <= math.sqrt(n):
+        raise ValueError(f"alpha must lie in (0, sqrt(n)], got {alpha}")
+    if R <= 0:
+        raise ValueError(f"R must be > 0, got {R}")
+    return 4 * alpha / math.sqrt(n) + (12 * math.sqrt(R) / n) * math.log(math.sqrt(n) / alpha)

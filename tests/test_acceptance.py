@@ -15,27 +15,18 @@ import numpy as np
 import pytest
 
 from segan import cli
-from segan.bounds import (
-    BoundSpec,
-    covering_bound,
-    dudley_objective,
-    gen_bound_from,
-)
+from segan.bounds import BoundSpec, covering_bound, gen_bound_from
 from segan.datagen import appearance_gap, benchmark_shifts, generate_dataset
 from segan.losses import (
-    adversarial_loss,
     adversarial_terms_node,
-    consistency_loss,
     consistency_loss_node,
     pixel_ce_node,
-    seg_loss,
     seg_loss_node,
-    style_adversarial_loss,
     style_adversarial_terms_node,
     weighted_sum_node,
 )
-from segan.metrics import evaluate_predictions, stability_index, transfer_gain
-from segan.tensor import Graph, backward, finite_diff_grad, forward
+from segan.metrics import confusion_matrix, iou_report, transfer_gain
+from segan.tensor import Graph, backward, forward
 from segan.trainer import (
     TGSTNConfig,
     TrainConfig,
@@ -45,6 +36,16 @@ from segan.trainer import (
     pretrain_phi,
     run_ablation,
     train_tgstn,
+)
+
+from references import (
+    adversarial_loss,
+    consistency_loss,
+    dudley_objective,
+    finite_diff_grad,
+    seg_loss,
+    stability_index,
+    style_adversarial_loss,
 )
 
 
@@ -218,7 +219,7 @@ def test_criterion_04_bounds_suite():
 def test_criterion_05_metrics_oracle():
     pred = np.array([0, 0, 1, 1], dtype=np.uint8).reshape(1, 2, 2)
     gt = np.array([0, 1, 1, 1], dtype=np.uint8).reshape(1, 2, 2)
-    report = evaluate_predictions(pred, gt, classes=2)
+    report = iou_report(confusion_matrix(pred, gt, classes=2))
     assert report.iou[0] == 0.5
     assert report.iou[1] == 2 / 3
 
@@ -227,7 +228,7 @@ def test_criterion_05_metrics_oracle():
         classes = 5
         pred = rng.integers(0, classes, (2, 9, 7)).astype(np.uint8)
         gt = rng.integers(0, classes, (2, 9, 7)).astype(np.uint8)
-        report = evaluate_predictions(pred, gt, classes)
+        report = iou_report(confusion_matrix(pred, gt, classes))
         for c in range(classes):
             inter = int(((pred == c) & (gt == c)).sum())
             union = int(((pred == c) | (gt == c)).sum())

@@ -2,7 +2,7 @@
 
 Closed forms are re-derived with independent in-test arithmetic; the
 Rademacher closed form is cross-checked by grid-searching the entropy
-integral it is supposed to minimize; measured layer norms are checked
+integral it is supposed to minimize (``references.dudley_objective``); measured layer norms are checked
 against dense SVDs.
 """
 
@@ -16,7 +16,6 @@ from segan.bounds import (
     bound_report,
     covering_bound,
     disc_layer_operators,
-    dudley_objective,
     gen_bound_from,
     generalization_bound,
     layer_radii,
@@ -24,6 +23,8 @@ from segan.bounds import (
     rademacher_bound,
 )
 from segan.networks import DiscSpec, build_discriminator, materialize, spectral_norm
+
+from references import dudley_objective
 
 
 def _unit_spec(**kw):

@@ -694,6 +694,21 @@ def test_export_plots_run_without_record_exits_4(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
+def _report(**fields):
+    return json.dumps({"iou": [0.5, None], "miou": 0.5, "pixel_count": 10, "classes": 2,
+                       **fields})
+
+
+def _fake_run(run, **files):
+    """A run directory that export-plots accepts, with ``files`` replaced."""
+    files = {"run_manifest.json": json.dumps({"mode": "at", "seed": 3}),
+             "train_log.csv": "iter,miou_eval\n5,0.5\n", "report.json": _report(), **files}
+    run.mkdir()
+    for name, text in files.items():
+        (run / name).write_text(text)
+    return run
+
+
 @pytest.mark.parametrize(
     "name, text, key",
     [
@@ -703,18 +718,38 @@ def test_export_plots_run_without_record_exits_4(tmp_path, capsys):
     ],
 )
 def test_export_plots_malformed_run_files_exit_4(tmp_path, capsys, name, text, key):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "run_manifest.json").write_text(json.dumps({"mode": "at", "seed": 3}))
-    (run / "train_log.csv").write_text("iter,miou_eval\n5,0.5\n")
-    (run / "report.json").write_text(json.dumps(
-        {"iou": [0.5, None], "miou": 0.5, "pixel_count": [10, 0], "classes": 2}))
-    (run / name).write_text(text)
+    run = _fake_run(tmp_path / "run", **{name: text})
     code = cli.main(["export-plots", "--runs", str(run), "--out", str(tmp_path / "p")])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "Traceback" not in err
     assert str(run / name) in err and f"missing key {key}" in err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("report.json", _report(classes="2"), "classes must be the integer 2"),
+        ("report.json", _report(pixel_count=[10, 0]), "pixel_count must be a non-negative"),
+        ("report.json", _report(iou=[0.5, None, 0.25]), "classes must be the integer 3"),
+        ("run_manifest.json", json.dumps({"mode": "bogus", "seed": 3}), "mode must be one of"),
+        ("run_manifest.json", json.dumps({"mode": "at", "seed": "3"}), "seed must be an integer"),
+        ("report.json", _report(iou=[0.5, None, 0.25], classes=3),
+         "3 classes, but {good} has 2"),
+    ],
+    ids=["classes-string", "pixel-count-list", "iou-length", "mode-bogus", "seed-string",
+         "class-counts-differ"],
+)
+def test_export_plots_invalid_run_values_exit_4(tmp_path, capsys, name, text, message):
+    # a good run comes first, so any file written before the check would show
+    good = _fake_run(tmp_path / "good")
+    run = _fake_run(tmp_path / "run", **{name: text})
+    code = cli.main(["export-plots", "--runs", str(good), str(run), "--out", str(tmp_path / "p")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert f"{run / name}: {message.format(good=good)}" in err
     assert not (tmp_path / "p").exists()
 
 

@@ -1,5 +1,6 @@
-"""Scalar objectives: analytic values, enumeration oracles, graph/eager
-agreement, and finite-difference gradient checks."""
+"""Scalar objectives: analytic values of the eager twins in
+``references.py``, graph/eager agreement, and finite-difference gradient
+checks."""
 
 import math
 
@@ -8,23 +9,24 @@ import pytest
 
 from segan import losses
 from segan.losses import (
-    adversarial_loss,
     adversarial_terms_node,
-    consistency_loss,
     consistency_loss_node,
-    ipm_estimate,
-    perceptual_loss,
     pixel_ce_node,
-    seg_loss,
     seg_loss_node,
-    self_train_loss,
-    semantic_consistency_loss,
-    style_adversarial_loss,
     style_adversarial_terms_node,
     weighted_sum_node,
 )
-from segan.tensor import Graph, backward, finite_diff_grad, forward
+from segan.tensor import Graph, backward, forward
 from segan.trainer import TGSTNConfig
+
+from references import (
+    adversarial_loss,
+    consistency_loss,
+    finite_diff_grad,
+    pixel_ce,
+    seg_loss,
+    style_adversarial_loss,
+)
 
 LN4 = math.log(4.0)
 
@@ -76,9 +78,7 @@ def test_non_onehot_labels_rejected():
     with pytest.raises(ValueError, match="one-hot"):
         seg_loss(logits, bad)
     with pytest.raises(ValueError, match="one-hot"):
-        self_train_loss(logits, bad)
-    with pytest.raises(ValueError, match="one-hot"):
-        semantic_consistency_loss(logits, bad)
+        pixel_ce(logits, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,8 @@ def test_negative_weights_rejected():
 def test_self_train_loss_values():
     logits = np.zeros((1, 2, 4))
     pseudo = _onehot([[1, 3]], 4)
-    assert self_train_loss(logits, pseudo) == pytest.approx(LN4, rel=1e-9)
-    assert self_train_loss(50.0 * pseudo, pseudo) == pytest.approx(0.0, abs=1e-6)
+    assert pixel_ce(logits, pseudo) == pytest.approx(LN4, rel=1e-9)
+    assert pixel_ce(50.0 * pseudo, pseudo) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_self_train_three_pixel_enumeration():
@@ -178,58 +178,33 @@ def test_self_train_three_pixel_enumeration():
     p1 = 1 / (1 + math.e)
     p2 = 0.5
     want = -(math.log(p0) + math.log(p1) + math.log(p2)) / 3
-    assert self_train_loss(logits, pseudo) == pytest.approx(want, rel=1e-9)
+    assert pixel_ce(logits, pseudo) == pytest.approx(want, rel=1e-9)
 
 
 def test_semantic_consistency_is_pixel_ce():
+    # TGSTN's semantic term is the graph pixel CE on the guide's probabilities
     logits = np.zeros((2, 2, 4))
     y = _onehot([[0, 1], [2, 3]], 4)
-    assert semantic_consistency_loss(logits, y) == pytest.approx(LN4, rel=1e-9)
-    assert semantic_consistency_loss(60.0 * y, y) == pytest.approx(0.0, abs=1e-6)
+
+    def sem(values):
+        def build(g):
+            nl, oh = g.input("logits", logits.shape), g.input("oh", y.shape)
+            return pixel_ce_node(g, g.softmax(nl), oh, name="sem"), {nl: values, oh: y}
+        return float(_graph_value(build))
+
+    assert sem(logits) == pytest.approx(LN4, rel=1e-9)
+    assert sem(60.0 * y) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_perceptual_loss_values():
     rng = np.random.default_rng(3)
     f = rng.standard_normal((4, 4, 6))
-    assert perceptual_loss(f, f) == 0.0
-    assert perceptual_loss(f + 1.0, f) == pytest.approx(6.0, rel=1e-9)  # channel count
+    assert consistency_loss(f, f) == 0.0
+    assert consistency_loss(f + 1.0, f) == pytest.approx(6.0, rel=1e-9)  # channel count
     g2 = rng.standard_normal((4, 4, 6))
-    assert perceptual_loss(f, g2) == pytest.approx(
+    assert consistency_loss(f, g2) == pytest.approx(
         np.mean(np.sum((f - g2) ** 2, axis=-1)), rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# integral probability metric
-
-
-def test_ipm_enumerated_cases():
-    fns = [lambda x: x, lambda x: -x]
-    assert ipm_estimate(fns, np.array([0.0, 2.0]), np.array([1.0])).value == 0.0
-    est = ipm_estimate(fns, np.array([0.0, 4.0]), np.array([1.0]))
-    assert est.value == pytest.approx(1.0, rel=1e-12)
-    assert est.sample_sizes == (2, 1)
-
-
-def test_ipm_identical_samples_and_nonnegativity():
-    rng = np.random.default_rng(4)
-    s = rng.standard_normal(10)
-    fns = [lambda x: x, lambda x: -x, np.tanh, lambda x: -np.tanh(x)]
-    assert ipm_estimate(fns, s, s.copy()).value == 0.0
-    assert ipm_estimate(fns, s, rng.standard_normal(7)).value >= 0.0
-
-
-def test_ipm_witness_identifies_maximizer():
-    fns = [lambda x: np.zeros_like(x), lambda x: x]
-    est = ipm_estimate(fns, np.array([3.0]), np.array([0.0]))
-    assert est.witness_index == 1
-
-
-def test_ipm_rejects_empty_inputs():
-    with pytest.raises(ValueError):
-        ipm_estimate([], np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        ipm_estimate([lambda x: x], np.array([]), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Confusion matrices, IoU reports, stability, and transfer gains
-against counting oracles and hand-worked values."""
+"""Confusion matrices, IoU reports, transfer gains and the stability index
+(``references.py``) against counting oracles and hand-worked values."""
 
 import csv
 import json
@@ -7,14 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from segan.metrics import (
-    confusion_matrix,
-    evaluate_predictions,
-    iou_report,
-    stability_index,
-    transfer_gain,
-    write_report,
-)
+from segan.metrics import confusion_matrix, iou_report, transfer_gain, write_report
+
+from references import stability_index
+
+
+def _evaluate(pred, gt, classes):
+    return iou_report(confusion_matrix(pred, gt, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def test_confusion_matrix_input_validation():
 
 def test_perfect_prediction_scores_one():
     gt = np.array([[0, 1], [2, 3]])
-    report = evaluate_predictions(gt, gt, classes=4)
+    report = _evaluate(gt, gt, classes=4)
     np.testing.assert_allclose(report.iou, 1.0)
     assert report.miou == 1.0
     assert report.pixel_count == 4
@@ -68,7 +67,7 @@ def test_perfect_prediction_scores_one():
 def test_hand_case_half_and_two_thirds():
     # pred [0,0,1,1] vs gt [0,1,1,1]:
     # class 0: tp=1, union=2 -> 0.5; class 1: tp=2, union=3 -> 2/3
-    report = evaluate_predictions(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), classes=2)
+    report = _evaluate(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), classes=2)
     np.testing.assert_allclose(report.iou, [0.5, 2.0 / 3.0])
     assert report.miou == pytest.approx(7.0 / 12.0, rel=1e-12)
     assert report.miou == pytest.approx(0.58333, abs=1e-5)
@@ -80,7 +79,7 @@ def test_random_maps_match_counting_oracle():
         classes = int(rng.integers(2, 6))
         pred = rng.integers(0, classes, size=30)
         gt = rng.integers(0, classes, size=30)
-        report = evaluate_predictions(pred, gt, classes)
+        report = _evaluate(pred, gt, classes)
         for c in range(classes):
             tp = int(np.sum((pred == c) & (gt == c)))
             union = int(np.sum((pred == c) | (gt == c)))
@@ -94,7 +93,7 @@ def test_absent_class_is_excluded_from_mean():
     # class 2 never appears in either map: nan, and miou averages the rest
     pred = np.array([0, 0, 1, 1])
     gt = np.array([0, 1, 1, 0])
-    report = evaluate_predictions(pred, gt, classes=3)
+    report = _evaluate(pred, gt, classes=3)
     assert np.isnan(report.iou[2])
     np.testing.assert_allclose(report.iou[:2], [1.0 / 3.0, 1.0 / 3.0])
     assert report.miou == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -109,24 +108,11 @@ def test_label_permutation_equivariance():
     rng = np.random.default_rng(2)
     pred = rng.integers(0, 4, size=50)
     gt = rng.integers(0, 4, size=50)
-    base = evaluate_predictions(pred, gt, 4)
+    base = _evaluate(pred, gt, 4)
     perm = np.array([2, 3, 1, 0])
-    permuted = evaluate_predictions(perm[pred], perm[gt], 4)
+    permuted = _evaluate(perm[pred], perm[gt], 4)
     np.testing.assert_allclose(permuted.iou[perm], base.iou, rtol=1e-12)
     assert permuted.miou == pytest.approx(base.miou, rel=1e-12)
-
-
-def test_subset_average():
-    pred = np.array([0, 0, 1, 1, 2, 2])
-    gt = np.array([0, 1, 1, 1, 2, 0])
-    cm = confusion_matrix(pred, gt, classes=3)
-    report = iou_report(cm, subset=(1, 2))
-    want = 0.5 * (report.iou[1] + report.iou[2])
-    assert report.miou_subset == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError, match="subset"):
-        iou_report(cm, subset=(5,))
-    with pytest.raises(ValueError, match="subset"):
-        iou_report(cm, subset=())
 
 
 def test_non_square_matrix_rejected():
@@ -184,15 +170,15 @@ def test_stability_requires_five_window_points():
 
 def test_zero_gain_for_identical_reports():
     gt = np.array([0, 1, 2, 0, 1, 2])
-    report = evaluate_predictions(gt, gt, 3)
+    report = _evaluate(gt, gt, 3)
     tg = transfer_gain(report, report)
     np.testing.assert_allclose(tg.gain, 0.0)
     assert tg.negative_classes == ()
 
 
 def test_hand_gains_flag_negative_class():
-    adapted = evaluate_predictions(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]), 2)
-    baseline = evaluate_predictions(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]), 2)
+    adapted = _evaluate(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]), 2)
+    baseline = _evaluate(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]), 2)
     tg = transfer_gain(adapted, baseline)
     # both classes drop from 1.0 to 1/3
     np.testing.assert_allclose(tg.gain, [1.0 / 3.0 - 1.0] * 2)
@@ -202,16 +188,16 @@ def test_hand_gains_flag_negative_class():
 def test_mean_gain_matches_miou_difference_when_no_nans():
     rng = np.random.default_rng(5)
     gt = rng.integers(0, 3, size=60)
-    adapted = evaluate_predictions(rng.integers(0, 3, size=60), gt, 3)
-    baseline = evaluate_predictions(rng.integers(0, 3, size=60), gt, 3)
+    adapted = _evaluate(rng.integers(0, 3, size=60), gt, 3)
+    baseline = _evaluate(rng.integers(0, 3, size=60), gt, 3)
     tg = transfer_gain(adapted, baseline)
     assert not np.isnan(tg.gain).any()
     assert float(tg.gain.mean()) == pytest.approx(adapted.miou - baseline.miou, rel=1e-9)
 
 
 def test_class_count_mismatch_rejected():
-    a = evaluate_predictions(np.array([0, 1]), np.array([0, 1]), 2)
-    b = evaluate_predictions(np.array([0, 1, 2]), np.array([0, 1, 2]), 3)
+    a = _evaluate(np.array([0, 1]), np.array([0, 1]), 2)
+    b = _evaluate(np.array([0, 1, 2]), np.array([0, 1, 2]), 3)
     with pytest.raises(ValueError, match="class counts"):
         transfer_gain(a, b)
 
@@ -223,7 +209,7 @@ def test_class_count_mismatch_rejected():
 def test_write_report_produces_consistent_json_and_csv(tmp_path):
     pred = np.array([0, 0, 1, 1])
     gt = np.array([0, 1, 1, 1])
-    report = evaluate_predictions(pred, gt, classes=2)
+    report = _evaluate(pred, gt, classes=2)
     write_report(report, tmp_path)
 
     payload = json.loads((tmp_path / "report.json").read_text())
@@ -240,7 +226,7 @@ def test_write_report_produces_consistent_json_and_csv(tmp_path):
 
 
 def test_write_report_blanks_nan_classes(tmp_path):
-    report = evaluate_predictions(np.array([0, 1]), np.array([0, 1]), classes=3)
+    report = _evaluate(np.array([0, 1]), np.array([0, 1]), classes=3)
     write_report(report, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["iou"][2] is None

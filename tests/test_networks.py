@@ -52,7 +52,7 @@ def test_segnet_default_parameter_count_by_hand():
     # conv0 3*3*3*16+16=448, conv1 3*3*16*32+32=4640,
     # conv2 3*3*32*32+32=9248, head 1*1*32*4+4=132
     net = build_segnet(SegNetSpec(), seed=0)
-    assert net.param_count() == 448 + 4640 + 9248 + 132 == 14468
+    assert sum(v.size for v in net.values.values()) == 448 + 4640 + 9248 + 132 == 14468
 
 
 def test_same_seed_same_weights_different_seed_differs():
@@ -163,7 +163,7 @@ def _head_orders(net: NetParams, images: np.ndarray):
             logits = g.conv2d(up, pn["head/w"], bias=pn["head/b"], stride=1, pad=0)
             probs = g.softmax(logits)
         r = g.input("r", weights.shape)
-        loss = g.reduce_sum(g.mul(probs, r))
+        loss = g.reduce_sum(g.onehot_gather(probs, r))
         feeds = {x: images, r: weights, **param_feeds(pn, net)}
         acts = forward(g, feeds)
         grads = backward(g, loss, acts, wrt=list(pn.values()))
@@ -422,24 +422,29 @@ def test_resize_nearest_identity_and_block_structure():
 # spectral norm
 
 
+def _matrix(mat) -> ConvOperator:
+    """The operator of ``mat``: a 1x1 conv on a 1x1 input is that matrix."""
+    return ConvOperator(np.asarray(mat).T[None, None], in_hw=(1, 1), stride=1, pad=0)
+
+
 def test_spectral_norm_identity_and_diagonal():
-    assert spectral_norm(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-12)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
+    assert spectral_norm(_matrix(np.eye(4))) == pytest.approx(1.0, rel=1e-12)
+    assert spectral_norm(_matrix(np.diag([3.0, 1.0]))) == pytest.approx(3.0, rel=1e-12)
+    assert spectral_norm(_matrix(np.zeros((3, 3)))) == 0.0
 
 
 def test_spectral_norm_matches_svd_on_random_matrix():
     rng = np.random.default_rng(9)
     mat = rng.standard_normal((8, 8))
     want = np.linalg.svd(mat, compute_uv=False)[0]
-    assert spectral_norm(mat) == pytest.approx(want, abs=1e-6)
+    assert spectral_norm(_matrix(mat)) == pytest.approx(want, abs=1e-6)
 
 
 def test_spectral_norm_scales_linearly():
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((6, 4))
-    base = spectral_norm(mat)
-    np.testing.assert_allclose(spectral_norm(-2.5 * mat), 2.5 * base, rtol=1e-9)
+    base = spectral_norm(_matrix(mat))
+    np.testing.assert_allclose(spectral_norm(_matrix(-2.5 * mat)), 2.5 * base, rtol=1e-9)
 
 
 def test_conv_operator_matches_dense_svd():

@@ -2,21 +2,16 @@
 finite-difference agreement, pruning, and error reporting.
 
 Every gradient assertion is backed either by a closed form worked out
-by hand or by finite_diff_grad, which only runs forward passes and is
-therefore an independent check on backward().
+by hand or by finite_diff_grad (``references.py``), which only runs
+forward passes and is therefore an independent check on backward().
 """
 
 import numpy as np
 import pytest
 
-from segan.tensor import (
-    Graph,
-    GraphError,
-    ShapeError,
-    backward,
-    finite_diff_grad,
-    forward,
-)
+from segan.tensor import Graph, GraphError, ShapeError, backward, forward
+
+from references import finite_diff_grad
 
 
 def _scalar_graph(build):
@@ -28,16 +23,6 @@ def _scalar_graph(build):
 
 # ---------------------------------------------------------------------------
 # forward
-
-
-def test_matmul_identity_returns_operand():
-    g = Graph()
-    a = g.input("a", (3, 3))
-    b = g.input("b", (3, 3))
-    out = g.matmul(a, b)
-    m = np.arange(9, dtype=np.float64).reshape(3, 3)
-    acts = forward(g, {a: m, b: np.eye(3)})
-    assert np.array_equal(acts[out], m)
 
 
 def test_softmax_of_zeros_is_uniform():
@@ -70,18 +55,15 @@ def test_forward_op_table_against_numpy():
     y = g.input("y", (2, 3))
     nodes = {
         "add": (g.add(x, y), x_val + y_val),
-        "mul": (g.mul(x, y), x_val * y_val),
         "scalar_mul": (g.scalar_mul(x, 2.5), 2.5 * x_val),
         "scalar_add": (g.scalar_add(x, -1.0), x_val - 1.0),
         "relu": (g.relu(x), np.maximum(x_val, 0.0)),
         "leaky": (g.leaky_relu(x, slope=0.2), np.where(x_val > 0, x_val, 0.2 * x_val)),
-        "tanh": (g.tanh(x), np.tanh(x_val)),
         "sigmoid": (g.sigmoid(x), 1.0 / (1.0 + np.exp(-x_val))),
         "square": (g.square(x), x_val**2),
         "clip": (g.clip(x, -0.5, 0.5), np.clip(x_val, -0.5, 0.5)),
         "mean": (g.reduce_mean(x), np.mean(x_val)),
         "sum0": (g.reduce_sum(x, axis=0), x_val.sum(axis=0)),
-        "concat": (g.concat([x, y], axis=1), np.concatenate([x_val, y_val], axis=1)),
     }
     acts = forward(g, {x: x_val, y: y_val})
     for label, (node, want) in nodes.items():
@@ -159,7 +141,7 @@ def test_three_layer_conv_net_matches_finite_difference():
     h1 = g.leaky_relu(g.conv2d(x, w1, bias=b1, stride=2, pad=1))
     h2 = g.relu(g.conv2d(h1, w2, stride=1, pad=1))
     h3 = g.upsample_nearest(g.conv2d(h2, w3), 2)
-    loss = g.reduce_mean(g.square(g.tanh(h3)))
+    loss = g.reduce_mean(g.square(g.sigmoid(h3)))
     feeds = {
         x: rng.standard_normal((1, 8, 8, 2)),
         w1: rng.standard_normal((3, 3, 2, 4)) * 0.5,
@@ -179,7 +161,7 @@ def test_three_layer_conv_net_matches_finite_difference():
     "build",
     [
         lambda g, x: g.reduce_sum(g.sigmoid(x)),
-        lambda g, x: g.reduce_mean(g.mul(x, x), axis=None),
+        lambda g, x: g.reduce_mean(g.square(x), axis=None),
         lambda g, x: g.reduce_sum(g.log(g.scalar_add(g.square(x), 1.0))),
         lambda g, x: g.reduce_sum(g.square(g.softmax(x)), axis=None),
         lambda g, x: g.reduce_mean(g.clip(x, -0.4, 0.4)),
@@ -197,30 +179,11 @@ def test_pointwise_chains_match_finite_difference(build):
     np.testing.assert_allclose(grads[x], fd, rtol=1e-5, atol=1e-7)
 
 
-def test_matmul_and_concat_gradients_match_finite_difference():
-    rng = np.random.default_rng(6)
-    g = Graph()
-    a = g.input("a", (2, 3))
-    b = g.input("b", (3, 2))
-    prod = g.matmul(a, b)
-    both = g.concat([prod, g.scalar_mul(prod, -1.0)], axis=1)
-    loss = g.reduce_sum(g.square(both))
-    feeds = {
-        a: rng.standard_normal((2, 3)),
-        b: rng.standard_normal((3, 2)),
-    }
-    acts = forward(g, feeds)
-    grads = backward(g, loss, acts, wrt=[a, b])
-    for leaf in (a, b):
-        fd = finite_diff_grad(g, loss, leaf, feeds, h=1e-5)
-        np.testing.assert_allclose(grads[leaf], fd, rtol=1e-6, atol=1e-8)
-
-
 def test_finite_diff_cubic_at_two_is_twelve():
     g = Graph()
-    x = g.input("x", ())
-    loss = g.mul(g.square(x), x)  # x^3
-    fd = finite_diff_grad(g, loss, x, {x: np.asarray(2.0)}, h=1e-4)
+    x = g.input("x", (1,))
+    loss = g.onehot_gather(g.square(x), x)  # x^3, the one entry of x^2 weighted by x
+    fd = finite_diff_grad(g, loss, x, {x: np.asarray([2.0])}, h=1e-4)
     np.testing.assert_allclose(fd, 12.0, atol=1e-6)
 
 
@@ -303,10 +266,6 @@ def test_builder_shape_errors_name_the_node():
     b = g.input("b", (2, 4))
     with pytest.raises(ShapeError):
         g.add(a, b)
-    with pytest.raises(ShapeError):
-        g.matmul(a, a)
-    with pytest.raises(ShapeError):
-        g.concat([a, b], axis=0)
     with pytest.raises(ShapeError):
         g.onehot_gather(a, b)
     with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from segan.networks import (
     predict_segmentation,
     stylegen_forward,
 )
-from segan.losses import self_train_loss
 from segan.trainer import (
     LOG_HEADER,
     MODES,
