@@ -74,18 +74,16 @@ def iou_report(cm: np.ndarray) -> MetricReport:
 @dataclass
 class TransferGain:
     gain: np.ndarray  # (classes,) adapted iou - baseline iou, nan where undefined
-    negative_classes: tuple[int, ...]  # classes the adaptation made worse
 
 
 def transfer_gain(adapted: MetricReport, baseline: MetricReport) -> TransferGain:
-    """Per-class IoU change from baseline to adapted; flags negative transfer."""
+    """Per-class IoU change from baseline to adapted; a negative gain is
+    negative transfer."""
     if adapted.classes != baseline.classes:
         raise ValueError(
             f"class counts differ: {adapted.classes} vs {baseline.classes}"
         )
-    gain = adapted.iou - baseline.iou
-    negative = tuple(int(c) for c in np.where(gain < 0)[0])
-    return TransferGain(gain=gain, negative_classes=negative)
+    return TransferGain(gain=adapted.iou - baseline.iou)
 
 
 def write_report(report: MetricReport, out_dir) -> None:

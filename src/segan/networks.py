@@ -255,25 +255,26 @@ def _as_batch(images: np.ndarray) -> tuple[np.ndarray, bool]:
     return images, False
 
 
-def infer_in_slices(net: NetParams, prefix: str, build, images: np.ndarray,
-                    labels: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Evaluate the node ``build(g, net.spec, param_nodes, x)`` returns over
-    an (h,w,c) image or an (n,h,w,c) stack, ``INFER_PIXELS`` input pixels
-    at a time.
+def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
+                    size: tuple[int, int] | None = None):
+    """Yield ``(start, output)`` for each slice of an (n,h,w,c) stack: the
+    node ``build(g, net.spec, param_nodes, x)`` returns, evaluated on
+    ``batch[start:start + m]``.
 
-    One graph is built per slice length, so at most two per call (full
-    slices and the remainder). Each slice's output goes into one
-    preallocated array; with ``labels`` its last-axis argmax goes into a
-    uint8 array while the slice is still in cache (else labels is None).
+    With ``size`` each slice is first resized (nearest) to that (h, w).
+    Slices hold at most ``INFER_PIXELS`` pixels at that size, so one graph
+    is built per slice length: at most two per call (full slices and the
+    remainder). An empty stack still runs one empty slice, so its outputs
+    have a shape.
     """
-    batch, squeeze = _as_batch(images)
     n, h, w, _ = batch.shape
-    size = max(1, INFER_PIXELS // (h * w))
+    th, tw = size or (h, w)
+    step = max(1, INFER_PIXELS // (th * tw))
     graphs: dict[int, tuple[Graph, int, dict[str, int], int]] = {}
-    out = lab = None
-    # an empty stack still runs one empty slice, so its outputs have a shape
-    for start in range(0, max(n, 1), size):
-        chunk = batch[start:start + size]
+    for start in range(0, max(n, 1), step):
+        chunk = batch[start:start + step]
+        if (th, tw) != (h, w):
+            chunk = resize_nearest(chunk, th, tw)
         m = chunk.shape[0]
         if m not in graphs:
             g = Graph()
@@ -281,13 +282,24 @@ def infer_in_slices(net: NetParams, prefix: str, build, images: np.ndarray,
             pn = add_param_inputs(g, prefix, net)
             graphs[m] = (g, x, pn, build(g, net.spec, pn, x))
         g, x, pn, node = graphs[m]
-        res = forward(g, {x: chunk, **param_feeds(pn, net)})[node]
+        yield start, forward(g, {x: chunk, **param_feeds(pn, net)})[node]
+
+
+def infer_stack(net: NetParams, prefix: str, build, images: np.ndarray,
+                labels: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The outputs of :func:`infer_in_slices` over an (h,w,c) image or an
+    (n,h,w,c) stack, written into one preallocated array. With ``labels``
+    each slice's last-axis argmax goes into a uint8 array while the slice is
+    still in cache (else labels is None)."""
+    batch, squeeze = _as_batch(images)
+    out = lab = None
+    for start, res in infer_in_slices(net, prefix, build, batch):
         if out is None:
-            out = np.empty((n,) + res.shape[1:], dtype=res.dtype)
-            lab = np.empty((n,) + res.shape[1:-1], dtype=np.uint8) if labels else None
-        out[start:start + m] = res
+            out = np.empty((len(batch),) + res.shape[1:], dtype=res.dtype)
+            lab = np.empty(out.shape[:-1], dtype=np.uint8) if labels else None
+        out[start:start + len(res)] = res
         if labels:
-            lab[start:start + m] = res.argmax(axis=-1)
+            lab[start:start + len(res)] = res.argmax(axis=-1)
     if squeeze:
         return out[0], lab[0] if labels else None
     return out, lab
@@ -312,7 +324,16 @@ def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray
     probability, with identical argmax labels; on 200 stock images the
     largest move seen was 14 ulp (2.4e-7).
     """
-    return infer_in_slices(net, "seg", _segnet_probs, images, labels=True)
+    return infer_stack(net, "seg", _segnet_probs, images, labels=True)
+
+
+def label_slices(net: NetParams, images: np.ndarray):
+    """Yield ``(start, labels)`` for each inference slice of an (n,h,w,c)
+    stack: the uint8 argmax of :func:`predict_segmentation`'s probabilities
+    for those images, without holding the probability stack."""
+    batch, _ = _as_batch(images)
+    for start, probs in infer_in_slices(net, "seg", _segnet_probs, batch):
+        yield start, probs.argmax(axis=-1).astype(np.uint8)
 
 
 def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -330,26 +351,40 @@ def multi_scale_predict(
 
     Each scaled size is rounded to the segmenter's stride multiple; with
     ``scales=[1.0]`` this is exactly :func:`predict_segmentation`.
+
+    Each scale runs :func:`infer_in_slices` at the scaled size, so every
+    graph sees the slices :func:`predict_segmentation` would run on the
+    resized stack. Each slice's probabilities are resized back and added
+    into one float32 sum in scale order; the last scale divides its slices
+    and takes their argmax. Beyond the outputs only one slice is held, and
+    the result is bit-identical to averaging whole resized stacks.
     """
     if not scales or any(s <= 0 for s in scales):
         raise ValueError(f"scales must be positive and non-empty, got {scales}")
     batch, squeeze = _as_batch(images)
     spec: SegNetSpec = net.spec
     n, h, w, _ = batch.shape
-    total = None
-    for s in scales:
+    total = labels = None
+    for k, s in enumerate(scales):
         th = max(spec.scale, int(round(h * s / spec.scale)) * spec.scale)
         tw = max(spec.scale, int(round(w * s / spec.scale)) * spec.scale)
-        scaled = batch if (th, tw) == (h, w) else resize_nearest(batch, th, tw)
-        probs, _ = predict_segmentation(net, scaled)
-        if (th, tw) != (h, w):
-            probs = resize_nearest(probs, h, w)
-        total = probs if total is None else total + probs
-    avg = total / np.float32(len(scales))
-    labels = avg.argmax(axis=-1).astype(np.uint8)
+        for start, probs in infer_in_slices(net, "seg", _segnet_probs, batch, (th, tw)):
+            if (th, tw) != (h, w):
+                probs = resize_nearest(probs, h, w)
+            if total is None:
+                total = np.empty((n,) + probs.shape[1:], dtype=np.float32)
+                labels = np.empty(total.shape[:-1], dtype=np.uint8)
+            part = total[start:start + len(probs)]
+            if k == 0:
+                part[...] = probs
+            else:
+                part += probs
+            if k == len(scales) - 1:
+                part /= np.float32(len(scales))
+                labels[start:start + len(probs)] = part.argmax(axis=-1)
     if squeeze:
-        return avg[0], labels[0]
-    return avg, labels
+        return total[0], labels[0]
+    return total, labels
 
 
 # ---------------------------------------------------------------------------

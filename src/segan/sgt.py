@@ -21,6 +21,7 @@ always either the previous file or the new one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -46,44 +47,59 @@ def _dtype_code(arr: np.ndarray) -> int:
     return _CODE_BY_KIND[key]
 
 
+def _header(arr: np.ndarray) -> bytes:
+    return MAGIC + struct.pack(f"<BB{arr.ndim}I", _dtype_code(arr), arr.ndim, *arr.shape)
+
+
+def _payload(arr: np.ndarray) -> memoryview:
+    """A C-contiguous array's own bytes, little-endian: a copy only on a
+    big-endian array."""
+    return memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+
+
 def sgt_bytes(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr)
-    code = _dtype_code(arr)
-    head = MAGIC + struct.pack("<BB", code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    return head + payload
+    return _header(arr) + _payload(arr).tobytes()
 
 
 def write_sgt(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(sgt_bytes(arr))
 
 
-def _parse_sgt(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    if buf[offset : offset + 4] != MAGIC:
-        raise FormatError(f"bad magic at offset {offset}: {buf[offset:offset + 4]!r}")
+def _read_sgt(f, offset: int, size: int) -> tuple[np.ndarray, int]:
+    """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
+    (``size`` bytes long) into its own array; returns it and the offset
+    after it. The payload is read straight into the array's buffer."""
+    magic = f.read(4)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic at offset {offset}: {magic!r}")
     try:
-        code, ndim = struct.unpack_from("<BB", buf, offset + 4)
-        dims = struct.unpack_from(f"<{ndim}I", buf, offset + 6)
+        code, ndim = struct.unpack("<BB", f.read(2))
+        dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
     except struct.error:
         raise FormatError(f"header truncated at offset {offset}") from None
     if code not in _DTYPE_BY_CODE:
         raise FormatError(f"unknown dtype code {code}")
     dtype = _DTYPE_BY_CODE[code]
     start = offset + 6 + 4 * ndim
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    end = start + count * dtype.itemsize
-    if end > len(buf):
+    end = start + math.prod(dims) * dtype.itemsize
+    if end > size:
         raise FormatError("payload truncated")
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(dims)
-    return arr.copy(), end
+    try:  # a zero dim passes the size check while the others overflow
+        arr = np.empty(dims, dtype=dtype)
+    except ValueError:
+        raise FormatError(f"dims {list(dims)} at offset {offset} are too large") from None
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise FormatError("payload truncated")
+    return arr, end
 
 
 def read_sgt(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    arr, end = _parse_sgt(buf)
-    if end != len(buf):
-        raise FormatError(f"{end - len(buf)} trailing bytes after payload")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        arr, end = _read_sgt(f, 0, size)
+    if end != size:
+        raise FormatError(f"{size - end} trailing bytes after payload")
     return arr
 
 
@@ -103,26 +119,25 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    blobs = []
-    entries = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
-        blob = sgt_bytes(arr)
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": {0: "float32", 1: "uint8", 2: "float64"}[_dtype_code(arr)],
-                "bytes": len(blob),
-            }
-        )
-        blobs.append(blob)
+    """Write the manifest, then each tensor's SGT1 header and its array's own
+    buffer: the file is streamed, never built in memory."""
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in tensors.items()}
+    entries = [
+        {
+            "name": name,
+            "shape": list(arr.shape),
+            "dtype": {0: "float32", 1: "uint8", 2: "float64"}[_dtype_code(arr)],
+            "bytes": len(_header(arr)) + arr.nbytes,
+        }
+        for name, arr in arrays.items()
+    ]
     manifest = json.dumps({"format": CHECKPOINT_FORMAT, "meta": meta, "tensors": entries})
     raw = manifest.encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(struct.pack("<I", len(raw)) + raw)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays.values():
+            f.write(_header(arr))
+            f.write(_payload(arr))
 
 
 def _check_manifest(manifest) -> None:
@@ -147,26 +162,30 @@ def _check_manifest(manifest) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    buf = Path(path).read_bytes()
-    if len(buf) < 4:
-        raise FormatError("checkpoint shorter than its length header")
-    (mlen,) = struct.unpack_from("<I", buf, 0)
-    try:
-        manifest = json.loads(buf[4 : 4 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"bad manifest: {e}") from None
-    _check_manifest(manifest)
-    tensors = {}
-    offset = 4 + mlen
-    for entry in manifest["tensors"]:
-        arr, offset = _parse_sgt(buf, offset)
-        if list(arr.shape) != entry["shape"]:
-            raise FormatError(
-                f"tensor {entry['name']!r}: shape {list(arr.shape)} != manifest {entry['shape']}"
-            )
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise FormatError(f"tensor {entry['name']!r} holds non-finite values")
-        tensors[entry["name"]] = arr
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after last tensor")
+    """The tensors and metadata of a checkpoint. Each tensor is read from
+    the file straight into its own array, so the load holds one copy."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < 4:
+            raise FormatError("checkpoint shorter than its length header")
+        (mlen,) = struct.unpack("<I", f.read(4))
+        try:
+            manifest = json.loads(f.read(min(mlen, size - 4)).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"bad manifest: {e}") from None
+        _check_manifest(manifest)
+        tensors = {}
+        offset = f.seek(4 + mlen)
+        for entry in manifest["tensors"]:
+            arr, offset = _read_sgt(f, offset, size)
+            if list(arr.shape) != entry["shape"]:
+                raise FormatError(f"tensor {entry['name']!r}: shape {list(arr.shape)} "
+                                  f"!= manifest {entry['shape']}")
+            # min and max are nan if any value is, and +-inf if any value is
+            # infinite; unlike isfinite they need no array-sized mask
+            if arr.dtype.kind == "f" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+                raise FormatError(f"tensor {entry['name']!r} holds non-finite values")
+            tensors[entry["name"]] = arr
+    if offset != size:
+        raise FormatError(f"{size - offset} trailing bytes after last tensor")
     return tensors, manifest["meta"]

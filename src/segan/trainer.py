@@ -58,10 +58,11 @@ from .networks import (
     build_segnet,
     build_style_generator,
     disc_forward,
-    infer_in_slices,
+    infer_stack,
+    label_slices,
     multi_scale_predict,
     param_feeds,
-    predict_segmentation,
+    predict_segmentation,  # unused here; perfbench/tracing.py wraps trainer.predict_segmentation
     segnet_body,
     segnet_forward,
     spec_from_dict,
@@ -288,15 +289,19 @@ def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
 def evaluate_student(
     net: NetParams, ds: DomainDataset, count: int, scales: tuple[float, ...] | None = None
 ) -> MetricReport:
-    """mIoU of the network on the first ``count`` held-out target scenes."""
+    """mIoU of the network on the first ``count`` held-out target scenes.
+
+    Without ``scales`` the confusion matrix is summed one inference slice at
+    a time, so no probability stack is held; integer counts make the sum
+    exact."""
     count = min(count, ds.n_target) if count > 0 else ds.n_target
     images = ds.target_images()[:count]
     labels = ds.eval_target_labels()[:count]
     if scales is not None:
         _, pred = multi_scale_predict(net, images, list(scales))
-    else:
-        _, pred = predict_segmentation(net, images)
-    return iou_report(confusion_matrix(pred, labels, ds.classes))
+        return iou_report(confusion_matrix(pred, labels, ds.classes))
+    return iou_report(sum(confusion_matrix(pred, labels[start:start + len(pred)], ds.classes)
+                          for start, pred in label_slices(net, images)))
 
 
 @dataclass
@@ -439,8 +444,12 @@ def train_segan(
 
 def generate_pseudo_labels(teacher: NetParams, images: np.ndarray) -> np.ndarray:
     """(n,h,w) uint8 label maps of the teacher's per-pixel argmax; ties
-    resolve to the lowest class index."""
-    return predict_segmentation(teacher, images)[1]
+    resolve to the lowest class index. They are written one inference slice
+    at a time, so no probability stack is held."""
+    pseudo = np.empty(np.shape(images)[:-1], dtype=np.uint8)
+    for start, labels in label_slices(teacher, images):
+        pseudo[start:start + len(labels)] = labels
+    return pseudo
 
 
 def self_train(
@@ -627,7 +636,7 @@ def apply_style_generator(gen: NetParams, images: np.ndarray) -> np.ndarray:
     one whole-batch graph; on the stock generator the output is
     bit-identical, and the tests hold it to that.
     """
-    return infer_in_slices(gen, "gen", stylegen_forward, images)[0]
+    return infer_stack(gen, "gen", stylegen_forward, images)[0]
 
 
 def oracle_style_fn(ds: DomainDataset):

@@ -3,15 +3,22 @@
 Nothing here runs in the program. The eager loss twins evaluate each graph
 loss of ``segan.losses`` directly in float64 numpy, from raw logits; the
 finite-difference gradient only ever calls ``forward``; the stability index
-is acceptance criterion 07's quantity; the Dudley objective is the entropy
-integral whose minimum ``bounds.rademacher_bound`` states in closed form.
+is acceptance criterion 07's quantity and the negative classes criterion
+08's; the Dudley objective is the entropy integral whose minimum
+``bounds.rademacher_bound`` states in closed form. The whole-stack
+multi-scale prediction is the oracle the sliced one is held to, bit for bit,
+and the checkpoint corruptions are the cases the container reader must
+reject with its own error.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
 from segan.losses import PROB_FLOOR
+from segan.networks import NetParams, predict_segmentation, resize_nearest
 from segan.tensor import forward
 
 # ---------------------------------------------------------------------------
@@ -121,6 +128,11 @@ def stability_index(miou_series, window_fraction: float = 1.0 / 3.0) -> float:
     return float(np.std(series[-n:]))
 
 
+def negative_classes(gain: np.ndarray) -> tuple[int, ...]:
+    """The classes a transfer gain says the adaptation made worse."""
+    return tuple(int(c) for c in np.where(np.asarray(gain) < 0)[0])
+
+
 def dudley_objective(alpha: float, R: float, n: int) -> float:
     """4a/sqrt(n) + (12 sqrt(R)/n) log(sqrt(n)/a); its unique minimizer over
     (0, sqrt(n)] is alpha* = 3 sqrt(R/n) whenever that lies inside."""
@@ -129,3 +141,54 @@ def dudley_objective(alpha: float, R: float, n: int) -> float:
     if R <= 0:
         raise ValueError(f"R must be > 0, got {R}")
     return 4 * alpha / math.sqrt(n) + (12 * math.sqrt(R) / n) * math.log(math.sqrt(n) / alpha)
+
+
+# ---------------------------------------------------------------------------
+# inference
+
+
+def multi_scale_predict(net: NetParams, images: np.ndarray,
+                        scales) -> tuple[np.ndarray, np.ndarray]:
+    """Average softmax maps over whole resized copies of the stack: each
+    scale resizes every image, predicts the resized stack and resizes the
+    probabilities back before they are summed."""
+    images = np.asarray(images, dtype=np.float32)
+    squeeze = images.ndim == 3
+    batch = images[None] if squeeze else images
+    scale = net.spec.scale
+    n, h, w, _ = batch.shape
+    total = None
+    for s in scales:
+        th = max(scale, int(round(h * s / scale)) * scale)
+        tw = max(scale, int(round(w * s / scale)) * scale)
+        scaled = batch if (th, tw) == (h, w) else resize_nearest(batch, th, tw)
+        probs, _ = predict_segmentation(net, scaled)
+        if (th, tw) != (h, w):
+            probs = resize_nearest(probs, h, w)
+        total = probs if total is None else total + probs
+    avg = total / np.float32(len(scales))
+    labels = avg.argmax(axis=-1).astype(np.uint8)
+    if squeeze:
+        return avg[0], labels[0]
+    return avg, labels
+
+
+# ---------------------------------------------------------------------------
+# corrupt containers
+
+
+def checkpoint_corruptions(buf: bytes):
+    """Yield ``(case, bytes)`` for each corruption of a checkpoint's bytes:
+    the file cut at every byte offset, and each tensor's SGT1 dtype and ndim
+    bytes with each single bit, then all bits, flipped."""
+    for cut in range(len(buf)):
+        yield f"cut-{cut}", buf[:cut]
+    (mlen,) = struct.unpack_from("<I", buf, 0)
+    offset = 4 + mlen
+    for entry in json.loads(buf[4:offset])["tensors"]:
+        for field, pos in (("dtype", offset + 4), ("ndim", offset + 5)):
+            for mask in (1, 2, 4, 8, 16, 32, 64, 128, 255):
+                bad = bytearray(buf)
+                bad[pos] ^= mask
+                yield f"{entry['name']}-{field}^{mask}", bytes(bad)
+        offset += entry["bytes"]

@@ -43,6 +43,7 @@ from references import (
     consistency_loss,
     dudley_objective,
     finite_diff_grad,
+    negative_classes,
     seg_loss,
     stability_index,
     style_adversarial_loss,
@@ -309,8 +310,8 @@ def test_criterion_08_negative_transfer_not_worse(sweep):
     counts = []
     for seed in SEEDS:
         base = reports[("noadapt", seed)]
-        neg_full = len(transfer_gain(reports[("full", seed)], base).negative_classes)
-        neg_at = len(transfer_gain(reports[("at", seed)], base).negative_classes)
+        neg_full = len(negative_classes(transfer_gain(reports[("full", seed)], base).gain))
+        neg_at = len(negative_classes(transfer_gain(reports[("at", seed)], base).gain))
         counts.append((neg_full, neg_at))
         wins += neg_full <= neg_at
     assert wins >= 4, f"negative-transfer counts {counts}"

@@ -22,6 +22,8 @@ from segan.config import ConfigError, RunConfig, load_config, parse_config
 from segan.datagen import benchmark_shifts
 from segan.trainer import load_bundle, pretrain_phi, run_ablation, train_tgstn
 
+from references import checkpoint_corruptions
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -301,6 +303,25 @@ def test_container_mixups_and_truncation_exit_4(workdir, tmp_path, capsys):
     )
     assert code == 4
     assert "truncated" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_containers_exit_4(workdir, tmp_path, capsys):
+    # a checkpoint cut at every byte, and each tensor header's dtype and ndim
+    # bytes flipped: each one is an i/o error, never a traceback or exit 2
+    path = tmp_path / "ckpt.sgt"
+    sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                               "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
+    bad, out = tmp_path / "bad.sgt", tmp_path / "o"
+    wrong = []
+    for case, data in checkpoint_corruptions(path.read_bytes()):
+        bad.write_bytes(data)
+        code = cli.main(["eval", "--data", workdir["data"], "--checkpoint", str(bad),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        if code != 4 or not err.startswith("i/o error:") or "Traceback" in err:
+            wrong.append((case, code, err))
+    assert wrong == []
+    assert not out.exists()
 
 
 def test_malformed_dataset_manifest_exits_4(workdir, tmp_path, capsys):

@@ -36,6 +36,8 @@ from segan.networks import (
 from segan.tensor import Graph, backward, forward
 from segan.trainer import TrainConfig, _build_segan_graph
 
+from references import multi_scale_predict as whole_stack_multi_scale_predict
+
 
 def _zeroed(net: NetParams) -> NetParams:
     out = net.copy()
@@ -399,6 +401,33 @@ def test_multi_scale_constant_image():
     top2 = np.sort(p_ref, axis=-1)[..., -2:]
     margin = top2[..., 1] - top2[..., 0]
     assert np.array_equal(l_ms[margin > 2 * dev], l_ref[margin > 2 * dev])
+
+
+@pytest.mark.parametrize("scales", [(0.75, 1.0, 1.25), (1.25, 0.5, 1.0)])
+@pytest.mark.parametrize("n", [None, 1, 4, 5, 6, 13, 14, 15, 200])
+def test_multi_scale_is_bit_identical_to_whole_stack_resizing(stock_images, n, scales):
+    # the stacks straddle the slice sizes at 80x80 (5), 64x64 (8) and 48x48 (14)
+    net = build_segnet(SegNetSpec(), seed=4)
+    images = stock_images[0] if n is None else stock_images[:n]
+    probs, labels = multi_scale_predict(net, images, list(scales))
+    ref_probs, ref_labels = whole_stack_multi_scale_predict(net, images, scales)
+    assert probs.dtype == ref_probs.dtype and probs.shape == ref_probs.shape
+    assert probs.tobytes() == ref_probs.tobytes()
+    assert labels.dtype == np.uint8 and np.array_equal(labels, ref_labels)
+
+
+def test_multi_scale_memory_is_bounded_by_the_slice(stock_images):
+    # resizing whole stacks peaked at 64.9 MiB, 4.9x the outputs, on this stack
+    net = build_segnet(SegNetSpec(), seed=4)
+    scales = [0.75, 1.0, 1.25]
+    multi_scale_predict(net, stock_images[:1], scales)
+    tracemalloc.start()
+    try:
+        probs, labels = multi_scale_predict(net, stock_images, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (probs.nbytes + labels.nbytes), peak / (probs.nbytes + labels.nbytes)
 
 
 def test_multi_scale_rejects_bad_scales():

@@ -11,6 +11,8 @@ from segan import sgt
 from segan.metrics import iou_report, write_report
 from segan.trainer import LogRow, TGSTNLog, TGSTNRow, TrainLog
 
+from references import checkpoint_corruptions
+
 
 @pytest.mark.parametrize(
     "arr",
@@ -283,27 +285,71 @@ def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
         sgt.load_checkpoint(path)
 
 
-def test_checkpoint_load_copies_each_tensor_once(tmp_path):
-    # The file's bytes plus one owned copy of each array: 2x the payload.
+def _dataset_shaped():
     rng = np.random.default_rng(1)
-    tensors = {
+    return {
         "images": rng.random((80, 64, 64, 3)).astype(np.float32),  # 3.9 MB
         "features": rng.standard_normal((40, 32, 32, 64)),  # 21 MB
         "labels": rng.integers(0, 4, size=(80, 64, 64)).astype(np.uint8),
     }
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_checkpoint_load_copies_each_tensor_once(tmp_path):
+    # Each tensor is read straight into its own array: 1x the payload. Reading
+    # the whole file first, then copying each array out of it, was 2x.
+    tensors = _dataset_shaped()
     payload = sum(a.nbytes for a in tensors.values())
     path = tmp_path / "big.sgt"
     sgt.save_checkpoint(path, tensors, {"seed": 1})
     before = path.read_bytes()
-    tracemalloc.start()
-    try:
-        back, _ = sgt.load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * payload, peak / payload
+    (back, _), peak = _traced_peak(lambda: sgt.load_checkpoint(path))
+    assert peak <= 1.1 * payload, peak / payload
     for name, arr in tensors.items():
         assert back[name].flags.owndata and back[name].flags.writeable
         assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
     sgt.save_checkpoint(path, back, {"seed": 1})
     assert path.read_bytes() == before
+
+
+def test_checkpoint_save_streams_each_tensor(tmp_path):
+    # Each array's own buffer goes to the file; building the file's bytes in
+    # memory first peaked at 1.38x the payload.
+    tensors = _dataset_shaped()
+    payload = sum(a.nbytes for a in tensors.values())
+    path = tmp_path / "big.sgt"
+    _, peak = _traced_peak(lambda: sgt.save_checkpoint(path, tensors, {"seed": 1}))
+    assert peak <= 0.1 * payload, peak / payload
+    expected = b"".join(sgt.sgt_bytes(a) for a in tensors.values())
+    assert path.read_bytes().endswith(expected)
+
+
+def test_checkpoint_reader_raises_only_format_errors(tmp_path):
+    path = tmp_path / "ckpt.sgt"
+    sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                               "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
+    good = path.read_bytes()
+    cases = list(checkpoint_corruptions(good))
+    assert len(cases) == len(good) + 2 * 2 * 9
+    bad = tmp_path / "bad.sgt"
+    wrong = []
+    for case, data in cases:
+        bad.write_bytes(data)
+        try:
+            sgt.load_checkpoint(bad)
+        except sgt.FormatError:
+            continue
+        except Exception as exc:  # struct.error, ValueError, EOFError, ...
+            wrong.append((case, repr(exc)))
+        else:
+            wrong.append((case, "loaded"))
+    assert wrong == []

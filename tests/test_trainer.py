@@ -6,6 +6,7 @@ behavioral criteria live in test_acceptance.py.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from segan.datagen import (
     benchmark_shifts,
     generate_dataset,
 )
+from segan.metrics import confusion_matrix, iou_report
 from segan.networks import (
     INFER_PIXELS,
     ModelBundle,
@@ -329,6 +331,44 @@ def test_evaluate_student_count_semantics(ds):
     assert two.pixel_count == 2 * 32 * 32
     # single-scale multi-scale path agrees with the plain path
     assert evaluate_student(net, ds, count=0, scales=(1.0,)).miou == full.miou
+
+
+@pytest.fixture(scope="module")
+def stock_ds():
+    """200 target scenes of the stock benchmark."""
+    return generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the tracemalloc peak of the call, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_sliced_evaluation_equals_whole_stack_confusion(stock_ds):
+    net = build_segnet(SegNetSpec(), seed=4)
+    _, pred = predict_segmentation(net, stock_ds.target_images())
+    cm = confusion_matrix(pred, stock_ds.eval_target_labels(), stock_ds.classes)
+    report, peak = _traced_peak(lambda: evaluate_student(net, stock_ds, count=0))
+    ref = iou_report(cm)
+    assert report.iou.tobytes() == ref.iou.tobytes() and report.miou == ref.miou
+    assert report.pixel_count == ref.pixel_count == 200 * 64 * 64
+    # a whole probability stack peaked at 25.8 MiB
+    assert peak < 8 * 2**20, peak / 2**20
+
+
+def test_pseudo_label_memory_is_bounded_by_the_slice(stock_ds):
+    net = build_segnet(SegNetSpec(), seed=4)
+    images = stock_ds.target_images()
+    pseudo, peak = _traced_peak(lambda: generate_pseudo_labels(net, images))
+    assert np.array_equal(pseudo, predict_segmentation(net, images)[1])
+    assert peak <= pseudo.nbytes + 4 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
