@@ -20,6 +20,9 @@ closed form carries R; :func:`rademacher_bound` is the closed form, which is
 the objective's minimum with R^2 in place of R (the tests check it against
 a grid search of the objective).
 
+:func:`measure_discriminator` takes the ``bounds`` config section,
+:class:`BoundsConfig`, whole: every input that is not the net or its batch.
+
 All logarithms are natural.
 """
 
@@ -31,23 +34,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import ConvOperator, DiscSpec, NetParams, build_discriminator, spectral_norm
-from .utils import record_to_dict
+from .utils import ConfigError, record_to_dict
 
 VARIANTS = ("statement", "proof-final-line")
 
 
 @dataclass
+class BoundsConfig:
+    """The ``bounds`` config section: the inputs of the discriminator
+    complexity measurement and bound chain."""
+
+    epsilon: float = 1.0
+    n: int = 10**8  # large enough that n >= 3R for desk-scale discriminators
+    delta: float = 0.05
+    phi: float = 0.0
+    m_policy: str = "zero"
+    tight_sigmoid: bool = False
+    power_iters: int = 200
+    batch_count: int = 8
+
+    def __post_init__(self):
+        if self.m_policy not in ("zero", "init"):
+            raise ConfigError("bounds.m_policy", f"expected 'zero' or 'init', got {self.m_policy!r}")
+        if not 0 < self.delta <= 1:
+            raise ConfigError("bounds.delta", f"must be in (0, 1], got {self.delta}")
+        if self.epsilon <= 0:
+            raise ConfigError("bounds.epsilon", f"must be > 0, got {self.epsilon}")
+        if self.n < 1:
+            raise ConfigError("bounds.n", f"must be >= 1, got {self.n}")
+        if self.batch_count < 1:
+            raise ConfigError("bounds.batch_count", f"must be >= 1, got {self.batch_count}")
+        if self.power_iters < 1:
+            raise ConfigError("bounds.power_iters", f"must be >= 1, got {self.power_iters}")
+
+
+@dataclass(kw_only=True)
 class BoundSpec:
     s: tuple[float, ...]
     b: tuple[float, ...]
     rho: tuple[float, ...]
     width: int
     x_norm: float
-    epsilon: float = 1.0
-    n: int = 1
+    epsilon: float
+    n: int
     out_bound: float = 1.0
-    delta: float = 0.05
-    phi: float = 0.0
+    delta: float
+    phi: float
 
     def __post_init__(self):
         self.s = tuple(float(v) for v in self.s)
@@ -124,15 +156,15 @@ def covering_bound(spec: BoundSpec, variant: str = "statement") -> tuple[float, 
     return log_cover, spec.epsilon * math.sqrt(log_cover)
 
 
-def layer_radii(spec: BoundSpec, epsilon: float | None = None) -> LayerRadii:
-    """Split the cover radius across layers.
+def layer_radii(spec: BoundSpec) -> LayerRadii:
+    """Split the cover radius ``spec.epsilon`` across layers.
 
     eps_i = alpha_i * eps / (rho_i * prod_{j>i} rho_j s_j), with weights
     alpha_i proportional to (b_i/s_i)^{2/3}. When every b_i is zero the
     weights are undefined; a uniform split is returned with ``degenerate``
     set.
     """
-    eps = spec.epsilon if epsilon is None else epsilon
+    eps = spec.epsilon
     if eps <= 0:
         raise ValueError(f"cover radius must be > 0, got {eps}")
     L = spec.layers
@@ -225,47 +257,37 @@ def disc_layer_operators(disc: NetParams, input_hw: tuple[int, int]) -> list[Con
 def measure_discriminator(
     disc: NetParams,
     input_batch: np.ndarray,
-    m_policy: str = "zero",
+    bounds: BoundsConfig,
     init_seed: int | None = None,
-    epsilon: float = 1.0,
-    n: int | None = None,
-    delta: float = 0.05,
-    phi: float = 0.0,
-    tight_sigmoid: bool = False,
-    power_iters: int = 200,
 ) -> BoundSpec:
     """Extract a BoundSpec from a trained discriminator and an input batch.
 
     s_i is the spectral norm of layer i's conv operator at its feature-map
-    size; b_i the spectral norm of (A_i - M_i) with M_i all-zero
-    (``m_policy="zero"``) or the seeded initialization snapshot
-    (``m_policy="init"``, regenerated from ``init_seed``). Activation
-    Lipschitz constants are 1 for leaky-relu; the final sigmoid read-out is
-    1 (or 1/4 with ``tight_sigmoid``). The input norm is the Frobenius norm
-    of the whole batch, and the output bound is 1 for sigmoid scores.
+    size, after ``bounds.power_iters`` power iterations; b_i the spectral
+    norm of (A_i - M_i) with M_i all-zero (``m_policy="zero"``) or the
+    seeded initialization snapshot (``m_policy="init"``, regenerated from
+    ``init_seed``). Activation Lipschitz constants are 1 for leaky-relu; the
+    final sigmoid read-out is 1 (or 1/4 with ``tight_sigmoid``). The input
+    norm is the Frobenius norm of the whole batch, and the output bound is 1
+    for sigmoid scores. The cover radius, sample count, confidence and
+    slack are those of ``bounds``.
     """
-    if m_policy not in ("zero", "init"):
-        raise ValueError(f"m_policy must be 'zero' or 'init', got {m_policy!r}")
     batch = np.asarray(input_batch, dtype=np.float64)
     if batch.ndim != 4 or batch.shape[3] != disc.spec.in_channels:
         raise ValueError(
             f"input batch must be (n, h, w, {disc.spec.in_channels}), got {batch.shape}"
         )
     spec: DiscSpec = disc.spec
-    L = len(spec.widths)
-    if m_policy == "init":
+    reference = None
+    if bounds.m_policy == "init":
         if init_seed is None:
             raise ValueError("m_policy='init' needs the builder seed (init_seed)")
         reference = build_discriminator(spec, init_seed)
-    else:
-        reference = None
 
-    in_hw = (batch.shape[1], batch.shape[2])
-    ops = disc_layer_operators(disc, in_hw)
-    s = []
-    b = []
+    ops = disc_layer_operators(disc, (batch.shape[1], batch.shape[2]))
+    s, b = [], []
     for i, op in enumerate(ops):
-        sigma = spectral_norm(op, iters=power_iters)
+        sigma = spectral_norm(op, iters=bounds.power_iters)
         s.append(max(sigma, 1e-12))
         if reference is None:
             # A_i - 0 is A_i, and the seeded iteration would repeat exactly
@@ -273,11 +295,9 @@ def measure_discriminator(
             continue
         diff = disc.values[f"conv{i}/w"] - reference.values[f"conv{i}/w"]
         diff_op = ConvOperator(diff, (op.in_shape[1], op.in_shape[2]), spec.stride, pad=1)
-        b.append(spectral_norm(diff_op, iters=power_iters))
+        b.append(spectral_norm(diff_op, iters=bounds.power_iters))
 
-    rho = [1.0] * L
-    if tight_sigmoid:
-        rho[-1] = 0.25
+    rho = [1.0] * (len(ops) - 1) + [0.25 if bounds.tight_sigmoid else 1.0]
     dims = [int(np.prod(batch.shape[1:]))] + [op.out_dim for op in ops]
     return BoundSpec(
         s=tuple(s),
@@ -285,9 +305,8 @@ def measure_discriminator(
         rho=tuple(rho),
         width=max(dims),
         x_norm=float(np.linalg.norm(batch.ravel())),
-        epsilon=epsilon,
-        n=n if n is not None else batch.shape[0],
-        out_bound=1.0,
-        delta=delta,
-        phi=phi,
+        epsilon=bounds.epsilon,
+        n=bounds.n,
+        delta=bounds.delta,
+        phi=bounds.phi,
     )

@@ -96,6 +96,17 @@ def _write_record(out: Path, command: str, cfg: RunConfig, started: float, input
         f.write(json.dumps(record, indent=2) + "\n")
 
 
+def _check_size(ds, *specs) -> None:
+    """Reject, before any output exists, a dataset whose images one of the
+    nets cannot take: a segmenter needs sides that are multiples of its
+    stride, a discriminator sides of at least its minimum input."""
+    for spec in specs:
+        try:
+            spec.check_size(ds.h, ds.w)
+        except ValueError as exc:
+            raise ConfigError("", f"the dataset's {ds.h}x{ds.w} images do not fit: {exc}") from None
+
+
 def _style_fn(args, ds, cfg: RunConfig, needs_aug: bool):
     if args.oracle_style and args.tgstn:
         raise ConfigError("", "--oracle-style and --tgstn are mutually exclusive")
@@ -141,15 +152,10 @@ def cmd_train_tgstn(args) -> int:
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data)
     check_tgstn_batches(cfg.tgstn, ds)
+    _check_size(ds, cfg.networks.segnet_spec(ds.classes), cfg.networks.disc_spec(3))
     out = _prepare_out(args.out, args.force)
-    phi = pretrain_phi(
-        ds, cfg.seed, seg_spec=cfg.networks.segnet_spec(ds.classes)
-    )
-    gen, log = train_tgstn(
-        cfg.tgstn, ds, phi, cfg.seed,
-        gen_spec=cfg.networks.stylegen_spec(),
-        disc_spec=cfg.networks.disc_spec(3),
-    )
+    phi = pretrain_phi(ds, cfg.seed, networks=cfg.networks)
+    gen, log = train_tgstn(cfg.tgstn, ds, phi, cfg.seed, networks=cfg.networks)
     save_bundle(out / "tgstn.sgt", ModelBundle(generator=gen), seed=cfg.seed)
     log.to_csv(out / "tgstn_log.csv")
     src = ds.source_images()
@@ -170,17 +176,18 @@ def cmd_train(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data)
+    at, _, needs_aug, _, _ = resolve_mode(args.mode)
+    specs = [cfg.networks.segnet_spec(ds.classes)]
+    if at:
+        specs.append(cfg.networks.disc_spec(ds.classes))
+    _check_size(ds, *specs)
     out = _prepare_out(args.out, args.force)
-    _, _, needs_aug, st, _ = resolve_mode(args.mode)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
-    report, bundle, log = run_ablation(
-        args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn, out_dir=out,
-        seg_spec=cfg.networks.segnet_spec(ds.classes),
-        disc_spec=cfg.networks.disc_spec(ds.classes),
-    )
+    report, bundle, log = run_ablation(args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn,
+                                       out_dir=out, networks=cfg.networks)
     log.to_csv(out / "train_log.csv")
     save_bundle(out / "checkpoint.sgt", bundle, seed=cfg.seed,
-                iteration=cfg.train.maxiter + (cfg.train.st_maxiter if st else 0))
+                iteration=log.rows[-1].iteration)
     write_report(report, out)
     _write_record(
         out, "train", cfg, started,
@@ -215,6 +222,7 @@ def cmd_eval(args) -> int:
             f"checkpoint emits {bundle.student.spec.class_count} classes, "
             f"dataset has {ds.classes}",
         )
+    _check_size(ds, bundle.student.spec)
     out = _prepare_out(args.out, args.force)
     scales = _parse_scales(args.mst) if args.mst else None
     report = evaluate_student(bundle.student, ds, count=0, scales=scales)
@@ -238,18 +246,11 @@ def cmd_bounds(args) -> int:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no discriminator")
     if bundle.student is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no segmenter")
+    _check_size(ds, bundle.student.spec, bundle.disc.spec)
     out = _prepare_out(args.out, args.force)
-    b = cfg.bounds
-    images = ds.target_images()[: b.batch_count]
-    probs, _ = predict_segmentation(bundle.student, images)
-    train_seed = meta.get("seed", cfg.seed)
-    spec = measure_discriminator(
-        bundle.disc, probs,
-        m_policy=b.m_policy,
-        init_seed=derive_seed(train_seed, "disc"),
-        epsilon=b.epsilon, n=b.n, delta=b.delta, phi=b.phi,
-        tight_sigmoid=b.tight_sigmoid, power_iters=b.power_iters,
-    )
+    probs, _ = predict_segmentation(bundle.student, ds.target_images()[: cfg.bounds.batch_count])
+    init_seed = derive_seed(meta.get("seed", cfg.seed), "disc")
+    spec = measure_discriminator(bundle.disc, probs, cfg.bounds, init_seed)
     payload = {
         "spec": spec.to_dict(),
         "statement": bound_report(spec, "statement").to_dict(),

@@ -5,6 +5,10 @@ A run config is a single JSON object with optional sections ``seed``,
 sections and fields fall back to defaults; unknown keys are hard errors so
 a misspelled hyperparameter cannot silently revert to its default.
 
+Each section but ``dataset`` is defined beside the code that takes it
+whole: :class:`~segan.networks.NetworksConfig`, the trainer's stage configs
+and :class:`~segan.bounds.BoundsConfig`.
+
 The config holds only what a file sets. The one seed is the root ``seed``,
 which the stages receive as an argument, and the ablation mode is the
 ``--mode`` of ``segan train``; a file that sets either inside a stage
@@ -17,8 +21,9 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .bounds import BoundsConfig
 from .datagen import ShiftParams, benchmark_shifts
-from .networks import DiscSpec, SegNetSpec, StyleGenSpec
+from .networks import NetworksConfig
 from .trainer import TGSTNConfig, TrainConfig
 from .utils import ConfigError, record_from_dict, record_to_dict
 
@@ -51,56 +56,6 @@ class DatasetConfig:
             raise ConfigError(
                 "dataset.height/width", f"images below 8x8, got {self.height}x{self.width}"
             )
-
-
-@dataclass
-class NetworksConfig:
-    """Architecture widths; channel counts are filled from the dataset."""
-
-    segnet_widths: tuple[int, ...] = (16, 32, 32)
-    segnet_downsample: int = 2
-    disc_widths: tuple[int, ...] = (8, 16, 32, 64, 1)
-    stylegen_widths: tuple[int, ...] = (16, 16)
-    stylegen_residual: bool = True
-
-    def segnet_spec(self, classes: int) -> SegNetSpec:
-        return SegNetSpec(
-            class_count=classes, widths=self.segnet_widths, downsample=self.segnet_downsample
-        )
-
-    def disc_spec(self, in_channels: int) -> DiscSpec:
-        return DiscSpec(in_channels=in_channels, widths=self.disc_widths)
-
-    def stylegen_spec(self) -> StyleGenSpec:
-        return StyleGenSpec(widths=self.stylegen_widths, residual=self.stylegen_residual)
-
-
-@dataclass
-class BoundsConfig:
-    """Inputs of the discriminator complexity measurement and bound chain."""
-
-    epsilon: float = 1.0
-    n: int = 10**8  # large enough that n >= 3R for desk-scale discriminators
-    delta: float = 0.05
-    phi: float = 0.0
-    m_policy: str = "zero"
-    tight_sigmoid: bool = False
-    power_iters: int = 200
-    batch_count: int = 8
-
-    def __post_init__(self):
-        if self.m_policy not in ("zero", "init"):
-            raise ConfigError("bounds.m_policy", f"expected 'zero' or 'init', got {self.m_policy!r}")
-        if not 0 < self.delta <= 1:
-            raise ConfigError("bounds.delta", f"must be in (0, 1], got {self.delta}")
-        if self.epsilon <= 0:
-            raise ConfigError("bounds.epsilon", f"must be > 0, got {self.epsilon}")
-        if self.n < 1:
-            raise ConfigError("bounds.n", f"must be >= 1, got {self.n}")
-        if self.batch_count < 1:
-            raise ConfigError("bounds.batch_count", f"must be >= 1, got {self.batch_count}")
-        if self.power_iters < 1:
-            raise ConfigError("bounds.power_iters", f"must be >= 1, got {self.power_iters}")
 
 
 @dataclass

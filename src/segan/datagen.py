@@ -37,6 +37,7 @@ PALETTE = np.array(
 PIXEL_NOISE = 0.02
 TEXTURE_AMP = 0.05
 TEXTURE_ANGLE = 0.7  # radians, fixed stripe direction
+HIST_BINS = 16  # per channel, in the color histograms of the appearance gap
 
 
 @dataclass
@@ -307,9 +308,9 @@ def generate_dataset(
     n_source: int,
     n_target: int,
     seed: int,
-    h: int = 64,
-    w: int = 64,
-    classes: int = 4,
+    h: int,
+    w: int,
+    classes: int,
 ) -> DomainDataset:
     if n_source < 1 or n_target < 1:
         raise ValueError(f"need at least one scene per domain, got {n_source}/{n_target}")
@@ -329,12 +330,12 @@ def generate_dataset(
 # shift severity
 
 
-def color_histogram(images: np.ndarray, bins: int = 16) -> np.ndarray:
+def color_histogram(images: np.ndarray) -> np.ndarray:
     """Per-channel normalized histograms over [0,1], concatenated."""
     images = np.asarray(images)
     parts = []
     for c in range(images.shape[-1]):
-        counts, _ = np.histogram(images[..., c], bins=bins, range=(0.0, 1.0))
+        counts, _ = np.histogram(images[..., c], bins=HIST_BINS, range=(0.0, 1.0))
         parts.append(counts / max(counts.sum(), 1))
     return np.concatenate(parts)
 

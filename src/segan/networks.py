@@ -1,5 +1,9 @@
 """Network builders: segmenter, output-map discriminator, style generator.
 
+Each net's spec record defaults to the stock architecture. The ``networks``
+config section, :class:`NetworksConfig`, takes the specs' defaults as its
+own and builds every spec from its widths and the dataset's class count.
+
 Parameters live in plain ``dict[str, np.ndarray]`` collections wrapped in
 :class:`NetParams` (which also carries the architecture spec and whether the
 net is trainable). Builders are seeded and deterministic. Forward functions
@@ -48,6 +52,10 @@ class SegNetSpec:
     def scale(self) -> int:
         return 2**self.downsample
 
+    def check_size(self, h: int, w: int) -> None:
+        if h % self.scale or w % self.scale:
+            raise ValueError(f"spatial size {h}x{w} not divisible by {self.scale}")
+
 
 @dataclass
 class DiscSpec:
@@ -71,6 +79,10 @@ class DiscSpec:
     def min_input(self) -> int:
         return self.stride ** len(self.widths)
 
+    def check_size(self, h: int, w: int) -> None:
+        if min(h, w) < self.min_input:
+            raise ValueError(f"discriminator input {h}x{w} smaller than minimum {self.min_input}")
+
 
 @dataclass
 class StyleGenSpec:
@@ -85,6 +97,28 @@ class StyleGenSpec:
         self.widths = tuple(self.widths)
         if any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
+
+
+@dataclass(frozen=True)
+class NetworksConfig:
+    """The ``networks`` config section: the widths of every net, defaulting
+    to the specs' own. Channel and class counts come from the dataset."""
+
+    segnet_widths: tuple[int, ...] = SegNetSpec.widths
+    segnet_downsample: int = SegNetSpec.downsample
+    disc_widths: tuple[int, ...] = DiscSpec.widths
+    stylegen_widths: tuple[int, ...] = StyleGenSpec.widths
+    stylegen_residual: bool = StyleGenSpec.residual
+
+    def segnet_spec(self, classes: int) -> SegNetSpec:
+        return SegNetSpec(class_count=classes, widths=self.segnet_widths,
+                          downsample=self.segnet_downsample)
+
+    def disc_spec(self, in_channels: int) -> DiscSpec:
+        return DiscSpec(in_channels=in_channels, widths=self.disc_widths)
+
+    def stylegen_spec(self) -> StyleGenSpec:
+        return StyleGenSpec(widths=self.stylegen_widths, residual=self.stylegen_residual)
 
 
 @dataclass
@@ -207,11 +241,7 @@ def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> di
 
 def disc_forward(g: Graph, spec: DiscSpec, pn: dict[str, int], x: int) -> int:
     """Raw (pre-sigmoid) score map node for input node ``x``."""
-    h_in, w_in = g.shape(x)[1], g.shape(x)[2]
-    if min(h_in, w_in) < spec.min_input:
-        raise ValueError(
-            f"discriminator input {h_in}x{w_in} smaller than minimum {spec.min_input}"
-        )
+    spec.check_size(*g.shape(x)[1:3])
     h = x
     for i in range(len(spec.widths)):
         h = g.conv2d(
@@ -306,9 +336,7 @@ def infer_stack(net: NetParams, prefix: str, build, images: np.ndarray,
 
 
 def _segnet_probs(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> int:
-    h, w = g.shape(x)[1:3]
-    if h % spec.scale or w % spec.scale:
-        raise ValueError(f"spatial size {h}x{w} not divisible by {spec.scale}")
+    spec.check_size(*g.shape(x)[1:3])
     return segnet_forward(g, spec, pn, x)["probs"]
 
 
@@ -422,15 +450,19 @@ def materialize(op) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def spectral_norm(op, iters: int = 200, tol: float = 1e-12, seed: int = 0) -> float:
-    """Largest singular value via power iteration on ``A^T A``.
+POWER_TOL = 1e-12  # power iteration stops once an estimate moves by this fraction
+
+
+def spectral_norm(op, iters: int) -> float:
+    """Largest singular value via at most ``iters`` power iterations on
+    ``A^T A``.
 
     ``op`` is a linear operator with ``matvec``, ``rmatvec`` and ``in_dim``,
-    such as a :class:`ConvOperator`. The start vector is seeded, so results
-    are reproducible; scaling the operator scales the result exactly (up to
-    float rounding).
+    such as a :class:`ConvOperator`. The start vector comes from one fixed
+    seed, so results are reproducible; scaling the operator scales the
+    result exactly (up to float rounding).
     """
-    rng = substream(seed, "specnorm")
+    rng = substream(0, "specnorm")
     v = rng.standard_normal(op.in_dim)
     nv = np.linalg.norm(v)
     if nv == 0 or op.in_dim == 0:
@@ -447,7 +479,7 @@ def spectral_norm(op, iters: int = 200, tol: float = 1e-12, seed: int = 0) -> fl
         if sw == 0:
             return 0.0
         v = w / sw
-        if abs(sw - sigma) <= tol * max(sw, 1e-300):
+        if abs(sw - sigma) <= POWER_TOL * max(sw, 1e-300):
             return float(sw)
         sigma = sw
     return float(sigma)

@@ -48,11 +48,10 @@ from .losses import (
 )
 from .metrics import MetricReport, confusion_matrix, iou_report
 from .networks import (
-    DiscSpec,
     ModelBundle,
     NetParams,
+    NetworksConfig,
     SegNetSpec,
-    StyleGenSpec,
     add_param_inputs,
     build_discriminator,
     build_segnet,
@@ -143,6 +142,9 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.eval_interval < 1:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("train.checkpoint_interval",
+                              f"must be >= 0, got {self.checkpoint_interval}")
         self.mst_scales = tuple(self.mst_scales)
 
 
@@ -353,13 +355,11 @@ def train_segan(
     mode: str,
     seed: int,
     style_fn=None,
-    seg_spec: SegNetSpec | None = None,
-    disc_spec: DiscSpec | None = None,
+    networks: NetworksConfig = NetworksConfig(),
     out_dir=None,
-    log: TrainLog | None = None,
 ) -> tuple[ModelBundle, TrainLog]:
     """Adversarial stage of Algorithm 1 (lines up to the EMA update), with
-    the AT, SE and Aug terms of ``mode``.
+    the AT, SE and Aug terms of ``mode``, on the nets ``networks`` sets.
 
     ``style_fn`` maps a stack of source images to their target-styled
     counterparts; it is required when the mode has the Aug term and is
@@ -369,21 +369,11 @@ def train_segan(
     if aug and style_fn is None:
         raise ValueError(f"mode {mode!r} styles source images but no style transform was supplied")
 
-    seg_spec = seg_spec or SegNetSpec(class_count=ds.classes)
-    if seg_spec.class_count != ds.classes:
-        raise ValueError(
-            f"segmenter emits {seg_spec.class_count} classes, dataset has {ds.classes}"
-        )
-    student = build_segnet(seg_spec, derive_seed(seed, "student"))
+    student = build_segnet(networks.segnet_spec(ds.classes), derive_seed(seed, "student"))
     teacher = student.copy().frozen() if se else None
     disc = None
     if at:
-        dspec = disc_spec or DiscSpec(in_channels=ds.classes)
-        if dspec.in_channels != ds.classes:
-            raise ValueError(
-                f"discriminator expects {dspec.in_channels} channels, maps have {ds.classes}"
-            )
-        disc = build_discriminator(dspec, derive_seed(seed, "disc"))
+        disc = build_discriminator(networks.disc_spec(ds.classes), derive_seed(seed, "disc"))
 
     sg = _build_segan_graph(cfg, ds, student, teacher, disc, aug)
     sweeps = [_Sweep(sg.losses["total"], sg.params["student"], student,
@@ -403,7 +393,7 @@ def train_segan(
         )
 
     batch_rng = substream(seed, "batch")
-    log = log if log is not None else TrainLog()
+    log = TrainLog()
 
     def batches():
         for _ in range(cfg.maxiter):
@@ -546,13 +536,13 @@ def train_tgstn(
     ds: DomainDataset,
     phi: NetParams,
     seed: int,
-    gen_spec: StyleGenSpec | None = None,
-    disc_spec: DiscSpec | None = None,
+    networks: NetworksConfig = NetworksConfig(),
 ) -> tuple[NetParams, TGSTNLog]:
     """Task-guided style transfer: the generator restyles source images to
     fool an image-level discriminator while a frozen segmenter anchors both
     the semantics (cross entropy under the source labels) and the features
-    (perceptual penalty between original and restyled activations)."""
+    (perceptual penalty between original and restyled activations). The
+    generator and the image discriminator are the nets ``networks`` sets."""
     if phi.trainable:
         raise ValueError("the guiding segmenter must be frozen; got trainable=True")
     if phi.spec.class_count != ds.classes:
@@ -561,9 +551,8 @@ def train_tgstn(
         )
     check_tgstn_batches(cfg, ds)
 
-    gen = build_style_generator(gen_spec or StyleGenSpec(), derive_seed(seed, "gen"))
-    disc = build_discriminator(disc_spec or DiscSpec(in_channels=3),
-                               derive_seed(seed, "styledisc"))
+    gen = build_style_generator(networks.stylegen_spec(), derive_seed(seed, "gen"))
+    disc = build_discriminator(networks.disc_spec(3), derive_seed(seed, "styledisc"))
 
     bs, bt = cfg.batch_source, cfg.batch_target
     g = Graph()
@@ -657,17 +646,19 @@ def tgstn_style_fn(gen: NetParams):
     return lambda images: apply_style_generator(gen, images)
 
 
+PHI_LR = 0.1  # step size of the source-only segmenter that guides style transfer
+
+
 def pretrain_phi(
     ds: DomainDataset,
     seed: int,
     maxiter: int = 400,
-    lr: float = 0.1,
-    seg_spec: SegNetSpec | None = None,
+    networks: NetworksConfig = NetworksConfig(),
 ) -> NetParams:
     """Source-only supervised segmenter, frozen, for guiding style transfer."""
-    cfg = TrainConfig(maxiter=maxiter, lr_student=lr, eval_interval=max(1, maxiter),
+    cfg = TrainConfig(maxiter=maxiter, lr_student=PHI_LR, eval_interval=max(1, maxiter),
                       eval_count=1)
-    bundle, _ = train_segan(cfg, ds, "noadapt", derive_seed(seed, "phi"), seg_spec=seg_spec)
+    bundle, _ = train_segan(cfg, ds, "noadapt", derive_seed(seed, "phi"), networks=networks)
     return bundle.student.frozen()
 
 
@@ -724,16 +715,14 @@ def run_ablation(
     seed: int,
     style_fn=None,
     out_dir=None,
-    seg_spec: SegNetSpec | None = None,
-    disc_spec: DiscSpec | None = None,
+    networks: NetworksConfig = NetworksConfig(),
 ) -> tuple[MetricReport, ModelBundle, TrainLog]:
-    """Run one rung of the ablation ladder and evaluate on held-out labels.
-    ``out_dir`` receives only the adversarial stage's interval checkpoints."""
+    """Run one rung of the ablation ladder on the nets ``networks`` sets
+    and evaluate on held-out labels. ``out_dir`` receives only the
+    adversarial stage's interval checkpoints."""
     _, _, _, st, mst = resolve_mode(mode)
-    bundle, log = train_segan(
-        cfg, ds, mode, seed, style_fn=style_fn,
-        seg_spec=seg_spec, disc_spec=disc_spec, out_dir=out_dir,
-    )
+    bundle, log = train_segan(cfg, ds, mode, seed, style_fn=style_fn, networks=networks,
+                              out_dir=out_dir)
     if st:
         pseudo = generate_pseudo_labels(bundle.teacher, ds.target_images())
         self_train(cfg, bundle.student, pseudo, ds, seed, log=log, iter_offset=cfg.maxiter)

@@ -36,8 +36,8 @@ def derive_seed(*keys) -> int:
     return int(np.random.SeedSequence(_key_ints(keys)).generate_state(1, np.uint64)[0])
 
 
-def one_hot(labels: np.ndarray, class_count: int, dtype=np.float32) -> np.ndarray:
-    """Map integer labels (...,) to one-hot (..., class_count)."""
+def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
+    """Map integer labels (...,) to float32 one-hot (..., class_count)."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= class_count:
         raise ValueError(
@@ -46,7 +46,7 @@ def one_hot(labels: np.ndarray, class_count: int, dtype=np.float32) -> np.ndarra
         )
     # np.take gathers rows ~8x faster than fancy indexing at a training
     # batch's 2x64x64 labels
-    return np.take(np.eye(class_count, dtype=dtype), labels, axis=0)
+    return np.take(np.eye(class_count, dtype=np.float32), labels, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,11 +186,13 @@ def test_criterion_03_ema_closed_form():
 
 
 def test_criterion_04_bounds_suite():
-    unit = BoundSpec(s=(1.0,) * 5, b=(1.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0, epsilon=1.0)
+    unit = BoundSpec(s=(1.0,) * 5, b=(1.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0, epsilon=1.0,
+                     n=1, delta=0.05, phi=0.0)
     log_cover, _ = covering_bound(unit, "statement")
     assert math.isclose(log_cover, math.log(8) * 125, rel_tol=1e-9)
 
-    scaled = BoundSpec(s=(2.0,) * 5, b=(2.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0, epsilon=1.0)
+    scaled = BoundSpec(s=(2.0,) * 5, b=(2.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0,
+                       epsilon=1.0, n=1, delta=0.05, phi=0.0)
     assert math.isclose(covering_bound(scaled, "statement")[0], log_cover * 2**10, rel_tol=1e-9)
 
     rng = np.random.default_rng(7)

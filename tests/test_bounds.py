@@ -7,11 +7,13 @@ against dense SVDs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from segan.bounds import (
+    BoundsConfig,
     BoundSpec,
     bound_report,
     covering_bound,
@@ -23,12 +25,14 @@ from segan.bounds import (
     rademacher_bound,
 )
 from segan.networks import DiscSpec, build_discriminator, materialize, spectral_norm
+from segan.utils import ConfigError
 
 from references import dudley_objective
 
 
 def _unit_spec(**kw):
-    base = dict(s=(1.0,) * 5, b=(1.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0, epsilon=1.0)
+    base = dict(s=(1.0,) * 5, b=(1.0,) * 5, rho=(1.0,) * 5, width=2, x_norm=1.0, epsilon=1.0,
+                n=1, delta=0.05, phi=0.0)
     base.update(kw)
     return BoundSpec(**base)
 
@@ -91,7 +95,7 @@ def test_covering_bound_argument_validation():
 
 def test_bound_spec_validation():
     with pytest.raises(ValueError, match="equal-length"):
-        BoundSpec(s=(1.0,), b=(1.0, 1.0), rho=(1.0,), width=2, x_norm=1.0)
+        _unit_spec(s=(1.0,), b=(1.0, 1.0), rho=(1.0,))
     with pytest.raises(ValueError, match="spectral"):
         _unit_spec(s=(0.0,) * 5)
     with pytest.raises(ValueError, match=">= 0"):
@@ -154,11 +158,12 @@ def test_all_zero_b_falls_back_to_uniform_and_flags():
 
 
 def test_layer_radii_override_radius():
-    rad1 = layer_radii(_unit_spec(), epsilon=1.0)
-    rad2 = layer_radii(_unit_spec(), epsilon=2.0)
+    spec = _unit_spec()
+    rad1 = layer_radii(replace(spec, epsilon=1.0))
+    rad2 = layer_radii(replace(spec, epsilon=2.0))
     np.testing.assert_allclose(np.array(rad2.radii), 2.0 * np.array(rad1.radii), rtol=1e-12)
     with pytest.raises(ValueError):
-        layer_radii(_unit_spec(), epsilon=0.0)
+        layer_radii(replace(spec, epsilon=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +288,22 @@ def test_measure_shapes_norms_and_dims():
     disc = _tiny_disc()
     rng = np.random.default_rng(3)
     batch = rng.random((3, 32, 32, 1))
-    spec = measure_discriminator(disc, batch)
+    spec = measure_discriminator(disc, batch, BoundsConfig(n=3))
     assert spec.layers == 5
     assert spec.x_norm == pytest.approx(float(np.linalg.norm(batch.ravel())), rel=1e-12)
     assert spec.rho == (1.0,) * 5
     # width is the largest flattened dimension including the input
     ops = disc_layer_operators(disc, (32, 32))
     assert spec.width == max([32 * 32 * 1] + [op.out_dim for op in ops])
+    # the sample count is the config's, not the batch size
     assert spec.n == 3
+    assert measure_discriminator(disc, batch, BoundsConfig()).n == BoundsConfig().n
 
 
 def test_zero_policy_makes_b_equal_s():
     disc = _tiny_disc()
     batch = np.random.default_rng(4).random((2, 32, 32, 1))
-    spec = measure_discriminator(disc, batch, m_policy="zero")
+    spec = measure_discriminator(disc, batch, BoundsConfig(m_policy="zero"))
     assert spec.b == spec.s
 
 
@@ -313,17 +320,17 @@ def test_power_iterations_per_layer_by_policy(monkeypatch):
     disc = _tiny_disc(seed=11)
     batch = np.random.default_rng(4).random((1, 32, 32, 1))
     L = len(disc.spec.widths)
-    measure_discriminator(disc, batch, m_policy="zero", power_iters=5)
+    measure_discriminator(disc, batch, BoundsConfig(m_policy="zero", power_iters=5))
     assert len(calls) == L
     calls.clear()
-    measure_discriminator(disc, batch, m_policy="init", init_seed=11, power_iters=5)
+    measure_discriminator(disc, batch, BoundsConfig(m_policy="init", power_iters=5), 11)
     assert len(calls) == 2 * L
 
 
 def test_init_policy_at_initialization_gives_zero_complexity():
     disc = _tiny_disc(seed=11)
     batch = np.random.default_rng(5).random((2, 32, 32, 1))
-    spec = measure_discriminator(disc, batch, m_policy="init", init_seed=11, n=1000)
+    spec = measure_discriminator(disc, batch, BoundsConfig(m_policy="init", n=1000), 11)
     np.testing.assert_allclose(spec.b, 0.0, atol=1e-12)
     log_cover, R = covering_bound(spec)
     assert log_cover == 0.0 and R == 0.0
@@ -337,11 +344,11 @@ def test_init_policy_at_initialization_gives_zero_complexity():
 def test_init_policy_requires_seed():
     disc = _tiny_disc()
     with pytest.raises(ValueError, match="init_seed"):
-        measure_discriminator(disc, np.zeros((1, 32, 32, 1)), m_policy="init")
-    with pytest.raises(ValueError, match="m_policy"):
-        measure_discriminator(disc, np.zeros((1, 32, 32, 1)), m_policy="svd")
+        measure_discriminator(disc, np.zeros((1, 32, 32, 1)), BoundsConfig(m_policy="init"))
+    with pytest.raises(ConfigError, match="m_policy"):
+        BoundsConfig(m_policy="svd")
     with pytest.raises(ValueError, match="input batch"):
-        measure_discriminator(disc, np.zeros((1, 32, 32, 3)))
+        measure_discriminator(disc, np.zeros((1, 32, 32, 3)), BoundsConfig())
 
 
 def test_measured_first_layer_norm_matches_dense_svd():
@@ -349,7 +356,7 @@ def test_measured_first_layer_norm_matches_dense_svd():
     batch = np.random.default_rng(6).random((1, 32, 32, 1))
     # this operator's top two singular values are close; give the power
     # iteration enough steps to separate them
-    spec = measure_discriminator(disc, batch, power_iters=2000)
+    spec = measure_discriminator(disc, batch, BoundsConfig(power_iters=2000))
     op = disc_layer_operators(disc, (32, 32))[0]
     dense = materialize(op)
     want = np.linalg.svd(dense, compute_uv=False)[0]
@@ -362,12 +369,13 @@ def test_one_by_one_conv_norm_is_scalar_magnitude():
     scalars = [3.0, -2.0, 0.5, 1.5, -1.0]
     for i, c in enumerate(scalars):
         disc.values[f"conv{i}/w"][...] = c
-    measured = measure_discriminator(disc, np.random.default_rng(7).random((1, 4, 4, 1)))
+    measured = measure_discriminator(disc, np.random.default_rng(7).random((1, 4, 4, 1)),
+                                     BoundsConfig())
     np.testing.assert_allclose(measured.s, np.abs(scalars), rtol=1e-9)
 
 
 def test_tight_sigmoid_sets_last_lipschitz_constant():
     disc = _tiny_disc()
     batch = np.random.default_rng(8).random((1, 32, 32, 1))
-    spec = measure_discriminator(disc, batch, tight_sigmoid=True)
+    spec = measure_discriminator(disc, batch, BoundsConfig(tight_sigmoid=True))
     assert spec.rho == (1.0, 1.0, 1.0, 1.0, 0.25)

@@ -13,14 +13,18 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from segan import cli, datagen, sgt
+from segan.bounds import BoundsConfig, measure_discriminator
 from segan.config import ConfigError, RunConfig, load_config, parse_config
 from segan.datagen import benchmark_shifts
+from segan.networks import predict_segmentation
 from segan.trainer import load_bundle, pretrain_phi, run_ablation, train_tgstn
+from segan.utils import derive_seed
 
 from references import checkpoint_corruptions
 
@@ -49,8 +53,8 @@ def test_seed_propagates_to_stages(workdir, tmp_path):
     for name, arr in bundle.student.values.items():
         assert np.array_equal(loaded.student.values[name], arr), name
     assert cli.main(["train-tgstn", *argv, "--out", str(tmp_path / "g")]) == 0
-    phi = pretrain_phi(ds, 9, seg_spec=cfg.networks.segnet_spec(ds.classes))
-    gen, _ = train_tgstn(cfg.tgstn, ds, phi, 9)
+    phi = pretrain_phi(ds, 9, networks=cfg.networks)
+    gen, _ = train_tgstn(cfg.tgstn, ds, phi, 9, networks=cfg.networks)
     loaded, _ = load_bundle(tmp_path / "g" / "tgstn.sgt")
     for name, arr in gen.values.items():
         assert np.array_equal(loaded.generator.values[name], arr), name
@@ -132,6 +136,7 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"tgstn": {"lr_gen": -0.1}}, "tgstn", "lr_gen must be >= 0"),
         ({"networks": {"segnet_widths": [8.5, 16, 16]}}, "networks.segnet_widths", "integers"),
         ({"bounds": {"power_iters": 0}}, "bounds.power_iters", ">= 1"),
+        ({"train": {"checkpoint_interval": -5}}, "train.checkpoint_interval", ">= 0"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -599,6 +604,82 @@ def test_bounds_demands_discriminator(workdir, tmp_path, capsys):
     )
     assert code == 2
     assert "discriminator" in capsys.readouterr().err
+
+
+def _config_file(tmp_path, **sections) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, **sections)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "side, argv, message",
+    [
+        (30, ["train", "--mode", "noadapt"], "30x30 not divisible by 4"),
+        (16, ["train", "--mode", "at"], "16x16 smaller than minimum 32"),
+        (16, ["train-tgstn"], "16x16 smaller than minimum 32"),
+        (30, ["eval", "--checkpoint"], "30x30 not divisible by 4"),
+        (30, ["bounds", "--checkpoint"], "30x30 not divisible by 4"),
+        (16, ["bounds", "--checkpoint"], "16x16 smaller than minimum 32"),
+    ],
+    ids=["train-30", "train-at-16", "tgstn-16", "eval-30", "bounds-30", "bounds-16"],
+)
+def test_dataset_sizes_the_nets_cannot_take_exit_2(trained, tmp_path, capsys, side, argv,
+                                                    message):
+    config = _config_file(tmp_path, dataset=dict(TINY["dataset"], height=side, width=side))
+    data = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--config", config, "--out", data]) == 0
+    if argv[-1] == "--checkpoint":
+        argv = argv + [str(trained / "checkpoint.sgt")]
+    code = cli.main([*argv, "--config", config, "--data", data, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bounds_takes_the_bounds_section_whole(workdir, trained, tmp_path):
+    bounds = {"epsilon": 0.5, "n": 10**9, "delta": 0.1, "phi": 0.01, "m_policy": "init",
+              "tight_sigmoid": True, "power_iters": 7, "batch_count": 3}
+    config = _config_file(tmp_path, bounds=bounds)
+    cfg = load_config(config)
+    assert all(getattr(cfg.bounds, f.name) != getattr(BoundsConfig(), f.name)
+               for f in fields(BoundsConfig))
+    out = tmp_path / "b"
+    assert cli.main(["bounds", "--config", config, "--data", workdir["data"],
+                     "--checkpoint", str(trained / "checkpoint.sgt"), "--out", str(out)]) == 0
+    bundle, meta = load_bundle(trained / "checkpoint.sgt")
+    ds = datagen.load_dataset(workdir["data"])
+    probs, _ = predict_segmentation(bundle.student, ds.target_images()[:3])
+    spec = measure_discriminator(bundle.disc, probs, cfg.bounds, derive_seed(meta["seed"], "disc"))
+    assert json.loads((out / "bounds.json").read_text())["spec"] == spec.to_dict()
+
+
+def test_train_and_tgstn_take_the_networks_section_whole(workdir, tmp_path):
+    networks = {"segnet_widths": [8, 16], "segnet_downsample": 1,
+                "disc_widths": [4, 8, 8, 8, 1], "stylegen_widths": [8],
+                "stylegen_residual": False}
+    config = _config_file(tmp_path, networks=networks)
+    cfg = load_config(config)
+    ds = datagen.load_dataset(workdir["data"])
+    argv = ["--config", config, "--data", workdir["data"]]
+
+    assert cli.main(["train", *argv, "--mode", "at", "--out", str(tmp_path / "t")]) == 0
+    _, bundle, _ = run_ablation("at", ds, cfg.train, cfg.seed, networks=cfg.networks)
+    loaded, _ = load_bundle(tmp_path / "t" / "checkpoint.sgt")
+    assert loaded.student.spec == cfg.networks.segnet_spec(ds.classes)
+    assert loaded.disc.spec == cfg.networks.disc_spec(ds.classes)
+    for comp in ("student", "disc"):
+        for name, arr in getattr(bundle, comp).values.items():
+            assert np.array_equal(getattr(loaded, comp).values[name], arr), (comp, name)
+
+    assert cli.main(["train-tgstn", *argv, "--out", str(tmp_path / "g")]) == 0
+    phi = pretrain_phi(ds, cfg.seed, networks=cfg.networks)
+    gen, _ = train_tgstn(cfg.tgstn, ds, phi, cfg.seed, networks=cfg.networks)
+    loaded, _ = load_bundle(tmp_path / "g" / "tgstn.sgt")
+    assert loaded.generator.spec == cfg.networks.stylegen_spec()
+    for name, arr in gen.values.items():
+        assert np.array_equal(loaded.generator.values[name], arr), name
 
 
 def test_train_tgstn_then_styled_training(workdir, tmp_path):

@@ -268,7 +268,8 @@ SLICE = INFER_PIXELS // (64 * 64)  # stock 64x64 images per inference slice
 @pytest.fixture(scope="module")
 def stock_images():
     """200 target images of the stock benchmark."""
-    ds = generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3)
+    ds = generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3,
+                          h=64, w=64, classes=4)
     return ds.target_images()
 
 
@@ -457,23 +458,25 @@ def _matrix(mat) -> ConvOperator:
 
 
 def test_spectral_norm_identity_and_diagonal():
-    assert spectral_norm(_matrix(np.eye(4))) == pytest.approx(1.0, rel=1e-12)
-    assert spectral_norm(_matrix(np.diag([3.0, 1.0]))) == pytest.approx(3.0, rel=1e-12)
-    assert spectral_norm(_matrix(np.zeros((3, 3)))) == 0.0
+    assert spectral_norm(_matrix(np.eye(4)), iters=200) == pytest.approx(1.0, rel=1e-12)
+    diag = _matrix(np.diag([3.0, 1.0]))
+    assert spectral_norm(diag, iters=200) == pytest.approx(3.0, rel=1e-12)
+    assert spectral_norm(_matrix(np.zeros((3, 3))), iters=200) == 0.0
 
 
 def test_spectral_norm_matches_svd_on_random_matrix():
     rng = np.random.default_rng(9)
     mat = rng.standard_normal((8, 8))
     want = np.linalg.svd(mat, compute_uv=False)[0]
-    assert spectral_norm(_matrix(mat)) == pytest.approx(want, abs=1e-6)
+    assert spectral_norm(_matrix(mat), iters=200) == pytest.approx(want, abs=1e-6)
 
 
 def test_spectral_norm_scales_linearly():
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((6, 4))
-    base = spectral_norm(_matrix(mat))
-    np.testing.assert_allclose(spectral_norm(_matrix(-2.5 * mat)), 2.5 * base, rtol=1e-9)
+    base = spectral_norm(_matrix(mat), iters=200)
+    np.testing.assert_allclose(spectral_norm(_matrix(-2.5 * mat), iters=200), 2.5 * base,
+                               rtol=1e-9)
 
 
 def test_conv_operator_matches_dense_svd():
@@ -483,7 +486,7 @@ def test_conv_operator_matches_dense_svd():
     dense = materialize(op)
     assert dense.shape == (op.out_dim, op.in_dim)
     want = np.linalg.svd(dense, compute_uv=False)[0]
-    assert spectral_norm(op) == pytest.approx(want, abs=1e-5)
+    assert spectral_norm(op, iters=200) == pytest.approx(want, abs=1e-5)
 
 
 def test_conv_operator_adjoint_consistency():

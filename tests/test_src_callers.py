@@ -1,11 +1,14 @@
 """The library holds what the program runs: every module-level function and
-class in ``src/segan`` is referenced in ``src/`` outside its own definition.
-Oracles that only the tests call live in ``references.py``."""
+class in ``src/segan`` is referenced in ``src/`` outside its own definition,
+and every defaulted parameter of a module-level function is passed by some
+call in ``src/`` or ``perfbench/``. Oracles that only the tests call live in
+``references.py``."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "segan"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "segan"
 
 # Reached only from the benchmark harness.
 ALLOWED = {
@@ -13,6 +16,13 @@ ALLOWED = {
     "write_sgt",  # perfbench/tracing.py:239 wraps it
     "materialize",  # perfbench/test_perfbench.py:161 imports it
 }
+
+# Defaulted parameters that only the tests pass. test_trainer.py's
+# test_tgstn_logs_every_step_and_is_deterministic,
+# test_tgstn_feature_anchor_dominates_when_weighted_up and
+# test_pretrain_phi_returns_frozen_segmenter shorten phi pretraining to keep
+# Tier-1 short.
+TEST_ONLY = {("pretrain_phi", "maxiter")}
 
 
 def test_every_definition_is_referenced_in_src():
@@ -28,3 +38,36 @@ def test_every_definition_is_referenced_in_src():
                     used.add(name)
     unused = sorted(f"{defined[n]}:{n}" for n in set(defined) - used - ALLOWED)
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # a default no caller overrides is a constant spelled as a knob
+    params, defaulted = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                a = top.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                params[top.name] = positional
+                defaulted[top.name] = (
+                    positional[len(positional) - len(a.defaults):]
+                    + [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                )
+    passed = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in params:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed.update((name, p) for p in defaulted[name])  # splats pass anything
+                continue
+            passed.update((name, p) for p in params[name][:len(node.args)])
+            passed.update((name, k.arg) for k in node.keywords)
+    unpassed = sorted(f"{fn}({p})" for fn, ps in defaulted.items() for p in ps
+                      if (fn, p) not in passed | TEST_ONLY)
+    assert unpassed == []

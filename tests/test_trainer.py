@@ -314,11 +314,6 @@ def test_aug_requires_style_fn(ds):
         )
 
 
-def test_class_count_mismatches_are_rejected(ds):
-    with pytest.raises(ValueError, match="classes"):
-        train_segan(_fast_cfg(maxiter=2), ds, "noadapt", SEED, seg_spec=SegNetSpec(class_count=3))
-
-
 # ---------------------------------------------------------------------------
 # evaluation helper
 
@@ -336,7 +331,8 @@ def test_evaluate_student_count_semantics(ds):
 @pytest.fixture(scope="module")
 def stock_ds():
     """200 target scenes of the stock benchmark."""
-    return generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3)
+    return generate_dataset(*benchmark_shifts(), n_source=1, n_target=200, seed=3,
+                            h=64, w=64, classes=4)
 
 
 def _traced_peak(fn):
@@ -510,7 +506,7 @@ def test_sliced_style_generator_is_bit_identical_to_whole_batch_graph(n):
     per_slice = INFER_PIXELS // (64 * 64)
     if n == "stock":
         images = generate_dataset(*benchmark_shifts(), n_source=200, n_target=1,
-                                  seed=3).source_images()
+                                  seed=3, h=64, w=64, classes=4).source_images()
     else:
         count = {None: 1, "below": per_slice - 1, "equal": per_slice, "above": per_slice + 1}[n]
         images = np.random.default_rng(2).random((count, 64, 64, 3)).astype(np.float32)
