@@ -181,8 +181,8 @@ def cmd_train(args) -> int:
     if at:
         specs.append(cfg.networks.disc_spec(ds.classes))
     _check_size(ds, *specs)
-    out = _prepare_out(args.out, args.force)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
+    out = _prepare_out(args.out, args.force)
     report, bundle, log = run_ablation(args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn,
                                        out_dir=out, networks=cfg.networks)
     log.to_csv(out / "train_log.csv")
@@ -223,8 +223,8 @@ def cmd_eval(args) -> int:
             f"dataset has {ds.classes}",
         )
     _check_size(ds, bundle.student.spec)
-    out = _prepare_out(args.out, args.force)
     scales = _parse_scales(args.mst) if args.mst else None
+    out = _prepare_out(args.out, args.force)
     report = evaluate_student(bundle.student, ds, count=0, scales=scales)
     write_report(report, out)
     _write_record(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bounds import BoundsConfig
-from .datagen import ShiftParams, benchmark_shifts
+from .datagen import PALETTE, ShiftParams, benchmark_shifts
 from .networks import NetworksConfig
 from .trainer import TGSTNConfig, TrainConfig
 from .utils import ConfigError, record_from_dict, record_to_dict
@@ -47,6 +47,18 @@ class DatasetConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError("dataset.classes", f"need at least 2 classes, got {self.classes}")
+        if self.classes > len(PALETTE):
+            raise ConfigError(
+                "dataset.classes",
+                f"the palette supports at most {len(PALETTE)} classes, got {self.classes}",
+            )
+        for domain in ("source", "target"):
+            n = len(getattr(self, domain).layout)
+            if n != self.classes - 1:
+                raise ConfigError(
+                    f"dataset.{domain}.layout",
+                    f"{self.classes} classes need {self.classes - 1} class priors, got {n}",
+                )
         if self.n_source < 1 or self.n_target < 1:
             raise ConfigError(
                 "dataset.n_source/n_target",

@@ -9,6 +9,13 @@ controlled domain gap whose severity is measurable.
 All randomness is driven by per-scene integer seeds, and every scene draws
 the same number of variates regardless of which objects end up present, so
 streams stay aligned across parameter changes.
+
+A domain is rendered scene by scene and then styled as one stack:
+:func:`apply_domain_style` takes an (h, w, 3) image or an (n, h, w, 3)
+stack and gives each image of a stack the bytes it gets alone. Its blur is a
+separable numpy filter, bit-identical to ``scipy.ndimage.gaussian_filter``
+with ``mode="reflect"`` and ``truncate=3.0``, so the program imports numpy
+only.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import sgt
 from .utils import ConfigError, derive_seed, record_from_dict, record_to_dict, substream
@@ -38,6 +44,8 @@ PIXEL_NOISE = 0.02
 TEXTURE_AMP = 0.05
 TEXTURE_ANGLE = 0.7  # radians, fixed stripe direction
 HIST_BINS = 16  # per channel, in the color histograms of the appearance gap
+BLUR_TRUNCATE = 3.0  # blur kernel radius, in standard deviations
+STYLE_SLICE = 8  # images per float64 slice of a styled stack; the blur is memory-bound
 
 
 @dataclass
@@ -81,6 +89,7 @@ class ClassPrior:
         self.mean = tuple(float(v) for v in self.mean)
         self.cov = tuple(tuple(float(v) for v in row) for row in self.cov)
         self.size_range = (float(lo), float(hi))
+        _cov_factor(self.cov)  # rejects a covariance that is not positive semi-definite
 
 
 @dataclass
@@ -90,12 +99,6 @@ class ShiftParams:
 
     appearance: AppearanceParams = field(default_factory=AppearanceParams)
     layout: tuple[ClassPrior, ...] = ()
-
-
-@dataclass
-class Scene:
-    image: np.ndarray  # (h, w, 3) float32 in [0, 1]
-    label: np.ndarray  # (h, w) uint8
 
 
 def _cov_factor(cov) -> np.ndarray:
@@ -127,28 +130,79 @@ def _rotation_about_gray(theta: float) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
 
 
-def apply_domain_style(image: np.ndarray, ap: AppearanceParams) -> np.ndarray:
-    """Push an image in [0,1] through the appearance transform.
+def _blur_weights(sigma: float) -> np.ndarray:
+    """scipy.ndimage's Gaussian kernel: radius ``int(3 sigma + 0.5)``,
+    normalised, reversed for correlation."""
+    r = int(BLUR_TRUNCATE * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return (phi / phi.sum())[::-1]
+
+
+def _blur_axis(img: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate float64 ``img`` with the symmetric ``weights`` along ``axis``.
+
+    scipy's ``reflect`` boundary is numpy's ``symmetric`` pad (numpy's
+    ``reflect`` is scipy's ``mirror``), and the sum runs in the order of
+    scipy's symmetric-kernel branch: the centre tap, then each pair of taps
+    from the outermost in, so every output is bit-identical to scipy's.
+    """
+    r = len(weights) // 2
+    n = img.shape[axis]
+    pad = [(0, 0)] * img.ndim
+    pad[axis] = (r, r)
+    padded = np.pad(img, pad, mode="symmetric")
+
+    def tap(j):  # the input shifted by j along the axis
+        return padded[(slice(None),) * axis + (slice(r + j, r + j + n),)]
+
+    out = tap(0) * weights[r]
+    for j in range(r, 0, -1):
+        out += (tap(-j) + tap(j)) * weights[r - j]
+    return out
+
+
+def apply_domain_style(images: np.ndarray, ap: AppearanceParams) -> np.ndarray:
+    """Push an (h, w, 3) image or an (n, h, w, 3) stack in [0,1] through the
+    appearance transform; the result is float32 of the same shape.
 
     Identity parameters return the input values unchanged. The blur kernel
     is symmetric with reflecting boundaries, so it preserves per-channel
-    means exactly up to float rounding.
+    means exactly up to float rounding; it equals
+    ``scipy.ndimage.gaussian_filter(img, (blur, blur, 0), mode="reflect",
+    truncate=3.0)`` bit for bit. A stack runs in float64 slices of
+    :data:`STYLE_SLICE` images, and each image comes out with the bytes it
+    gets when styled alone.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3) image, got shape {image.shape}")
+    images = np.asarray(images)
+    if images.ndim not in (3, 4) or images.shape[-1] != 3:
+        raise ValueError(
+            f"expected an (h, w, 3) image or (n, h, w, 3) stack, got shape {images.shape}"
+        )
+    h, w = images.shape[-3:-1]
+    stack = images.reshape(-1, h, w, 3)
+    rotation = weights = texture = None
     if ap.palette_rotation != 0:
-        img = img @ _rotation_about_gray(ap.palette_rotation).T
-    if ap.brightness != 0:
-        img = img + ap.brightness
+        rotation = _rotation_about_gray(ap.palette_rotation).T
     if ap.blur > 0:
-        img = gaussian_filter(img, sigma=(ap.blur, ap.blur, 0), mode="reflect", truncate=3.0)
+        weights = _blur_weights(ap.blur)
     if ap.texture_freq > 0:
-        h, w = img.shape[:2]
         yy, xx = np.mgrid[0:h, 0:w]
         u = (np.cos(TEXTURE_ANGLE) * xx + np.sin(TEXTURE_ANGLE) * yy) / max(h, w)
-        img = img + TEXTURE_AMP * np.sin(2 * np.pi * ap.texture_freq * u)[..., None]
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
+        texture = TEXTURE_AMP * np.sin(2 * np.pi * ap.texture_freq * u)[..., None]
+    out = np.empty(stack.shape, dtype=np.float32)
+    for lo in range(0, len(stack), STYLE_SLICE):
+        img = stack[lo : lo + STYLE_SLICE].astype(np.float64)
+        if rotation is not None:
+            img = img @ rotation
+        if ap.brightness != 0:
+            img = img + ap.brightness
+        if weights is not None:
+            img = _blur_axis(_blur_axis(img, weights, 1), weights, 2)
+        if texture is not None:
+            img = img + texture
+        out[lo : lo + STYLE_SLICE] = np.clip(img, 0.0, 1.0)
+    return out.reshape(images.shape)
 
 
 def relative_appearance(src: AppearanceParams, tgt: AppearanceParams) -> AppearanceParams:
@@ -164,29 +218,23 @@ def relative_appearance(src: AppearanceParams, tgt: AppearanceParams) -> Appeara
     )
 
 
-def generate_scene(params: ShiftParams, seed: int, h: int, w: int, classes: int) -> Scene:
-    """Render one scene. Classes cycle through rectangle / disk / bar shapes
-    in prior order; later classes occlude earlier ones."""
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
-    if classes > len(PALETTE):
-        raise ValueError(f"palette supports at most {len(PALETTE)} classes, got {classes}")
-    if len(params.layout) != classes - 1:
-        raise ValueError(
-            f"layout must define {classes - 1} class priors, got {len(params.layout)}"
-        )
-    if min(h, w) < 8:
-        raise ValueError(f"scene size {h}x{w} too small")
-
+def _render_scene(
+    layout: tuple[ClassPrior, ...], factors: list[np.ndarray], seed: int, h: int, w: int,
+    classes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Render one unstyled scene: its float32 image and uint8 label map.
+    ``factors`` are the priors' covariance factors. Classes cycle through
+    rectangle / disk / bar shapes in prior order; later classes occlude
+    earlier ones."""
     rng = substream(seed, "scene")
     label = np.zeros((h, w), dtype=np.uint8)
     yy, xx = np.ogrid[0:h, 0:w]
     m = min(h, w)
 
-    for cls, prior in enumerate(params.layout, start=1):
+    for cls, (prior, factor) in enumerate(zip(layout, factors), start=1):
         # draw everything up front so the stream shape is layout-independent
         present = rng.random() < prior.prob
-        offset = _cov_factor(prior.cov) @ rng.standard_normal(2)
+        offset = factor @ rng.standard_normal(2)
         size_u = rng.uniform(*prior.size_range)
         second_u = rng.uniform(*prior.size_range)
         upright = rng.random() < 0.5
@@ -213,9 +261,7 @@ def generate_scene(params: ShiftParams, seed: int, h: int, w: int, classes: int)
     colors = np.clip(PALETTE[:classes] + jitter, 0.0, 1.0)
     image = colors[label].astype(np.float64)
     image += rng.normal(0.0, PIXEL_NOISE, size=(h, w, 3))
-    image = np.clip(image, 0.0, 1.0).astype(np.float32)
-    image = apply_domain_style(image, params.appearance)
-    return Scene(image=image, label=label)
+    return np.clip(image, 0.0, 1.0).astype(np.float32), label
 
 
 DATASET_FORMAT = "segan-dataset-v2"
@@ -312,17 +358,31 @@ def generate_dataset(
     w: int,
     classes: int,
 ) -> DomainDataset:
+    """Render each domain scene by scene, each from its own seed, and style
+    its stack once."""
     if n_source < 1 or n_target < 1:
         raise ValueError(f"need at least one scene per domain, got {n_source}/{n_target}")
+    if classes < 2:
+        raise ValueError(f"need at least 2 classes, got {classes}")
+    if classes > len(PALETTE):
+        raise ValueError(f"palette supports at most {len(PALETTE)} classes, got {classes}")
+    if min(h, w) < 8:
+        raise ValueError(f"scene size {h}x{w} too small")
     arrays = {}
     for domain, params, n in (("source", source_params, n_source),
                               ("target", target_params, n_target)):
-        scenes = [
-            generate_scene(params, derive_seed(seed, "data", domain, i), h, w, classes)
-            for i in range(n)
-        ]
-        arrays[f"{domain}/images"] = np.stack([s.image for s in scenes])
-        arrays[f"{domain}/labels"] = np.stack([s.label for s in scenes])
+        if len(params.layout) != classes - 1:
+            raise ValueError(f"{domain} layout must define {classes - 1} class priors, "
+                             f"got {len(params.layout)}")
+        factors = [_cov_factor(prior.cov) for prior in params.layout]
+        images = np.empty((n, h, w, 3), dtype=np.float32)
+        labels = np.empty((n, h, w), dtype=np.uint8)
+        for i in range(n):
+            images[i], labels[i] = _render_scene(
+                params.layout, factors, derive_seed(seed, "data", domain, i), h, w, classes
+            )
+        arrays[f"{domain}/images"] = apply_domain_style(images, params.appearance)
+        arrays[f"{domain}/labels"] = labels
     return DomainDataset(h, w, classes, seed, source_params, target_params, arrays)
 
 

@@ -632,14 +632,7 @@ def oracle_style_fn(ds: DomainDataset):
     """Style transform taken straight from the generating appearance
     parameters; the reference against which a trained generator is judged."""
     rel = relative_appearance(ds.source_params.appearance, ds.target_params.appearance)
-
-    def fn(images: np.ndarray) -> np.ndarray:
-        images = np.asarray(images)
-        if images.ndim == 3:
-            return apply_domain_style(images, rel)
-        return np.stack([apply_domain_style(im, rel) for im in images])
-
-    return fn
+    return lambda images: apply_domain_style(images, rel)
 
 
 def tgstn_style_fn(gen: NetParams):

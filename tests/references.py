@@ -8,7 +8,9 @@ is acceptance criterion 07's quantity and the negative classes criterion
 ``bounds.rademacher_bound`` states in closed form. The whole-stack
 multi-scale prediction is the oracle the sliced one is held to, bit for bit,
 and the checkpoint corruptions are the cases the container reader must
-reject with its own error.
+reject with its own error. The per-scene generator, which styles each image
+alone and blurs it with ``scipy.ndimage.gaussian_filter``, is the oracle
+the stack-styled ``generate_dataset`` is held to, array for array.
 """
 
 import json
@@ -16,10 +18,22 @@ import math
 import struct
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
+from segan.datagen import (
+    PALETTE,
+    PIXEL_NOISE,
+    TEXTURE_AMP,
+    TEXTURE_ANGLE,
+    AppearanceParams,
+    ShiftParams,
+    _cov_factor,
+    _rotation_about_gray,
+)
 from segan.losses import PROB_FLOOR
 from segan.networks import NetParams, predict_segmentation, resize_nearest
 from segan.tensor import forward
+from segan.utils import derive_seed, substream
 
 # ---------------------------------------------------------------------------
 # eager loss twins
@@ -171,6 +185,77 @@ def multi_scale_predict(net: NetParams, images: np.ndarray,
     if squeeze:
         return avg[0], labels[0]
     return avg, labels
+
+
+# ---------------------------------------------------------------------------
+# per-scene dataset generation
+
+
+def scipy_style(image: np.ndarray, ap: AppearanceParams) -> np.ndarray:
+    """One (h, w, 3) image through the appearance transform, with scipy's
+    Gaussian blur."""
+    img = np.asarray(image, dtype=np.float64)
+    if ap.palette_rotation != 0:
+        img = img @ _rotation_about_gray(ap.palette_rotation).T
+    if ap.brightness != 0:
+        img = img + ap.brightness
+    if ap.blur > 0:
+        img = gaussian_filter(img, sigma=(ap.blur, ap.blur, 0), mode="reflect", truncate=3.0)
+    if ap.texture_freq > 0:
+        h, w = img.shape[:2]
+        yy, xx = np.mgrid[0:h, 0:w]
+        u = (np.cos(TEXTURE_ANGLE) * xx + np.sin(TEXTURE_ANGLE) * yy) / max(h, w)
+        img = img + TEXTURE_AMP * np.sin(2 * np.pi * ap.texture_freq * u)[..., None]
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+def generate_scene(params: ShiftParams, seed: int, h: int, w: int,
+                   classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One styled scene, its image and label map, rendered and styled alone."""
+    rng = substream(seed, "scene")
+    label = np.zeros((h, w), dtype=np.uint8)
+    yy, xx = np.ogrid[0:h, 0:w]
+    m = min(h, w)
+    for cls, prior in enumerate(params.layout, start=1):
+        present = rng.random() < prior.prob
+        offset = _cov_factor(prior.cov) @ rng.standard_normal(2)
+        size_u = rng.uniform(*prior.size_range)
+        second_u = rng.uniform(*prior.size_range)
+        upright = rng.random() < 0.5
+        if not present:
+            continue
+        cx = (prior.mean[0] + offset[0]) * w
+        cy = (prior.mean[1] + offset[1]) * h
+        kind = (cls - 1) % 3
+        if kind == 0:
+            mask = (np.abs(yy - cy) <= size_u * m) & (np.abs(xx - cx) <= second_u * m)
+        elif kind == 1:
+            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= (size_u * m) ** 2
+        else:
+            half_len, half_thick = 1.6 * size_u * m, 0.35 * size_u * m
+            if upright:
+                mask = (np.abs(yy - cy) <= half_len) & (np.abs(xx - cx) <= half_thick)
+            else:
+                mask = (np.abs(yy - cy) <= half_thick) & (np.abs(xx - cx) <= half_len)
+        label[mask] = cls
+    jitter = rng.normal(0.0, 0.04, size=(classes, 3))
+    colors = np.clip(PALETTE[:classes] + jitter, 0.0, 1.0)
+    image = colors[label].astype(np.float64)
+    image += rng.normal(0.0, PIXEL_NOISE, size=(h, w, 3))
+    image = np.clip(image, 0.0, 1.0).astype(np.float32)
+    return scipy_style(image, params.appearance), label
+
+
+def per_scene_dataset(source: ShiftParams, target: ShiftParams, n_source: int, n_target: int,
+                      seed: int, h: int, w: int, classes: int) -> dict[str, np.ndarray]:
+    """The four arrays of ``generate_dataset``, one scene at a time."""
+    arrays = {}
+    for domain, params, n in (("source", source, n_source), ("target", target, n_target)):
+        scenes = [generate_scene(params, derive_seed(seed, "data", domain, i), h, w, classes)
+                  for i in range(n)]
+        arrays[f"{domain}/images"] = np.stack([image for image, _ in scenes])
+        arrays[f"{domain}/labels"] = np.stack([label for _, label in scenes])
+    return arrays
 
 
 # ---------------------------------------------------------------------------

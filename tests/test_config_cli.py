@@ -21,7 +21,7 @@ import pytest
 from segan import cli, datagen, sgt
 from segan.bounds import BoundsConfig, measure_discriminator
 from segan.config import ConfigError, RunConfig, load_config, parse_config
-from segan.datagen import benchmark_shifts
+from segan.datagen import ClassPrior, benchmark_shifts
 from segan.networks import predict_segmentation
 from segan.trainer import load_bundle, pretrain_phi, run_ablation, train_tgstn
 from segan.utils import derive_seed
@@ -68,6 +68,8 @@ def test_config_dict_round_trip():
                 "n_source": 12,
                 "height": 32,
                 "width": 32,
+                "classes": 2,
+                "source": {"layout": [{"prob": 0.9}]},
                 "target": {
                     "appearance": {"brightness": 0.2, "blur": 0.5},
                     "layout": [
@@ -137,6 +139,12 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"networks": {"segnet_widths": [8.5, 16, 16]}}, "networks.segnet_widths", "integers"),
         ({"bounds": {"power_iters": 0}}, "bounds.power_iters", ">= 1"),
         ({"train": {"checkpoint_interval": -5}}, "train.checkpoint_interval", ">= 0"),
+        ({"dataset": {"classes": 9}}, "dataset.classes", "at most 8 classes"),
+        ({"dataset": {"classes": 3}}, "dataset.source.layout", "need 2 class priors, got 3"),
+        ({"dataset": {"classes": 3, "source": {"layout": [{}, {}]}}}, "dataset.target.layout",
+         "need 2 class priors, got 3"),
+        ({"dataset": {"source": {"layout": [{"cov": [[1.0, 2.0], [2.0, 1.0]]}, {}, {}]}}},
+         "dataset.source.layout[0]", "positive semi-definite"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -165,8 +173,8 @@ def test_dataset_domain_defaults_are_the_stock_benchmark():
     assert cfg.dataset.target.layout == tgt.layout
     prior = {"prob": 1.0, "mean": [0.5, 0.5], "cov": [[0.01, 0.0], [0.0, 0.01]],
              "size_range": [0.1, 0.2]}
-    cfg = parse_config({"dataset": {"target": {"layout": [prior]}}})
-    assert len(cfg.dataset.target.layout) == 1
+    cfg = parse_config({"dataset": {"target": {"layout": [prior] * 3}}})
+    assert cfg.dataset.target.layout == (ClassPrior(**prior),) * 3 != tgt.layout
     assert cfg.dataset.source == src
 
 
@@ -274,9 +282,28 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "dataset.classes" in capsys.readouterr().err
 
+    assert not (tmp_path / "o").exists()
+
     notjson = tmp_path / "broken.json"
     notjson.write_text("{oops")
     assert cli.main(["gen-data", "--config", str(notjson), "--out", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize(
+    "dataset, path",
+    [({"classes": 9}, "dataset.classes"), ({"classes": 3}, "dataset.source.layout"),
+     ({"target": {"layout": [{}, {}, {"cov": [[1.0, 2.0], [2.0, 1.0]]}]}},
+      "dataset.target.layout[2]")],
+    ids=["palette", "layout", "covariance"],
+)
+def test_gen_data_datasets_it_cannot_render_exit_2(tmp_path, capsys, dataset, path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": dataset}))
+    out = tmp_path / "o"
+    assert cli.main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_dataset_exits_4(workdir, tmp_path, capsys):
@@ -414,6 +441,7 @@ def test_styled_modes_demand_a_style_source(workdir, tmp_path, capsys):
     )
     assert code == 2
     assert "--tgstn" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_oracle_style_mode_runs(workdir, tmp_path):
@@ -509,6 +537,7 @@ def test_eval_report_and_mst_flag(workdir, trained, tmp_path):
         ["eval", "--data", workdir["data"], "--checkpoint", str(trained / "checkpoint.sgt"),
          "--mst", "0,1", "--out", str(tmp_path / "bad")]
     ) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_eval_rejects_class_mismatched_checkpoint(workdir, trained, tmp_path, capsys):

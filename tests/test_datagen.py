@@ -8,19 +8,22 @@ expected number of lattice points inside a region placed at a random
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from segan import sgt
 from segan.datagen import (
+    STYLE_SLICE,
     AppearanceParams,
     ClassPrior,
     DomainDataset,
-    Scene,
     ShiftParams,
+    _blur_axis,
+    _blur_weights,
     apply_domain_style,
     appearance_gap,
+    benchmark_shifts,
     class_frequencies,
     generate_dataset,
-    generate_scene,
     layout_gap,
     load_dataset,
     relative_appearance,
@@ -28,6 +31,8 @@ from segan.datagen import (
     shift_severity,
 )
 from segan.utils import record_from_dict, record_to_dict
+
+from references import per_scene_dataset, scipy_style
 
 
 def _single_class(prob=1.0, size_range=(0.1, 0.2)):
@@ -37,32 +42,36 @@ def _single_class(prob=1.0, size_range=(0.1, 0.2)):
     return ShiftParams(layout=(prior,))
 
 
+def _scenes(params, n, h, w, classes, seed=0):
+    """Images and labels of ``n`` scenes of one domain."""
+    ds = generate_dataset(params, params, n, 1, seed=seed, h=h, w=w, classes=classes)
+    return ds.source_images(), ds.source_labels()
+
+
 # ---------------------------------------------------------------------------
 # determinism and structure
 
 
 def test_scene_generation_is_deterministic():
     params = _single_class()
-    a = generate_scene(params, seed=3, h=64, w=64, classes=2)
-    b = generate_scene(params, seed=3, h=64, w=64, classes=2)
-    assert np.array_equal(a.image, b.image)
-    assert np.array_equal(a.label, b.label)
-    c = generate_scene(params, seed=4, h=64, w=64, classes=2)
-    assert not np.array_equal(a.label, c.label) or not np.array_equal(a.image, c.image)
+    a_img, a_lab = _scenes(params, 2, 64, 64, 2, seed=3)
+    b_img, b_lab = _scenes(params, 2, 64, 64, 2, seed=3)
+    assert np.array_equal(a_img, b_img)
+    assert np.array_equal(a_lab, b_lab)
+    c_img, c_lab = _scenes(params, 2, 64, 64, 2, seed=4)
+    assert not np.array_equal(a_lab, c_lab) or not np.array_equal(a_img, c_img)
 
 
 def test_scene_value_ranges_and_dtypes():
-    sc = generate_scene(_single_class(), seed=0, h=32, w=48, classes=2)
-    assert sc.image.shape == (32, 48, 3) and sc.image.dtype == np.float32
-    assert sc.label.shape == (32, 48) and sc.label.dtype == np.uint8
-    assert sc.image.min() >= 0.0 and sc.image.max() <= 1.0
+    images, labels = _scenes(_single_class(), 1, 32, 48, 2)
+    assert images.shape == (1, 32, 48, 3) and images.dtype == np.float32
+    assert labels.shape == (1, 32, 48) and labels.dtype == np.uint8
+    assert images.min() >= 0.0 and images.max() <= 1.0
 
 
 def test_zero_occurrence_probability_leaves_background_only():
-    params = _single_class(prob=0.0)
-    for seed in range(20):
-        sc = generate_scene(params, seed=seed, h=32, w=32, classes=2)
-        assert (sc.label == 0).all()
+    _, labels = _scenes(_single_class(prob=0.0), 20, 32, 32, 2)
+    assert (labels == 0).all()
 
 
 def test_appearance_changes_pixels_but_never_labels():
@@ -72,11 +81,11 @@ def test_appearance_changes_pixels_but_never_labels():
         appearance=AppearanceParams(palette_rotation=0.8, brightness=0.1, blur=0.7),
         layout=layout,
     )
-    for seed in (1, 2, 3):
-        a = generate_scene(plain, seed=seed, h=32, w=32, classes=2)
-        b = generate_scene(styled, seed=seed, h=32, w=32, classes=2)
-        assert np.array_equal(a.label, b.label)
-        assert not np.array_equal(a.image, b.image)
+    a_img, a_lab = _scenes(plain, 3, 32, 32, 2, seed=1)
+    b_img, b_lab = _scenes(styled, 3, 32, 32, 2, seed=1)
+    assert np.array_equal(a_lab, b_lab)
+    for a, b in zip(a_img, b_img):
+        assert not np.array_equal(a, b)
 
 
 def test_styling_a_raw_scene_reproduces_the_styled_scene():
@@ -84,19 +93,22 @@ def test_styling_a_raw_scene_reproduces_the_styled_scene():
     # raw base image, so restyling it must land exactly on the target scene
     layout = _single_class().layout
     tgt_ap = AppearanceParams(palette_rotation=0.5, brightness=0.15, blur=0.9, texture_freq=3.0)
-    raw = generate_scene(ShiftParams(layout=layout), seed=9, h=32, w=32, classes=2)
-    styled = generate_scene(ShiftParams(appearance=tgt_ap, layout=layout), seed=9, h=32, w=32, classes=2)
-    assert np.array_equal(apply_domain_style(raw.image, tgt_ap), styled.image)
+    raw, _ = _scenes(ShiftParams(layout=layout), 3, 32, 32, 2, seed=9)
+    styled, _ = _scenes(ShiftParams(appearance=tgt_ap, layout=layout), 3, 32, 32, 2, seed=9)
+    assert np.array_equal(apply_domain_style(raw, tgt_ap), styled)
+    assert np.array_equal(apply_domain_style(raw[1], tgt_ap), styled[1])
 
 
 def test_scene_argument_validation():
     params = _single_class()
     with pytest.raises(ValueError, match="classes"):
-        generate_scene(params, seed=0, h=32, w=32, classes=1)
-    with pytest.raises(ValueError, match="priors"):
-        generate_scene(params, seed=0, h=32, w=32, classes=4)
+        generate_dataset(params, params, 1, 1, seed=0, h=32, w=32, classes=1)
+    with pytest.raises(ValueError, match="palette"):
+        generate_dataset(params, params, 1, 1, seed=0, h=32, w=32, classes=9)
+    with pytest.raises(ValueError, match="source layout must define 3 class priors"):
+        generate_dataset(params, params, 1, 1, seed=0, h=32, w=32, classes=4)
     with pytest.raises(ValueError, match="too small"):
-        generate_scene(params, seed=0, h=4, w=64, classes=2)
+        generate_dataset(params, params, 1, 1, seed=0, h=4, w=64, classes=2)
 
 
 def test_prior_validation():
@@ -105,10 +117,7 @@ def test_prior_validation():
     with pytest.raises(ValueError, match="size_range"):
         ClassPrior(size_range=(0.2, 0.1))
     with pytest.raises(ValueError, match="positive semi-definite"):
-        generate_scene(
-            ShiftParams(layout=(ClassPrior(cov=((1.0, 2.0), (2.0, 1.0))),)),
-            seed=0, h=32, w=32, classes=2,
-        )
+        _scenes(ShiftParams(layout=(ClassPrior(cov=((1.0, 2.0), (2.0, 1.0))),)), 1, 32, 32, 2)
     with pytest.raises(ValueError, match="blur"):
         AppearanceParams(blur=-1.0)
 
@@ -121,13 +130,7 @@ def test_rectangle_occupancy_matches_expected_area():
     # class 1 draws a rectangle with independent U(0.1,0.2)*64 half-sizes;
     # expected pixel count is (2*64*0.15)^2 by translation averaging
     params = _single_class(size_range=(0.1, 0.2))
-    counts = np.array(
-        [
-            (generate_scene(params, seed=i, h=64, w=64, classes=2).label == 1).sum()
-            for i in range(600)
-        ],
-        dtype=np.float64,
-    )
+    counts = (_scenes(params, 600, 64, 64, 2)[1] == 1).sum(axis=(1, 2)).astype(np.float64)
     want = (2 * 64 * 0.15) ** 2
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - want) < 4 * se
@@ -140,13 +143,7 @@ def test_disk_occupancy_matches_expected_area():
         prob=1.0, mean=(0.5, 0.5), cov=((0.005, 0.0), (0.0, 0.005)), size_range=(0.1, 0.2)
     )
     params = ShiftParams(layout=(bg, disk))
-    counts = np.array(
-        [
-            (generate_scene(params, seed=i, h=64, w=64, classes=3).label == 2).sum()
-            for i in range(600)
-        ],
-        dtype=np.float64,
-    )
+    counts = (_scenes(params, 600, 64, 64, 3)[1] == 2).sum(axis=(1, 2)).astype(np.float64)
     want = np.pi * (0.1**2 + 0.1 * 0.2 + 0.2**2) / 3 * 64**2
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - want) < 4 * se
@@ -155,11 +152,7 @@ def test_disk_occupancy_matches_expected_area():
 def test_occurrence_rate_matches_binomial():
     params = _single_class(prob=0.7)
     n = 1500
-    present = sum(
-        1
-        for i in range(n)
-        if (generate_scene(params, seed=i, h=32, w=32, classes=2).label == 1).any()
-    )
+    present = int((_scenes(params, n, 32, 32, 2)[1] == 1).any(axis=(1, 2)).sum())
     sigma = np.sqrt(0.7 * 0.3 / n)
     assert abs(present / n - 0.7) < 3 * sigma
 
@@ -211,6 +204,55 @@ def test_texture_adds_bounded_stripes():
     out = apply_domain_style(img, AppearanceParams(texture_freq=4.0))
     assert not np.array_equal(out, img)
     assert float(np.abs(out.astype(np.float64) - 0.5).max()) <= 0.15
+
+
+@pytest.mark.parametrize(
+    "shape, sigma",
+    [(shape, sigma) for shape in ((64, 64, 3), (8, 12, 3), (9, 33, 3))
+     for sigma in (0.1, 0.3, 0.5, 0.7, 0.9, 1.3, 3.0)] + [((8, 8, 3), 3.0)],
+)
+def test_numpy_blur_equals_scipy_gaussian_filter(shape, sigma):
+    # sigma 0.1 has radius 0; sigma 3 on 8x8 has radius 9, past the side
+    img = np.random.default_rng(3).random(shape)
+    want = gaussian_filter(img, sigma=(sigma, sigma, 0), mode="reflect", truncate=3.0)
+    weights = _blur_weights(sigma)
+    got = _blur_axis(_blur_axis(img[None], weights, 1), weights, 2)[0]
+    assert got.tobytes() == want.tobytes()
+    ap = AppearanceParams(blur=sigma)
+    assert apply_domain_style(img, ap).tobytes() == scipy_style(img, ap).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, STYLE_SLICE, STYLE_SLICE + 1, 200])
+def test_stack_styling_equals_per_image_calls(n):
+    rng = np.random.default_rng(n)
+    stack = rng.random((n, 64, 64, 3)).astype(np.float32)
+    ap = benchmark_shifts()[1].appearance
+    out = apply_domain_style(stack, ap)
+    assert out.shape == stack.shape and out.dtype == np.float32
+    each = np.stack([apply_domain_style(im, ap) for im in stack])
+    assert out.tobytes() == each.tobytes()
+    assert out[-1].tobytes() == scipy_style(stack[-1], ap).tobytes()
+
+
+@pytest.mark.parametrize(
+    "appearance, n, side",
+    [
+        (None, 200, 64),  # the stock shifts
+        (AppearanceParams(palette_rotation=0.3, brightness=-0.1, blur=0.5), 12, 32),
+        (AppearanceParams(palette_rotation=0.8, blur=1.3, texture_freq=2.0), 12, 32),
+        (AppearanceParams(palette_rotation=0.8, brightness=0.1, texture_freq=4.0), 12, 32),
+        (AppearanceParams(texture_freq=3.0), 12, 32),
+    ],
+    ids=["stock", "blur-0.5", "blur-1.3", "no-blur", "texture-only"],
+)
+def test_dataset_equals_the_per_scene_generator(appearance, n, side):
+    source, target = benchmark_shifts()
+    if appearance is not None:
+        target = ShiftParams(appearance=appearance, layout=target.layout)
+    ds = generate_dataset(source, target, n, n, seed=5, h=side, w=side, classes=4)
+    want = per_scene_dataset(source, target, n, n, seed=5, h=side, w=side, classes=4)
+    for name, arr in want.items():
+        assert ds.arrays[name].tobytes() == arr.tobytes(), name
 
 
 def test_relative_appearance_from_identity_is_target():

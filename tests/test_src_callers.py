@@ -2,9 +2,13 @@
 class in ``src/segan`` is referenced in ``src/`` outside its own definition,
 and every defaulted parameter of a module-level function is passed by some
 call in ``src/`` or ``perfbench/``. Oracles that only the tests call live in
-``references.py``."""
+``references.py``. The program starts on numpy alone: importing the CLI
+loads no scipy module, so a function that needs scipy imports it itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +75,12 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     unpassed = sorted(f"{fn}({p})" for fn, ps in defaulted.items() for p in ps
                       if (fn, p) not in passed | TEST_ONLY)
     assert unpassed == []
+
+
+def test_the_cli_imports_no_scipy():
+    code = ("import sys, segan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
