@@ -215,6 +215,14 @@ def segnet_body(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> int:
     return h
 
 
+def segnet_head(g: Graph, pn: dict[str, int], features: int) -> int:
+    """The 1x1 head and the softmax on the body output: the node of the
+    class probabilities at body resolution."""
+    logits = g.conv2d(features, pn["head/w"], bias=pn["head/b"], stride=1, pad=0,
+                      name="seg.head")
+    return g.softmax(logits, name="seg.softmax")
+
+
 def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> dict[str, int]:
     """Returns node ids for "probs" (softmax class map at input resolution)
     and "features" (body output). Inputs in [0,1] are centered to [-1,1]
@@ -231,9 +239,7 @@ def segnet_forward(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> di
     with identical argmax labels; float64 agrees to rtol 1e-12.
     """
     features = segnet_body(g, spec, pn, x)
-    logits = g.conv2d(features, pn["head/w"], bias=pn["head/b"], stride=1, pad=0,
-                      name="seg.head")
-    probs = g.softmax(logits, name="seg.softmax")
+    probs = segnet_head(g, pn, features)
     if spec.downsample:
         probs = g.upsample_nearest(probs, spec.scale, name="seg.up")
     return {"probs": probs, "features": features}
@@ -312,56 +318,159 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
             pn = add_param_inputs(g, prefix, net)
             graphs[m] = (g, x, pn, build(g, net.spec, pn, x))
         g, x, pn, node = graphs[m]
-        yield start, forward(g, {x: chunk, **param_feeds(pn, net)})[node]
+        out = forward(g, {x: chunk, **param_feeds(pn, net)})[node]
+        del chunk  # a resized slice is not held while the generator waits
+        yield start, out
 
 
-def infer_stack(net: NetParams, prefix: str, build, images: np.ndarray,
-                labels: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def infer_stack(net: NetParams, prefix: str, build, images: np.ndarray) -> np.ndarray:
     """The outputs of :func:`infer_in_slices` over an (h,w,c) image or an
-    (n,h,w,c) stack, written into one preallocated array. With ``labels``
-    each slice's last-axis argmax goes into a uint8 array while the slice is
-    still in cache (else labels is None)."""
+    (n,h,w,c) stack, written into one preallocated array."""
     batch, squeeze = _as_batch(images)
-    out = lab = None
+    out = None
     for start, res in infer_in_slices(net, prefix, build, batch):
         if out is None:
             out = np.empty((len(batch),) + res.shape[1:], dtype=res.dtype)
-            lab = np.empty(out.shape[:-1], dtype=np.uint8) if labels else None
         out[start:start + len(res)] = res
-        if labels:
-            lab[start:start + len(res)] = res.argmax(axis=-1)
-    if squeeze:
-        return out[0], lab[0] if labels else None
-    return out, lab
+    return out[0] if squeeze else out
 
 
 def _segnet_probs(g: Graph, spec: SegNetSpec, pn: dict[str, int], x: int) -> int:
+    """The inference graph: the segmenter up to its body-resolution softmax."""
     spec.check_size(*g.shape(x)[1:3])
-    return segnet_forward(g, spec, pn, x)["probs"]
-
-
-def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities (n,h,w,classes) and argmax labels (n,h,w).
-
-    The stack runs through :func:`infer_in_slices`, ``INFER_PIXELS`` input
-    pixels per slice (8 images at 64x64), so memory is bounded by the slice,
-    not the stack. A stack of at most one slice runs the whole-batch graph.
-    Otherwise only float rounding can move, because a BLAS matmul's per-row
-    result may depend on the row count (here the 1x1 head's). The named
-    tolerance against the whole-batch graph is 16 ulp per float32
-    probability, with identical argmax labels; on 200 stock images the
-    largest move seen was 14 ulp (2.4e-7).
-    """
-    return infer_stack(net, "seg", _segnet_probs, images, labels=True)
+    return segnet_head(g, pn, segnet_body(g, spec, pn, x))
 
 
 def label_slices(net: NetParams, images: np.ndarray):
     """Yield ``(start, labels)`` for each inference slice of an (n,h,w,c)
     stack: the uint8 argmax of :func:`predict_segmentation`'s probabilities
-    for those images, without holding the probability stack."""
+    for those images.
+
+    The argmax is taken at body resolution and the labels are upsampled.
+    Nearest upsampling copies each probability unchanged, so this is exact,
+    ties included, and no full-resolution probabilities are made.
+    """
     batch, _ = _as_batch(images)
     for start, probs in infer_in_slices(net, "seg", _segnet_probs, batch):
-        yield start, probs.argmax(axis=-1).astype(np.uint8)
+        labels = probs.argmax(axis=-1).astype(np.uint8)
+        yield start, kernels.upsample_nearest(labels[..., None], net.spec.scale)[..., 0]
+
+
+def _scale_stream(net: NetParams, batch: np.ndarray, s: float):
+    """The inference slices of ``batch`` resized by ``s``, each side
+    rounded to the segmenter's stride multiple: :func:`infer_in_slices`
+    over them with their body-resolution probabilities, and the nearest
+    indices ``(iy, ix)`` that take such a map straight to the batch's
+    (h, w). The indices compose the stride's upsampling with the resize
+    back, so gathering through them copies the same values those two
+    steps would."""
+    spec: SegNetSpec = net.spec
+    _, h, w, _ = batch.shape
+    th = max(spec.scale, int(round(h * s / spec.scale)) * spec.scale)
+    tw = max(spec.scale, int(round(w * s / spec.scale)) * spec.scale)
+    iy = (np.arange(h) * th) // h // spec.scale
+    ix = (np.arange(w) * tw) // w // spec.scale
+    return infer_in_slices(net, "seg", _segnet_probs, batch, (th, tw)), (iy[:, None], ix)
+
+
+def multi_scale_slices(net: NetParams, images: np.ndarray, scales: list[float]):
+    """Yield ``(start, probs, labels)`` over an (n,h,w,c) stack, in order:
+    the softmax maps averaged over resized copies of those images, and
+    their uint8 argmax.
+
+    Each scale runs :func:`infer_in_slices` at its scaled size, in the
+    slices :func:`predict_segmentation` would run on the resized stack
+    (14 images at 48x48, 8 at 64x64, 5 at 80x80); the scale that has
+    covered the fewest images runs its next slice. Only body-resolution
+    probabilities are held. Once every scale has covered an image, it is
+    averaged at (h, w) in runs of at most ``INFER_PIXELS`` pixels: the
+    scales' maps are gathered and summed in scale order, then divided. The
+    result is bit-identical to averaging whole resized stacks.
+    """
+    if not scales or any(s <= 0 for s in scales):
+        raise ValueError(f"scales must be positive and non-empty, got {scales}")
+    batch, _ = _as_batch(images)
+    n, h, w, _ = batch.shape
+    streams, gathers = zip(*(_scale_stream(net, batch, s) for s in scales))
+    held = [[] for _ in scales]  # (start, probs) of each scale's slices still needed
+    covered = [0] * len(scales)  # images each scale has run
+    live = set(range(len(scales)))  # scales with slices left
+    run = max(1, INFER_PIXELS // (h * w))
+
+    def average(a, b):
+        # summing from +0 keeps the first scale's values exactly, since
+        # probabilities are >= +0
+        c, dtype = held[0][0][1].shape[-1], held[0][0][1].dtype
+        total = np.zeros((b - a, h, w, c), dtype=dtype)
+        for (iy, ix), parts in zip(gathers, held):  # in scale order
+            for lo, probs in parts:
+                i, j = max(a, lo), min(b, lo + len(probs))
+                if i < j:
+                    total[i - a:j - a] += probs[i - lo:j - lo][:, iy, ix]
+        total /= np.float32(len(scales))
+        return total, total.argmax(axis=-1).astype(np.uint8)
+
+    done = 0
+    while live:
+        k = min(live, key=covered.__getitem__)
+        res = next(streams[k], None)
+        if res is None:
+            live.discard(k)
+            continue
+        held[k].append(res)
+        covered[k] = res[0] + len(res[1])
+        while done < min(covered):
+            end = min(min(covered), done + run)
+            yield done, *average(done, end)
+            done = end
+            held = [[(lo, p) for lo, p in parts if lo + len(p) > done] for parts in held]
+    if n == 0:  # the empty slices give the outputs a shape
+        yield 0, *average(0, 0)
+
+
+def multi_scale_predict(
+    net: NetParams, images: np.ndarray, scales: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax maps averaged over resized copies of an (h,w,c) image or an
+    (n,h,w,c) stack, and their argmax labels: :func:`multi_scale_slices`
+    collected into two preallocated arrays.
+
+    Each scaled size is rounded to the segmenter's stride multiple; with
+    ``scales=[1.0]`` this is exactly :func:`predict_segmentation`.
+    """
+    batch, squeeze = _as_batch(images)
+    probs = labels = None
+    for start, part, part_labels in multi_scale_slices(net, batch, scales):
+        if probs is None:
+            probs = np.empty((len(batch),) + part.shape[1:], dtype=part.dtype)
+            labels = np.empty(probs.shape[:-1], dtype=np.uint8)
+        probs[start:start + len(part)] = part
+        labels[start:start + len(part)] = part_labels
+    if squeeze:
+        return probs[0], labels[0]
+    return probs, labels
+
+
+def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities (n,h,w,classes) and argmax labels (n,h,w):
+    :func:`multi_scale_predict` at the one scale 1.0, after checking that
+    the segmenter's stride divides (h, w), so that no image is resized.
+
+    The stack runs through :func:`infer_in_slices`, ``INFER_PIXELS`` input
+    pixels per slice (8 images at 64x64), so memory is bounded by the slice,
+    not the stack. Each slice's graph stops at the body-resolution softmax,
+    and its probabilities are upsampled outside the graph, which copies the
+    values the graph's own upsampling would. So a stack of at most one
+    slice gives the whole-batch graph's output bit for bit. Otherwise only
+    float rounding can move, because a BLAS matmul's per-row result may
+    depend on the row count (here the 1x1 head's). The named tolerance
+    against the whole-batch graph is 16 ulp per float32 probability, with
+    identical argmax labels; on 200 stock images the largest move seen was
+    14 ulp (2.4e-7).
+    """
+    batch, _ = _as_batch(images)
+    net.spec.check_size(*batch.shape[1:3])
+    return multi_scale_predict(net, images, [1.0])
 
 
 def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -370,49 +479,6 @@ def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     iy = (np.arange(out_h) * h) // out_h
     ix = (np.arange(out_w) * w) // out_w
     return arr[..., iy[:, None], ix, :]
-
-
-def multi_scale_predict(
-    net: NetParams, images: np.ndarray, scales: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average softmax maps over resized copies of the input.
-
-    Each scaled size is rounded to the segmenter's stride multiple; with
-    ``scales=[1.0]`` this is exactly :func:`predict_segmentation`.
-
-    Each scale runs :func:`infer_in_slices` at the scaled size, so every
-    graph sees the slices :func:`predict_segmentation` would run on the
-    resized stack. Each slice's probabilities are resized back and added
-    into one float32 sum in scale order; the last scale divides its slices
-    and takes their argmax. Beyond the outputs only one slice is held, and
-    the result is bit-identical to averaging whole resized stacks.
-    """
-    if not scales or any(s <= 0 for s in scales):
-        raise ValueError(f"scales must be positive and non-empty, got {scales}")
-    batch, squeeze = _as_batch(images)
-    spec: SegNetSpec = net.spec
-    n, h, w, _ = batch.shape
-    total = labels = None
-    for k, s in enumerate(scales):
-        th = max(spec.scale, int(round(h * s / spec.scale)) * spec.scale)
-        tw = max(spec.scale, int(round(w * s / spec.scale)) * spec.scale)
-        for start, probs in infer_in_slices(net, "seg", _segnet_probs, batch, (th, tw)):
-            if (th, tw) != (h, w):
-                probs = resize_nearest(probs, h, w)
-            if total is None:
-                total = np.empty((n,) + probs.shape[1:], dtype=np.float32)
-                labels = np.empty(total.shape[:-1], dtype=np.uint8)
-            part = total[start:start + len(probs)]
-            if k == 0:
-                part[...] = probs
-            else:
-                part += probs
-            if k == len(scales) - 1:
-                part /= np.float32(len(scales))
-                labels[start:start + len(probs)] = part.argmax(axis=-1)
-    if squeeze:
-        return total[0], labels[0]
-    return total, labels
 
 
 # ---------------------------------------------------------------------------

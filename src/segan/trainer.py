@@ -59,7 +59,8 @@ from .networks import (
     disc_forward,
     infer_stack,
     label_slices,
-    multi_scale_predict,
+    multi_scale_predict,  # unused here; perfbench/tracing.py wraps trainer.multi_scale_predict
+    multi_scale_slices,
     param_feeds,
     predict_segmentation,  # unused here; perfbench/tracing.py wraps trainer.predict_segmentation
     segnet_body,
@@ -291,19 +292,21 @@ def _build_segan_graph(cfg: TrainConfig, ds: DomainDataset, student: NetParams,
 def evaluate_student(
     net: NetParams, ds: DomainDataset, count: int, scales: tuple[float, ...] | None = None
 ) -> MetricReport:
-    """mIoU of the network on the first ``count`` held-out target scenes.
+    """mIoU of the network on the first ``count`` held-out target scenes,
+    at ``scales`` when given (multi-scale testing).
 
-    Without ``scales`` the confusion matrix is summed one inference slice at
-    a time, so no probability stack is held; integer counts make the sum
-    exact."""
+    The confusion matrix is summed one inference slice at a time, or one
+    averaged run of :func:`~segan.networks.multi_scale_slices`, so no
+    probability stack is held; integer counts make the sum exact."""
     count = min(count, ds.n_target) if count > 0 else ds.n_target
     images = ds.target_images()[:count]
     labels = ds.eval_target_labels()[:count]
-    if scales is not None:
-        _, pred = multi_scale_predict(net, images, list(scales))
-        return iou_report(confusion_matrix(pred, labels, ds.classes))
+    if scales is None:
+        slices = label_slices(net, images)
+    else:
+        slices = ((start, pred) for start, _, pred in multi_scale_slices(net, images, list(scales)))
     return iou_report(sum(confusion_matrix(pred, labels[start:start + len(pred)], ds.classes)
-                          for start, pred in label_slices(net, images)))
+                          for start, pred in slices))
 
 
 @dataclass
@@ -525,9 +528,10 @@ def check_tgstn_batches(cfg: TGSTNConfig, ds: DomainDataset) -> None:
     """Reject a source batch larger than the dataset: each step needs a full
     batch of distinct scenes."""
     if ds.n_source < cfg.batch_source:
-        raise ValueError(
-            f"tgstn batch_source is {cfg.batch_source} but the dataset has only "
-            f"n_source={ds.n_source} source scenes; each step needs a full batch"
+        raise ConfigError(
+            "tgstn.batch_source",
+            f"batch_source is {cfg.batch_source} but the dataset has only "
+            f"n_source={ds.n_source} source scenes; each step needs a full batch",
         )
 
 
@@ -625,7 +629,7 @@ def apply_style_generator(gen: NetParams, images: np.ndarray) -> np.ndarray:
     one whole-batch graph; on the stock generator the output is
     bit-identical, and the tests hold it to that.
     """
-    return infer_stack(gen, "gen", stylegen_forward, images)[0]
+    return infer_stack(gen, "gen", stylegen_forward, images)
 
 
 def oracle_style_fn(ds: DomainDataset):

@@ -759,6 +759,7 @@ def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys,
     )
     assert code == 2
     err = capsys.readouterr().err
+    assert err.startswith("config error: tgstn.batch_source: ")
     assert "batch_source is 7" in err and "n_source=6" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()

@@ -2,8 +2,9 @@
 
 Forward passes are checked against scipy.signal.correlate2d; backward
 passes against the adjoint identity <g, conv(x)> == <conv^T(g), x>,
-which holds exactly for linear maps. The space-to-depth path is checked
-against the tap loop, which stays the reference for every conv shape.
+which holds exactly for linear maps. The space-to-depth and GEMM paths
+are checked against the tap loop, which stays the reference for every conv
+shape.
 """
 
 import numpy as np
@@ -273,3 +274,95 @@ def test_space_to_depth_regroups_phases():
     for b, i, j, py, px in [(0, 0, 0, 0, 0), (1, 1, 2, 1, 0), (0, 1, 1, 0, 1), (1, 0, 2, 1, 1)]:
         assert np.array_equal(q[b, i, j, py, px], a[b, 2 * i + py, 2 * j + px])
     assert np.array_equal(q.swapaxes(2, 3).reshape(a.shape), a)
+
+
+# ---------------------------------------------------------------------------
+# GEMM forward path against the tap loop
+
+# One GEMM sums kh·kw·c_in products per output where the tap loop adds kh·kw
+# GEMMs of c_in products, so float32 outputs differ in the last bits. The
+# tolerances are relative to the largest magnitude of the tap-loop result;
+# the largest float32 difference seen on the stock shapes below, over five
+# seeds, is 7.6e-7.
+GEMM_FLOAT32_RTOL = 2e-6
+GEMM_FLOAT64_RTOL = 1e-12
+
+_GEMM = ("_conv2d_forward_gemm",)
+
+# (c_in, c_out, stride) of the 3x3 pad-1 convs of the stock nets: the
+# segmenter's body (its 1x1 head keeps the tap loop) and the generator
+SEG_CONVS = [(3, 16, 2), (16, 32, 2), (32, 32, 1)]
+GEN_CONVS = [(3, 16, 1), (16, 16, 1), (16, 3, 1)]
+
+
+def _stock_convs():
+    """(net, batch, input side, c_in, c_out, stride) of every conv the stock
+    segmenter runs at batch 2 (training), 5, 8 and 14 (inference slices at
+    80, 64 and 48 pixels), and the stock generator at batch 2 and 8."""
+    cases = []
+    for n, side in ((2, 64), (5, 80), (8, 64), (14, 48)):
+        for c_in, c_out, stride in SEG_CONVS:
+            cases.append(("seg", n, side, c_in, c_out, stride))
+            side //= stride
+    for n in (2, 8):
+        cases += [("gen", n, 64, c_in, c_out, stride) for c_in, c_out, stride in GEN_CONVS]
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("net,n,side,c_in,c_out,stride", _stock_convs())
+def test_gemm_matches_tap_loop_and_scipy_on_stock_convs(monkeypatch, net, n, side, c_in, c_out,
+                                                        stride, dtype):
+    x, w, g = _operands(n, side, side, 3, c_in, c_out, stride, 1, dtype, seed=side + c_in)
+    want = _tap_loop(x, w, g, stride, 1)[0]
+    _forbid(monkeypatch, _TAP_LOOP + _S2D)
+    got = kernels.conv2d_forward(x, w, stride, 1)
+    assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+    rtol = GEMM_FLOAT32_RTOL if dtype == np.float32 else GEMM_FLOAT64_RTOL
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rtol * scale
+    oracle = _oracle_conv(x.astype(np.float64), w.astype(np.float64), stride, 1)
+    assert np.max(np.abs(got - oracle)) <= rtol * scale
+
+
+def test_gemm_blocks_stay_within_the_bound(monkeypatch):
+    sizes = []
+    matmul = np.matmul
+
+    def recorded(a, b, **kwargs):
+        sizes.append((a.shape, a.nbytes))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    for _, n, side, c_in, c_out, stride in _stock_convs():
+        x, w, _ = _operands(n, side, side, 3, c_in, c_out, stride, 1, np.float32)
+        kernels.conv2d_forward(x, w, stride, 1)
+    assert len(sizes) > len(_stock_convs())
+    assert max(nbytes for _, nbytes in sizes) <= kernels.GEMM_BLOCK_BYTES
+    # a row wider than the bound is one block by itself
+    sizes.clear()
+    x, w, _ = _operands(1, 3, 300, 3, 32, 32, 1, 1, np.float32)
+    out = kernels.conv2d_forward(x, w, 1, 1)
+    assert [shape for shape, _ in sizes] == [(300, 288)] * 3
+    np.testing.assert_allclose(out, _oracle_conv(x, w, 1, 1), rtol=0,
+                               atol=GEMM_FLOAT32_RTOL * np.max(np.abs(out)))
+
+
+@pytest.mark.parametrize(
+    "n,h,wd,kernel,c_in,c_out,stride,pad,path",
+    [
+        (2, 64, 64, 3, 3, 16, 2, 1, _GEMM),      # seg.conv0
+        (8, 16, 16, 3, 32, 32, 1, 1, _GEMM),     # seg.conv2
+        (2, 64, 64, 3, 16, 3, 1, 1, _GEMM),      # gen.out: 16 channels in
+        (2, 9, 9, 4, 16, 4, 2, 1, _GEMM),        # padded 11x11: no space-to-depth
+        (2, 16, 16, 1, 32, 4, 1, 0, _TAP_LOOP),  # seg.head: 1x1
+        (2, 16, 16, 3, 8, 15, 1, 1, _TAP_LOOP),  # fewer than 16 channels either side
+        (2, 16, 16, 4, 16, 32, 2, 1, _S2D),      # disc.conv2: space-to-depth first
+    ],
+)
+def test_forward_path_is_chosen_by_shape(monkeypatch, n, h, wd, kernel, c_in, c_out, stride,
+                                         pad, path):
+    x, w, _ = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
+    others = {_GEMM: _TAP_LOOP + _S2D, _TAP_LOOP: _GEMM + _S2D, _S2D: _GEMM + _TAP_LOOP}[path]
+    _forbid(monkeypatch, others)
+    kernels.conv2d_forward(x, w, stride, pad)

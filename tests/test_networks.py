@@ -22,6 +22,7 @@ from segan.networks import (
     build_segnet,
     build_style_generator,
     disc_forward,
+    label_slices,
     materialize,
     multi_scale_predict,
     param_feeds,
@@ -332,6 +333,44 @@ def test_prediction_memory_is_bounded_by_the_slice(stock_images):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (probs.nbytes + labels.nbytes)
+
+
+def _tied_net():
+    """The stock segmenter with classes 1 and 2 given one head filter, so
+    that their probabilities tie exactly at every pixel, and lifted so that
+    they are often the top two."""
+    net = build_segnet(SegNetSpec(), seed=4)
+    head_w, head_b = net.values["head/w"], net.values["head/b"]
+    head_w[..., 2] = head_w[..., 1]
+    head_b[1:3] = head_b[1] + 0.5
+    return net
+
+
+def test_one_slice_prediction_equals_the_training_graph_bit_for_bit():
+    # the inference graph stops at the body-resolution softmax; upsampling
+    # outside it copies the values the graph's own upsampling would
+    net = _tied_net()
+    images = np.random.default_rng(5).random((SLICE, 64, 64, 3)).astype(np.float32)
+    probs, labels = predict_segmentation(net, images)
+    ref = _whole_batch_probs(net, images)
+    assert probs.dtype == ref.dtype and probs.tobytes() == ref.tobytes()
+    assert np.array_equal(labels, ref.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, SLICE, SLICE + 3])
+def test_body_resolution_labels_equal_the_full_resolution_argmax(n):
+    net = _tied_net()
+    images = np.random.default_rng(6).random((n, 64, 64, 3)).astype(np.float32)
+    probs, _ = predict_segmentation(net, images)
+    starts, parts = zip(*label_slices(net, images))
+    assert starts == tuple(range(0, n, SLICE))
+    labels = np.concatenate(parts)
+    assert labels.dtype == np.uint8 and labels.shape == probs.shape[:-1]
+    assert np.array_equal(labels, probs.argmax(axis=-1))
+    # exact ties between the top two classes resolve to the lower index
+    tied = (probs[..., 1] == probs[..., 2]) & (probs[..., 1] == probs.max(axis=-1))
+    assert 0 < tied.mean() < 1
+    assert (labels[tied] == 1).all()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from segan.networks import (
     add_param_inputs,
     build_segnet,
     build_style_generator,
+    multi_scale_predict,
     param_feeds,
     predict_segmentation,
     stylegen_forward,
@@ -356,6 +357,18 @@ def test_sliced_evaluation_equals_whole_stack_confusion(stock_ds):
     assert report.iou.tobytes() == ref.iou.tobytes() and report.miou == ref.miou
     assert report.pixel_count == ref.pixel_count == 200 * 64 * 64
     # a whole probability stack peaked at 25.8 MiB
+    assert peak < 8 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("scales", [(0.75, 1.0, 1.25), (1.25, 0.5, 1.0)])
+def test_multi_scale_evaluation_equals_the_multi_scale_predict_report(stock_ds, scales):
+    net = build_segnet(SegNetSpec(), seed=4)
+    _, pred = multi_scale_predict(net, stock_ds.target_images(), list(scales))
+    ref = iou_report(confusion_matrix(pred, stock_ds.eval_target_labels(), stock_ds.classes))
+    report, peak = _traced_peak(lambda: evaluate_student(net, stock_ds, count=0, scales=scales))
+    assert report.iou.tobytes() == ref.iou.tobytes() and report.miou == ref.miou
+    assert report.pixel_count == ref.pixel_count == 200 * 64 * 64
+    # the averaged probability stack alone is 13.1 MB
     assert peak < 8 * 2**20, peak / 2**20
 
 
