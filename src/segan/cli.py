@@ -13,6 +13,14 @@ other file repeats these facts: a ``train`` directory holds
 ``train_log.csv``, ``checkpoint.sgt`` (whose metadata keeps the network
 specs, seed and iteration), ``report.json``, ``report.csv`` and the record.
 
+The text artifacts have one dialect per format, written by
+:func:`segan.sgt.write_csv` and :func:`segan.sgt.write_json`: CSV tables
+(the training logs, ``report.csv`` and the ``export-plots`` tables) are
+comma-separated with a line feed per row, and JSON records are indented by
+two spaces and end in a newline. ``train_log.csv`` holds both stages of a
+``train`` run, and its last column, ``stage``, names each row's stage
+(``adversarial`` or ``self_train``).
+
 Exit codes: 0 success, 2 configuration error, 3 numeric abort (a non-finite
 loss or parameter in ``train`` or ``train-tgstn``), 4 I/O error.
 """
@@ -92,8 +100,7 @@ def _write_record(out: Path, command: str, cfg: RunConfig, started: float, input
         "duration_sec": round(time.time() - started, 3),
         **result,
     }
-    with sgt.atomic_open(out / "run_manifest.json") as f:
-        f.write(json.dumps(record, indent=2) + "\n")
+    sgt.write_json(out / "run_manifest.json", record)
 
 
 def _check_size(ds, *specs) -> None:
@@ -187,7 +194,7 @@ def cmd_train(args) -> int:
                                        out_dir=out, networks=cfg.networks)
     log.to_csv(out / "train_log.csv")
     save_bundle(out / "checkpoint.sgt", bundle, seed=cfg.seed,
-                iteration=log.rows[-1].iteration)
+                iteration=log.rows[-1]["iter"])
     write_report(report, out)
     _write_record(
         out, "train", cfg, started,
@@ -256,8 +263,7 @@ def cmd_bounds(args) -> int:
         "statement": bound_report(spec, "statement").to_dict(),
         "proof_final_line": bound_report(spec, "proof-final-line").to_dict(),
     }
-    with sgt.atomic_open(out / "bounds.json") as f:
-        f.write(json.dumps(payload, indent=2) + "\n")
+    sgt.write_json(out / "bounds.json", payload)
     _write_record(
         out, "bounds", cfg, started,
         inputs={"checkpoint": str(args.checkpoint), "data": args.data},
@@ -323,26 +329,18 @@ def cmd_export_plots(args) -> int:
 
     labels = [f"{r['mode']}-s{r['seed']}" for r in runs]
     all_iters = sorted({i for r in runs for i in r["curve"]})
-    with sgt.atomic_open(out / "fig6_stability.csv", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iter"] + labels)
-        for it in all_iters:
-            w.writerow([it] + [r["curve"].get(it, "") for r in runs])
-
-    with sgt.atomic_open(out / "table3_ablation.csv", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["mode", "seed", "miou"])
-        for r in runs:
-            w.writerow([r["mode"], r["seed"], r["report"].miou])
+    sgt.write_csv(out / "fig6_stability.csv", ["iter"] + labels,
+                  ([it] + [r["curve"].get(it, "") for r in runs] for it in all_iters))
+    sgt.write_csv(out / "table3_ablation.csv", ["mode", "seed", "miou"],
+                  ([r["mode"], r["seed"], r["report"].miou] for r in runs))
 
     baselines = {r["seed"]: r for r in runs if r["mode"] == "noadapt"}
     adapted = [r for r in runs if r["seed"] in baselines and r is not baselines[r["seed"]]]
     gains = [transfer_gain(r["report"], baselines[r["seed"]]["report"]).gain for r in adapted]
-    with sgt.atomic_open(out / "fig7_gains.csv", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["class"] + [f"{r['mode']}-s{r['seed']}" for r in adapted])
-        for c in range(classes):
-            w.writerow([c] + ["" if np.isnan(g[c]) else float(g[c]) for g in gains])
+    sgt.write_csv(out / "fig7_gains.csv",
+                  ["class"] + [f"{r['mode']}-s{r['seed']}" for r in adapted],
+                  ([c] + ["" if np.isnan(g[c]) else float(g[c]) for g in gains]
+                   for c in range(classes)))
 
     _write_record(out, "export-plots", cfg, started,
                   inputs={"runs": [str(d) for d in args.runs]})
@@ -416,9 +414,8 @@ def main(argv=None) -> int:
     except NumericAbort as abort:
         payload = Path(args.out) / "numeric_abort.json"
         losses = {k: v if np.isfinite(v) else repr(v) for k, v in abort.losses.items()}
-        with sgt.atomic_open(payload) as f:
-            f.write(json.dumps({"iteration": abort.iteration, "losses": losses,
-                                "params": abort.params}, indent=2) + "\n")
+        sgt.write_json(payload, {"iteration": abort.iteration, "losses": losses,
+                                 "params": abort.params})
         print(f"{abort}; details in {payload}", file=sys.stderr)
         return EXIT_NUMERIC
     except ConfigError as exc:

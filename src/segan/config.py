@@ -81,6 +81,10 @@ class RunConfig:
     tgstn: TGSTNConfig = field(default_factory=TGSTNConfig)
     bounds: BoundsConfig = field(default_factory=BoundsConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:  # seeds key numpy's SeedSequence, which takes no negatives
+            raise ConfigError("seed", f"must be non-negative, got {self.seed}")
+
     def with_seed(self, seed: int | None) -> "RunConfig":
         """Root seed override (the --seed flag); None keeps the file's."""
         return self if seed is None else replace(self, seed=int(seed))

@@ -3,7 +3,6 @@ per-class transfer gains between runs, plus the ``report.json`` codec."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -90,14 +89,9 @@ def write_report(report: MetricReport, out_dir) -> None:
     """Write report.json and a per-class report.csv into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with sgt.atomic_open(out / "report.json") as f:
-        f.write(json.dumps(report.to_dict(), indent=2))
-    with sgt.atomic_open(out / "report.csv", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class", "iou"])
-        for c, v in enumerate(report.iou):
-            writer.writerow([c, "" if math.isnan(v) else f"{v:.6f}"])
-        writer.writerow(["miou", f"{report.miou:.6f}"])
+    sgt.write_json(out / "report.json", report.to_dict())
+    rows = [[c, "" if math.isnan(v) else f"{v:.6f}"] for c, v in enumerate(report.iou)]
+    sgt.write_csv(out / "report.csv", ["class", "iou"], rows + [["miou", f"{report.miou:.6f}"]])
 
 
 def _is_int(v) -> bool:

@@ -15,11 +15,15 @@ tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
 Every file the program writes (checkpoints, datasets, reports, logs and
 manifests) goes through :func:`atomic_open`: it is written to
 ``<name>.tmp`` beside the target and renamed over it, so the target is
-always either the previous file or the new one.
+always either the previous file or the new one. The text artifacts have one
+writer per format: every CSV table goes through :func:`write_csv` (comma
+separated, one line feed per row) and every JSON record through
+:func:`write_json` (two-space indent, final newline).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -116,6 +120,20 @@ def atomic_open(path, mode: str = "w", **kwargs):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a comma-separated table, one line feed per row. Cells are
+    written as the caller formatted them."""
+    with atomic_open(path, newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    with atomic_open(path) as f:
+        f.write(json.dumps(obj, indent=2) + "\n")
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:

@@ -398,15 +398,14 @@ def backward(
     dtype = acts[loss].dtype
     grads: dict[int, np.ndarray] = {loss: np.ones(acts[loss].shape, dtype=dtype)}
     for idx in range(loss, -1, -1):
-        if idx not in grads:
-            continue
         node = graph.nodes[idx]
-        if node.op == "input":
+        if idx not in grads or node.op == "input":
             continue
+        grad = grads.pop(idx)  # a node's gradient is spent once its VJP runs
         want = [i in useful for i in node.inputs]
         if not any(want):
             continue
-        for inp, contrib in zip(node.inputs, _node_vjps(node, acts, acts[idx], grads[idx], want)):
+        for inp, contrib in zip(node.inputs, _node_vjps(node, acts, acts[idx], grad, want)):
             if contrib is None:
                 continue
             grads[inp] = contrib if inp not in grads else grads[inp] + contrib

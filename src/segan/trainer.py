@@ -5,9 +5,11 @@ All three training stages run one step function, ``_descend``. Each step,
 in this order: take one batch of data feeds, add the parameter feeds of
 every net in the graph, evaluate the graph once, check the named losses,
 take every sweep's gradients from those activations, step each sweep's
-optimizer at its poly-schedule rate, check the stepped parameters, then
-call the stage's hook. A sweep is one loss node, one net, one optimizer and
-one schedule. A non-finite loss or parameter aborts with the iteration
+optimizer at its poly-schedule rate, release the activations and
+gradients, check the stepped parameters, then call the stage's hook, so the
+hook and the next step hold one step's state. A sweep is one loss node, one
+net, one optimizer and one schedule. All three stages log through one
+:class:`TrainLog`. A non-finite loss or parameter aborts with the iteration
 index, the loss breakdown and the names of the non-finite parameters.
 
 Per adversarial iteration the student sweep descends the weighted objective
@@ -72,8 +74,6 @@ from .networks import (
 from .optim import SGD, Adam, PolySchedule, poly_lr
 from .tensor import Graph, backward, forward
 from .utils import ConfigError, derive_seed, one_hot, substream
-
-LOG_HEADER = "iter, lr_student, lr_disc, loss_seg, loss_con, loss_adv_g, loss_adv_d, miou_eval"
 
 # The rungs of the paper's cumulative ablation, in the spellings of ``segan
 # train --mode``: no adaptation, then adversarial training (AT),
@@ -175,39 +175,36 @@ class TGSTNConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-@dataclass
-class LogRow:
-    iteration: int
-    lr_student: float
-    lr_disc: float
-    loss_seg: float
-    loss_con: float
-    loss_adv_g: float
-    loss_adv_d: float
-    miou_eval: float
+# The columns of ``train_log.csv``, which the adversarial and self-training
+# stages share; ``stage`` names the stage a row comes from, since after
+# ``maxiter`` the ``loss_seg`` column holds the self-training loss.
+SEGAN_COLUMNS = ("iter", "lr_student", "lr_disc", "loss_seg", "loss_con", "loss_adv_g",
+                 "loss_adv_d", "miou_eval", "stage")
+TGSTN_COLUMNS = ("iter", "lr_gen", "lr_disc", "loss_style", "loss_sem", "loss_per")
 
 
 @dataclass
 class TrainLog:
-    rows: list[LogRow] = field(default_factory=list)
+    """A training stage's log: one row per logged step, keyed by ``columns``
+    in their order, with an ``iter`` that increases from row to row."""
 
-    def append(self, row: LogRow) -> None:
-        if self.rows and row.iteration <= self.rows[-1].iteration:
+    columns: tuple[str, ...]
+    rows: list[dict] = field(default_factory=list)
+
+    def append(self, **row) -> None:
+        if tuple(row) != self.columns:
+            raise ValueError(f"log row has columns {tuple(row)}, expected {self.columns}")
+        if self.rows and row["iter"] <= self.rows[-1]["iter"]:
             raise ValueError(
-                f"log iterations must increase: {row.iteration} after "
-                f"{self.rows[-1].iteration}"
+                f"log iterations must increase: {row['iter']} after {self.rows[-1]['iter']}"
             )
         self.rows.append(row)
 
     def to_csv(self, path) -> None:
-        lines = [LOG_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.iteration},{r.lr_student:.8g},{r.lr_disc:.8g},{r.loss_seg:.8g},"
-                f"{r.loss_con:.8g},{r.loss_adv_g:.8g},{r.loss_adv_d:.8g},{r.miou_eval:.6f}"
-            )
-        with sgt.atomic_open(path) as f:
-            f.write("\n".join(lines) + "\n")
+        """Floats to eight significant digits, ``miou_eval`` to six decimals."""
+        sgt.write_csv(path, self.columns, (
+            [format(v, ".6f" if k == "miou_eval" else ".8g") if isinstance(v, float) else v
+             for k, v in row.items()] for row in self.rows))
 
 
 def ema_update(prev, now, alpha: float):
@@ -345,6 +342,7 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
             for s, grad in zip(sweeps, grads):
                 named = {name: grad[node] for name, node in s.nodes.items()}
                 s.net.values = s.opt.step(s.net.values, named, poly_lr(s.sched, it))
+            del acts, grads, grad, named
         bad = [g.nodes[s.nodes[name]].name for s in sweeps
                for name, arr in s.net.values.items() if not np.isfinite(arr).all()]
         if bad:
@@ -396,7 +394,7 @@ def train_segan(
         )
 
     batch_rng = substream(seed, "batch")
-    log = TrainLog()
+    log = TrainLog(SEGAN_COLUMNS)
 
     def batches():
         for _ in range(cfg.maxiter):
@@ -417,9 +415,10 @@ def train_segan(
         if step % cfg.eval_interval == 0 or step == cfg.maxiter:
             report = evaluate_student(student, ds, cfg.eval_count)
             lr_disc = poly_lr(sweeps[1].sched, it) if disc is not None else 0.0
-            log.append(LogRow(step, poly_lr(sweeps[0].sched, it), lr_disc, losses["seg"],
-                              losses.get("con", 0.0), losses.get("adv_g", 0.0),
-                              losses.get("adv_d", 0.0), report.miou))
+            log.append(iter=step, lr_student=poly_lr(sweeps[0].sched, it), lr_disc=lr_disc,
+                       loss_seg=losses["seg"], loss_con=losses.get("con", 0.0),
+                       loss_adv_g=losses.get("adv_g", 0.0), loss_adv_d=losses.get("adv_d", 0.0),
+                       miou_eval=report.miou, stage="adversarial")
         if out_dir is not None and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_bundle(Path(out_dir) / f"checkpoint_{step:06d}.sgt",
                         ModelBundle(student, teacher, disc),
@@ -461,7 +460,7 @@ def self_train(
     expected = (ds.n_target, ds.h, ds.w)
     if pseudo.shape != expected:
         raise ValueError(f"pseudo labels have shape {pseudo.shape}, expected {expected}")
-    log = log if log is not None else TrainLog()
+    log = log if log is not None else TrainLog(SEGAN_COLUMNS)
     if cfg.st_maxiter == 0:
         return student, log
 
@@ -488,8 +487,9 @@ def self_train(
         step = it + 1
         if step % cfg.eval_interval == 0 or step == cfg.st_maxiter:
             report = evaluate_student(student, ds, cfg.eval_count)
-            log.append(LogRow(iter_offset + step, poly_lr(sweep.sched, it), 0.0,
-                              losses["self_train"], 0.0, 0.0, 0.0, report.miou))
+            log.append(iter=iter_offset + step, lr_student=poly_lr(sweep.sched, it), lr_disc=0.0,
+                       loss_seg=losses["self_train"], loss_con=0.0, loss_adv_g=0.0,
+                       loss_adv_d=0.0, miou_eval=report.miou, stage="self_train")
 
     _descend(g, [(pn, student)], [sweep], {"self_train": loss}, batches(), hook, iter_offset)
     return student, log
@@ -497,31 +497,6 @@ def self_train(
 
 # ---------------------------------------------------------------------------
 # style-transfer stage
-
-
-@dataclass
-class TGSTNRow:
-    iteration: int
-    lr_gen: float
-    lr_disc: float
-    loss_style: float
-    loss_sem: float
-    loss_per: float
-
-
-@dataclass
-class TGSTNLog:
-    rows: list[TGSTNRow] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        lines = ["iter, lr_gen, lr_disc, loss_style, loss_sem, loss_per"]
-        for r in self.rows:
-            lines.append(
-                f"{r.iteration},{r.lr_gen:.8g},{r.lr_disc:.8g},{r.loss_style:.8g},"
-                f"{r.loss_sem:.8g},{r.loss_per:.8g}"
-            )
-        with sgt.atomic_open(path) as f:
-            f.write("\n".join(lines) + "\n")
 
 
 def check_tgstn_batches(cfg: TGSTNConfig, ds: DomainDataset) -> None:
@@ -541,7 +516,7 @@ def train_tgstn(
     phi: NetParams,
     seed: int,
     networks: NetworksConfig = NetworksConfig(),
-) -> tuple[NetParams, TGSTNLog]:
+) -> tuple[NetParams, TrainLog]:
     """Task-guided style transfer: the generator restyles source images to
     fool an image-level discriminator while a frozen segmenter anchors both
     the semantics (cross entropy under the source labels) and the features
@@ -587,7 +562,7 @@ def train_tgstn(
 
     steps_per_epoch = ds.n_source // bs
     total_steps = cfg.epochs * steps_per_epoch
-    log = TGSTNLog()
+    log = TrainLog(TGSTN_COLUMNS)
     if total_steps == 0:
         return gen, log
 
@@ -612,8 +587,9 @@ def train_tgstn(
                        x_tgt: tgt_imgs[idx_t]}
 
     def hook(it: int, losses: dict[str, float]) -> None:
-        log.rows.append(TGSTNRow(it + 1, *(poly_lr(s.sched, it) for s in sweeps),
-                                 losses["style"], losses["sem"], losses["per"]))
+        lr_gen, lr_disc = (poly_lr(s.sched, it) for s in sweeps)
+        log.append(iter=it + 1, lr_gen=lr_gen, lr_disc=lr_disc, loss_style=losses["style"],
+                   loss_sem=losses["sem"], loss_per=losses["per"])
 
     _descend(g, [(gn, gen), (dn, disc), (phin, phi)], sweeps,
              {"style": style["full"], "sem": loss_sem, "per": loss_per}, batches(), hook)

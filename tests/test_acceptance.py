@@ -268,7 +268,7 @@ def sweep():
         for mode in MODES:
             report, _, log = run_ablation(mode, ds, cfg, seed, style_fn=style)
             miou[mode].append(report.miou)
-            stability[mode].append(stability_index([r.miou_eval for r in log.rows]))
+            stability[mode].append(stability_index([r["miou_eval"] for r in log.rows]))
             reports[(mode, seed)] = report
     return {
         "miou": miou,

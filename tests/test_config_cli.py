@@ -276,6 +276,26 @@ def test_gen_data_rerun_is_byte_identical(workdir, tmp_path):
         assert (first / name).read_bytes() == (other / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-data"], ["train-tgstn", "--data", "d"], ["train", "--data", "d", "--mode", "at"],
+     ["eval", "--data", "d", "--checkpoint", "c"], ["bounds", "--data", "d", "--checkpoint", "c"],
+     ["export-plots", "--runs", "r"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_a_config_error_before_out_exists(tmp_path, capsys, argv, where):
+    # the seed is checked with the config, before any input is read
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -3}))
+    seed = ["--seed", "-1"] if where == "flag" else ["--config", str(config)]
+    assert cli.main([*argv, *seed, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed: ")
+    assert ("got -1" if where == "flag" else "got -3") in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_errors_exit_2(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dataset": {"classes": 1}}))
@@ -379,7 +399,7 @@ def test_train_writes_reports_and_logs(trained):
     record = json.loads((trained / "run_manifest.json").read_text())
     assert record["mode"] == "at" and record["miou"] == report["miou"]
     rows = (trained / "train_log.csv").read_text().splitlines()
-    assert rows[0].split(", ")[0] == "iter"
+    assert rows[0].split(",")[0] == "iter"
     # log rows at eval_interval=5 for 10 iterations, plus the final row
     # is already on the interval
     assert [r.split(",")[0] for r in rows[1:]] == ["5", "10"]
@@ -720,7 +740,7 @@ def test_train_tgstn_then_styled_training(workdir, tmp_path):
     assert code == 0
     assert (out / "tgstn.sgt").exists()
     log = (out / "tgstn_log.csv").read_text().splitlines()
-    assert log[0] == "iter, lr_gen, lr_disc, loss_style, loss_sem, loss_per"
+    assert log[0] == "iter,lr_gen,lr_disc,loss_style,loss_sem,loss_per"
     assert len(log) == 1 + 1 * (6 // 2)  # epochs * (n_source // batch_source)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert set(manifest["appearance_gap"]) == {"raw", "styled"}
@@ -803,6 +823,48 @@ def test_export_plots_cross_checks(workdir, tmp_path):
             assert row[1] == ""
         else:
             assert math.isclose(float(row[1]), adapted[c] - base[c], rel_tol=1e-12)
+
+
+def test_every_csv_of_a_session_reads_as_a_plain_table(workdir, tmp_path):
+    argv = ["--config", workdir["config"], "--data", workdir["data"]]
+    for mode in ("noadapt", "full"):
+        assert cli.main(["train", *argv, "--mode", mode, "--oracle-style",
+                         "--out", str(tmp_path / mode)]) == 0
+    assert cli.main(["eval", *argv, "--checkpoint", str(tmp_path / "full" / "checkpoint.sgt"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert cli.main(["train-tgstn", *argv, "--out", str(tmp_path / "tgstn")]) == 0
+    assert cli.main(["export-plots", "--runs", str(tmp_path / "noadapt"), str(tmp_path / "full"),
+                     "--out", str(tmp_path / "plots")]) == 0
+    segan_log = ["iter", "lr_student", "lr_disc", "loss_seg", "loss_con", "loss_adv_g",
+                 "loss_adv_d", "miou_eval", "stage"]
+    expected = {
+        "noadapt/train_log.csv": segan_log,
+        "full/train_log.csv": segan_log,
+        "noadapt/report.csv": ["class", "iou"],
+        "full/report.csv": ["class", "iou"],
+        "eval/report.csv": ["class", "iou"],
+        "tgstn/tgstn_log.csv": ["iter", "lr_gen", "lr_disc", "loss_style", "loss_sem",
+                                "loss_per"],
+        "plots/fig6_stability.csv": ["iter", "noadapt-s3", "full-s3"],
+        "plots/table3_ablation.csv": ["mode", "seed", "miou"],
+        "plots/fig7_gains.csv": ["class", "full-s3"],
+    }
+    tables = {}
+    for path in sorted(tmp_path.rglob("*.csv")):
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        name = path.relative_to(tmp_path).as_posix()
+        assert reader.fieldnames == expected.get(name), name
+        # a row with more or fewer cells than the header reads a None key or value
+        assert rows and all(None not in row and None not in row.values() for row in rows), name
+        assert b"\r" not in path.read_bytes(), name
+        tables[name] = rows
+    assert sorted(tables) == sorted(expected)
+    # maxiter 10 at eval_interval 5, then st_maxiter 4 of self-training
+    assert [(r["iter"], r["stage"]) for r in tables["full/train_log.csv"]] == [
+        ("5", "adversarial"), ("10", "adversarial"), ("14", "self_train")]
+    assert {r["stage"] for r in tables["noadapt/train_log.csv"]} == {"adversarial"}
 
 
 def test_export_plots_missing_run_dir_exits_4(workdir, tmp_path, capsys):

@@ -1,15 +1,20 @@
-"""Tensor container round trips, header layout, and corruption handling."""
+"""Tensor container round trips, header layout, corruption handling, and the
+atomic write of every text artifact."""
 
 import json
+import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segan import sgt
+from segan import cli, sgt
 from segan.metrics import iou_report, write_report
-from segan.trainer import LogRow, TGSTNLog, TGSTNRow, TrainLog
+from segan.networks import ModelBundle, NetworksConfig, build_discriminator, build_segnet
+from segan.trainer import (SEGAN_COLUMNS, TGSTN_COLUMNS, NumericAbort, TrainLog,
+                           save_bundle)
 
 from references import checkpoint_corruptions
 
@@ -177,38 +182,106 @@ def _write_report(out, k):
 
 
 def _write_train_log(out, k):
-    TrainLog([LogRow(k, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]).to_csv(out / "train_log.csv")
+    log = TrainLog(SEGAN_COLUMNS)
+    log.append(iter=k, lr_student=0.1, lr_disc=0.2, loss_seg=0.3, loss_con=0.4, loss_adv_g=0.5,
+               loss_adv_d=0.6, miou_eval=0.7, stage="adversarial")
+    log.append(iter=k + 1, lr_student=0.1, lr_disc=0.0, loss_seg=0.3, loss_con=0.0,
+               loss_adv_g=0.0, loss_adv_d=0.0, miou_eval=0.7, stage="self_train")
+    log.to_csv(out / "train_log.csv")
 
 
 def _write_tgstn_log(out, k):
-    TGSTNLog([TGSTNRow(k, 0.1, 0.2, 0.3, 0.4, 0.5)]).to_csv(out / "tgstn_log.csv")
+    log = TrainLog(TGSTN_COLUMNS)
+    for it in (k, k + 1):
+        log.append(iter=it, lr_gen=0.1, lr_disc=0.2, loss_style=0.3, loss_sem=0.4, loss_per=0.5)
+    log.to_csv(out / "tgstn_log.csv")
+
+
+def _cli(*argv):
+    """Run a subcommand without ``cli.main``'s error handling, so that an
+    ``OSError`` reaches the test."""
+    args = cli.build_parser().parse_args([*argv, "--force"])
+    return args.func(args)
+
+
+_TINY_DATA = {"dataset": {"n_source": 1, "n_target": 1, "height": 32, "width": 32}}
+
+
+def _gen_data(out, k):  # run_manifest.json
+    config = out.parent / "config.json"
+    config.write_text(json.dumps(_TINY_DATA))
+    _cli("gen-data", "--config", str(config), "--seed", str(k), "--out", str(out))
+
+
+def _bounds(out, k):  # bounds.json, for a checkpoint of seed k
+    data, ckpt = out.parent / "data", out.parent / f"checkpoint_{k}.sgt"
+    config = out.parent / "bounds_config.json"
+    config.write_text(json.dumps({**_TINY_DATA, "bounds": {"power_iters": 3, "batch_count": 1}}))
+    if not data.exists():
+        _cli("gen-data", "--config", str(config), "--out", str(data))
+    nets = NetworksConfig()
+    save_bundle(ckpt, ModelBundle(student=build_segnet(nets.segnet_spec(4), k),
+                                  disc=build_discriminator(nets.disc_spec(4), k)), seed=k)
+    _cli("bounds", "--config", str(config), "--data", str(data), "--checkpoint", str(ckpt),
+         "--out", str(out))
+
+
+def _export_plots(out, k):  # fig6_stability.csv, table3_ablation.csv, fig7_gains.csv
+    runs = []
+    for mode, miou in (("noadapt", 0.5), ("at", 0.5 + k / 10)):
+        run = out.parent / mode
+        run.mkdir(exist_ok=True)
+        (run / "run_manifest.json").write_text(json.dumps({"mode": mode, "seed": 3}))
+        (run / "train_log.csv").write_text(f"iter,miou_eval\n5,{miou}\n")
+        (run / "report.json").write_text(json.dumps(
+            {"iou": [miou, None], "miou": miou, "pixel_count": 10, "classes": 2}))
+        runs.append(str(run))
+    _cli("export-plots", "--runs", *runs, "--out", str(out))
+
+
+def _numeric_abort(out, k):
+    def abort(args):
+        raise NumericAbort(k, {"seg": math.nan})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "cmd_gen_data", abort)
+        assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_NUMERIC
 
 
 @pytest.mark.parametrize(
-    "name, write, fail_at",
+    "name, write, fail_at",  # the write of ``name`` that fails; a JSON record has one
     [
-        ("report.csv", _write_report, 2),  # report.json is written first, in one write
+        ("report.csv", _write_report, 2),
         ("report.json", _write_report, 1),
         ("train_log.csv", _write_train_log, 1),
         ("tgstn_log.csv", _write_tgstn_log, 1),
+        ("run_manifest.json", _gen_data, 1),
+        ("bounds.json", _bounds, 1),
+        ("fig6_stability.csv", _export_plots, 2),
+        ("table3_ablation.csv", _export_plots, 2),
+        ("fig7_gains.csv", _export_plots, 2),
+        ("numeric_abort.json", _numeric_abort, 1),
     ],
 )
 def test_interrupted_text_write_keeps_the_previous_file(tmp_path, monkeypatch, name, write,
                                                         fail_at):
-    write(tmp_path, 1)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / "out"
+    out.mkdir()
+    write(out, 1)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def failing_open(*args, **kwargs):
-        return _FailingFile(open(*args, **kwargs), fail_at)
+    def failing_open(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        return _FailingFile(f, fail_at) if Path(file).name == name + ".tmp" else f
 
     monkeypatch.setattr(sgt, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="no space"):
-        write(tmp_path, 2)
-    assert (tmp_path / name).read_bytes() == before[name]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        write(out, 2)
+    assert (out / name).read_bytes() == before[name]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
     monkeypatch.undo()
-    write(tmp_path, 2)
-    assert (tmp_path / name).read_bytes() != before[name]
+    write(out, 2)
+    assert (out / name).read_bytes() != before[name]
 
 
 def test_checkpoint_manifest_is_readable_json(tmp_path):

@@ -3,7 +3,9 @@ class in ``src/segan`` is referenced in ``src/`` outside its own definition,
 and every defaulted parameter of a module-level function is passed by some
 call in ``src/`` or ``perfbench/``. Oracles that only the tests call live in
 ``references.py``. The program starts on numpy alone: importing the CLI
-loads no scipy module, so a function that needs scipy imports it itself."""
+loads no scipy module, so a function that needs scipy imports it itself.
+Text files are serialized by ``sgt`` alone: every other module writes its CSV tables
+and JSON records through ``sgt.write_csv`` and ``sgt.write_json``."""
 
 import ast
 import os
@@ -84,3 +86,22 @@ def test_the_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_sgt_serializes_files():
+    # one writer per format: the dialect of a CSV table or a JSON record is
+    # decided in one place
+    writers = {"json.dump", "json.dumps", "csv.writer", "csv.DictWriter", "atomic_open",
+               "sgt.atomic_open"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sgt.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f"{getattr(f.value, 'id', '?')}.{f.attr}" if isinstance(f, ast.Attribute)
+                        else getattr(f, "id", None))
+                if name in writers:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []

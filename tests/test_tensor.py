@@ -6,6 +6,8 @@ by hand or by finite_diff_grad (``references.py``), which only runs
 forward passes and is therefore an independent check on backward().
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ def test_unreachable_leaf_gets_zero_gradient():
     grads = backward(g, loss, acts, wrt=[x, y])
     np.testing.assert_allclose(grads[x], [2.0, 4.0])
     assert np.array_equal(grads[y], np.zeros(2))
+
+
+def test_backward_releases_each_gradient_once_its_vjp_runs():
+    # along a chain of 40 relus only the frontier's gradients are alive
+    g = Graph()
+    x = node = g.input("x", (128, 1024))  # 1 MiB of float64
+    for _ in range(40):
+        node = g.relu(node)
+    loss = g.reduce_sum(node)
+    acts = forward(g, {x: np.ones((128, 1024))})
+    tracemalloc.start()
+    try:
+        grads = backward(g, loss, acts, wrt=[x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grads[x], np.ones((128, 1024)))
+    assert peak < 6 * 2**20
 
 
 def test_constant_wrt_loss_gives_zero_everywhere():

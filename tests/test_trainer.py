@@ -33,9 +33,9 @@ from segan.networks import (
     stylegen_forward,
 )
 from segan.trainer import (
-    LOG_HEADER,
     MODES,
-    LogRow,
+    SEGAN_COLUMNS,
+    TGSTN_COLUMNS,
     NumericAbort,
     TGSTNConfig,
     TrainConfig,
@@ -212,21 +212,26 @@ def test_noadapt_builds_no_disc_or_teacher(ds):
 def test_log_cadence_and_header(ds, tmp_path):
     cfg = _fast_cfg(maxiter=12, eval_interval=5)
     _, log = train_segan(cfg, ds, "noadapt", SEED)
-    assert [r.iteration for r in log.rows] == [5, 10, 12]
+    assert [r["iter"] for r in log.rows] == [5, 10, 12]
+    assert [r["stage"] for r in log.rows] == ["adversarial"] * 3
     log.to_csv(tmp_path / "log.csv")
     text = (tmp_path / "log.csv").read_text().splitlines()
-    assert text[0] == LOG_HEADER
-    assert LOG_HEADER == (
-        "iter, lr_student, lr_disc, loss_seg, loss_con, loss_adv_g, loss_adv_d, miou_eval"
+    assert text[0] == (
+        "iter,lr_student,lr_disc,loss_seg,loss_con,loss_adv_g,loss_adv_d,miou_eval,stage"
     )
     assert len(text) == 4
 
 
 def test_log_rejects_non_increasing_iterations():
-    log = TrainLog()
-    log.append(LogRow(5, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5))
-    with pytest.raises(ValueError, match="increase"):
-        log.append(LogRow(5, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5))
+    for columns in (SEGAN_COLUMNS, TGSTN_COLUMNS):
+        log = TrainLog(columns)
+        row = dict.fromkeys(columns, 0.5)
+        log.append(**dict(row, iter=5))
+        with pytest.raises(ValueError, match="increase"):
+            log.append(**dict(row, iter=5))
+        with pytest.raises(ValueError, match="columns"):
+            log.append(**dict(row, iter=6, extra=1.0))
+        assert [r["iter"] for r in log.rows] == [5]
 
 
 def test_training_is_deterministic(ds):
@@ -237,7 +242,22 @@ def test_training_is_deterministic(ds):
         assert np.array_equal(a.student.values[name], b.student.values[name])
     for name in a.disc.values:
         assert np.array_equal(a.disc.values[name], b.disc.values[name])
-    assert [r.miou_eval for r in log_a.rows] == [r.miou_eval for r in log_b.rows]
+    assert [r["miou_eval"] for r in log_a.rows] == [r["miou_eval"] for r in log_b.rows]
+
+
+def test_a_training_step_holds_one_steps_state(ds):
+    # the hook and the next step's forward must not hold the previous step's
+    # activations and gradients, so more steps need no more memory
+    peaks = {}
+    for maxiter in (1, 4):
+        cfg = _fast_cfg(maxiter=maxiter, eval_interval=100, eval_count=1)
+        tracemalloc.start()
+        try:
+            train_segan(cfg, ds, "at-se-aug", SEED, style_fn=oracle_style_fn(ds))
+            peaks[maxiter] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] < 1.1 * peaks[1], peaks
 
 
 def test_zero_weights_reduce_to_pure_segmentation_run(ds):
@@ -424,7 +444,7 @@ def test_self_training_on_own_argmax_descends():
         st_maxiter=10, st_lr=0.002, momentum=0.0, batch_target=1, eval_interval=1
     )
     _, log = self_train(cfg, student, pseudo, ds1, SEED)
-    losses = [r.loss_seg for r in log.rows]
+    losses = [r["loss_seg"] for r in log.rows]
     assert len(losses) == 10
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -434,7 +454,8 @@ def test_self_train_offsets_log_iterations(ds):
     student = build_segnet(SegNetSpec(class_count=4), seed=4)
     pseudo = generate_pseudo_labels(student, ds.target_images())
     _, log = self_train(cfg, student, pseudo, ds, SEED, iter_offset=100)
-    assert [r.iteration for r in log.rows] == [102, 104]
+    assert [r["iter"] for r in log.rows] == [102, 104]
+    assert [r["stage"] for r in log.rows] == ["self_train"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +480,7 @@ def test_run_ablation_writes_only_interval_checkpoints(ds, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "checkpoint_000005.sgt", "checkpoint_000010.sgt"]
     assert bundle.teacher is not None and bundle.disc is not None
-    assert log.rows[-1].iteration == 14  # maxiter + st_maxiter
+    assert log.rows[-1]["iter"] == 14  # maxiter + st_maxiter
 
 
 def test_interval_checkpoints_are_emitted(ds, tmp_path):
@@ -559,10 +580,10 @@ def test_tgstn_logs_every_step_and_is_deterministic(ds):
     gen_b, log_b = train_tgstn(cfg, ds, phi, 9)
     steps = 2 * (ds.n_source // 2)
     assert len(log_a.rows) == steps
-    assert [r.iteration for r in log_a.rows] == list(range(1, steps + 1))
+    assert [r["iter"] for r in log_a.rows] == list(range(1, steps + 1))
     for name in gen_a.values:
         assert np.array_equal(gen_a.values[name], gen_b.values[name])
-    assert [r.loss_style for r in log_a.rows] == [r.loss_style for r in log_b.rows]
+    assert [r["loss_style"] for r in log_a.rows] == [r["loss_style"] for r in log_b.rows]
 
 
 def test_tgstn_feature_anchor_dominates_when_weighted_up(ds):
@@ -577,7 +598,7 @@ def test_tgstn_feature_anchor_dominates_when_weighted_up(ds):
         cfg = TGSTNConfig(epochs=2, lambda_sem=0.0, lambda_per=lam)
         gen, log = train_tgstn(cfg, ds, phi, 10)
         dev = float(np.abs(apply_style_generator(gen, imgs) - imgs).max())
-        results[lam] = (log.rows[-1].loss_per, dev)
+        results[lam] = (log.rows[-1]["loss_per"], dev)
     anchored_per, anchored_dev = results[1e4]
     free_per, free_dev = results[0.0]
     assert anchored_per < 0.25 * free_per
