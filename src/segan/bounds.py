@@ -55,17 +55,17 @@ class BoundsConfig:
 
     def __post_init__(self):
         if self.m_policy not in ("zero", "init"):
-            raise ConfigError("bounds.m_policy", f"expected 'zero' or 'init', got {self.m_policy!r}")
+            raise ConfigError("m_policy", f"expected 'zero' or 'init', got {self.m_policy!r}")
         if not 0 < self.delta <= 1:
-            raise ConfigError("bounds.delta", f"must be in (0, 1], got {self.delta}")
+            raise ConfigError("delta", f"must be in (0, 1], got {self.delta}")
         if self.epsilon <= 0:
-            raise ConfigError("bounds.epsilon", f"must be > 0, got {self.epsilon}")
+            raise ConfigError("epsilon", f"must be > 0, got {self.epsilon}")
         if self.n < 1:
-            raise ConfigError("bounds.n", f"must be >= 1, got {self.n}")
+            raise ConfigError("n", f"must be >= 1, got {self.n}")
         if self.batch_count < 1:
-            raise ConfigError("bounds.batch_count", f"must be >= 1, got {self.batch_count}")
+            raise ConfigError("batch_count", f"must be >= 1, got {self.batch_count}")
         if self.power_iters < 1:
-            raise ConfigError("bounds.power_iters", f"must be >= 1, got {self.power_iters}")
+            raise ConfigError("power_iters", f"must be >= 1, got {self.power_iters}")
 
 
 @dataclass(kw_only=True)

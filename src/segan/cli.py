@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, sgt
-from .bounds import bound_report, measure_discriminator
+from .bounds import VARIANTS, bound_report, covering_bound, measure_discriminator
 from .config import ConfigError, RunConfig, load_config
 from .metrics import read_report, transfer_gain, write_report
 from .networks import ModelBundle, predict_segmentation
@@ -254,15 +254,20 @@ def cmd_bounds(args) -> int:
     if bundle.student is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no segmenter")
     _check_size(ds, bundle.student.spec, bundle.disc.spec)
-    out = _prepare_out(args.out, args.force)
     probs, _ = predict_segmentation(bundle.student, ds.target_images()[: cfg.bounds.batch_count])
     init_seed = derive_seed(meta.get("seed", cfg.seed), "disc")
     spec = measure_discriminator(bundle.disc, probs, cfg.bounds, init_seed)
+    for variant in VARIANTS:
+        R = covering_bound(spec, variant)[1]
+        if spec.n < 3 * R:  # the closed form of the bound needs n >= 3R
+            raise ConfigError("bounds.n", f"sample size {spec.n} is below 3R = {3 * R:.3g} "
+                                          f"of the {variant} bound")
     payload = {
         "spec": spec.to_dict(),
         "statement": bound_report(spec, "statement").to_dict(),
         "proof_final_line": bound_report(spec, "proof-final-line").to_dict(),
     }
+    out = _prepare_out(args.out, args.force)
     sgt.write_json(out / "bounds.json", payload)
     _write_record(
         out, "bounds", cfg, started,

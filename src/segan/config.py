@@ -46,28 +46,26 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ConfigError("dataset.classes", f"need at least 2 classes, got {self.classes}")
+            raise ConfigError("classes", f"need at least 2 classes, got {self.classes}")
         if self.classes > len(PALETTE):
             raise ConfigError(
-                "dataset.classes",
+                "classes",
                 f"the palette supports at most {len(PALETTE)} classes, got {self.classes}",
             )
         for domain in ("source", "target"):
             n = len(getattr(self, domain).layout)
             if n != self.classes - 1:
                 raise ConfigError(
-                    f"dataset.{domain}.layout",
+                    f"{domain}.layout",
                     f"{self.classes} classes need {self.classes - 1} class priors, got {n}",
                 )
-        if self.n_source < 1 or self.n_target < 1:
-            raise ConfigError(
-                "dataset.n_source/n_target",
-                f"need at least one scene per domain, got {self.n_source}/{self.n_target}",
-            )
-        if self.height < 8 or self.width < 8:
-            raise ConfigError(
-                "dataset.height/width", f"images below 8x8, got {self.height}x{self.width}"
-            )
+        for name in ("n_source", "n_target"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"need at least one scene per domain, got "
+                                        f"{getattr(self, name)}")
+        for name in ("height", "width"):
+            if getattr(self, name) < 8:
+                raise ConfigError(name, f"images below 8x8, got {self.height}x{self.width}")
 
 
 @dataclass

@@ -61,9 +61,9 @@ class AppearanceParams:
 
     def __post_init__(self):
         if self.blur < 0:
-            raise ValueError(f"blur must be >= 0, got {self.blur}")
+            raise ConfigError("blur", f"blur must be >= 0, got {self.blur}")
         if self.texture_freq < 0:
-            raise ValueError(f"texture_freq must be >= 0, got {self.texture_freq}")
+            raise ConfigError("texture_freq", f"texture_freq must be >= 0, got {self.texture_freq}")
 
 
 @dataclass
@@ -82,10 +82,11 @@ class ClassPrior:
 
     def __post_init__(self):
         if not 0 <= self.prob <= 1:
-            raise ValueError(f"occurrence prob must be in [0,1], got {self.prob}")
+            raise ConfigError("prob", f"occurrence prob must be in [0,1], got {self.prob}")
         lo, hi = self.size_range
         if not 0 < lo <= hi:
-            raise ValueError(f"size_range must satisfy 0 < lo <= hi, got {self.size_range}")
+            raise ConfigError("size_range",
+                              f"size_range must satisfy 0 < lo <= hi, got {self.size_range}")
         self.mean = tuple(float(v) for v in self.mean)
         self.cov = tuple(tuple(float(v) for v in row) for row in self.cov)
         self.size_range = (float(lo), float(hi))

@@ -9,6 +9,11 @@ Parameters live in plain ``dict[str, np.ndarray]`` collections wrapped in
 net is trainable). Builders are seeded and deterministic. Forward functions
 append nodes to a caller-supplied :class:`~segan.tensor.Graph` and return
 node ids, so several nets can share one graph and one backward pass.
+
+Inference streams a stack in slices of ``INFER_PIXELS`` input pixels, and
+:func:`collect` writes the slices' outputs into preallocated stacks.
+Multi-scale testing (:func:`multi_scale_slices`) is one loop over output
+runs, each averaged from the held scale slices that cover it.
 """
 
 from __future__ import annotations
@@ -40,13 +45,12 @@ class SegNetSpec:
     def __post_init__(self):
         self.widths = tuple(self.widths)
         if self.class_count < 2:
-            raise ValueError(f"class_count must be >= 2, got {self.class_count}")
+            raise ConfigError("class_count", f"class_count must be >= 2, got {self.class_count}")
         if not self.widths or any(w < 1 for w in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
+            raise ConfigError("widths", f"widths must be positive, got {self.widths}")
         if not 0 <= self.downsample <= len(self.widths):
-            raise ValueError(
-                f"downsample {self.downsample} exceeds body depth {len(self.widths)}"
-            )
+            raise ConfigError("downsample", f"downsample {self.downsample} exceeds body "
+                                            f"depth {len(self.widths)}")
 
     @property
     def scale(self) -> int:
@@ -70,10 +74,9 @@ class DiscSpec:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        if len(self.widths) != 5:
-            raise ValueError(f"discriminator has exactly 5 conv layers, got {len(self.widths)}")
-        if self.widths[-1] != 1:
-            raise ValueError(f"last width must be 1 (score map), got {self.widths[-1]}")
+        if len(self.widths) != 5 or self.widths[-1] != 1 or min(self.widths) < 1:
+            raise ConfigError("widths", "the discriminator has 5 positive conv widths, the "
+                                        f"last 1 (its score map); got {self.widths}")
 
     @property
     def min_input(self) -> int:
@@ -96,7 +99,7 @@ class StyleGenSpec:
     def __post_init__(self):
         self.widths = tuple(self.widths)
         if any(w < 1 for w in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
+            raise ConfigError("widths", f"widths must be positive, got {self.widths}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,16 @@ class NetworksConfig:
     disc_widths: tuple[int, ...] = DiscSpec.widths
     stylegen_widths: tuple[int, ...] = StyleGenSpec.widths
     stylegen_residual: bool = StyleGenSpec.residual
+
+    def __post_init__(self):
+        # build each spec once, so a bad width fails when the file is parsed
+        for net, build in (("segnet", lambda: self.segnet_spec(SegNetSpec.class_count)),
+                           ("disc", lambda: self.disc_spec(DiscSpec.in_channels)),
+                           ("stylegen", self.stylegen_spec)):
+            try:
+                build()
+            except ConfigError as exc:
+                raise ConfigError(f"{net}_{exc.path}", exc.message) from None
 
     def segnet_spec(self, classes: int) -> SegNetSpec:
         return SegNetSpec(class_count=classes, widths=self.segnet_widths,
@@ -323,15 +336,24 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
         yield start, out
 
 
+def collect(slices, n: int) -> list[np.ndarray]:
+    """Write each ``(start, *outputs)`` slice of an n-image stack into one
+    preallocated array per output, each of ``n`` rows, shaped and typed by
+    the first slice."""
+    stacks = None
+    for start, *parts in slices:
+        if stacks is None:
+            stacks = [np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts]
+        for stack, part in zip(stacks, parts):
+            stack[start:start + len(part)] = part
+    return stacks
+
+
 def infer_stack(net: NetParams, prefix: str, build, images: np.ndarray) -> np.ndarray:
     """The outputs of :func:`infer_in_slices` over an (h,w,c) image or an
-    (n,h,w,c) stack, written into one preallocated array."""
+    (n,h,w,c) stack, collected into one array."""
     batch, squeeze = _as_batch(images)
-    out = None
-    for start, res in infer_in_slices(net, prefix, build, batch):
-        if out is None:
-            out = np.empty((len(batch),) + res.shape[1:], dtype=res.dtype)
-        out[start:start + len(res)] = res
+    (out,) = collect(infer_in_slices(net, prefix, build, batch), len(batch))
     return out[0] if squeeze else out
 
 
@@ -380,52 +402,35 @@ def multi_scale_slices(net: NetParams, images: np.ndarray, scales: list[float]):
 
     Each scale runs :func:`infer_in_slices` at its scaled size, in the
     slices :func:`predict_segmentation` would run on the resized stack
-    (14 images at 48x48, 8 at 64x64, 5 at 80x80); the scale that has
-    covered the fewest images runs its next slice. Only body-resolution
-    probabilities are held. Once every scale has covered an image, it is
-    averaged at (h, w) in runs of at most ``INFER_PIXELS`` pixels: the
-    scales' maps are gathered and summed in scale order, then divided. The
-    result is bit-identical to averaging whole resized stacks.
+    (14 images at 48x48, 8 at 64x64, 5 at 80x80), and only their
+    body-resolution probabilities are held. The output comes in runs of
+    at most ``INFER_PIXELS`` pixels at (h, w). For each run, every scale's
+    stream advances until its held slices cover the run; the scales' maps
+    are gathered and summed in scale order, then divided; and the slices
+    that end inside the run are dropped. The result is bit-identical to
+    averaging whole resized stacks. An empty stack is one empty run, which
+    pulls each stream's one empty slice.
     """
     if not scales or any(s <= 0 for s in scales):
         raise ValueError(f"scales must be positive and non-empty, got {scales}")
     batch, _ = _as_batch(images)
     n, h, w, _ = batch.shape
     streams, gathers = zip(*(_scale_stream(net, batch, s) for s in scales))
-    held = [[] for _ in scales]  # (start, probs) of each scale's slices still needed
-    covered = [0] * len(scales)  # images each scale has run
-    live = set(range(len(scales)))  # scales with slices left
+    held = [[] for _ in scales]  # each scale's (start, probs) slices that reach past the last run
     run = max(1, INFER_PIXELS // (h * w))
-
-    def average(a, b):
-        # summing from +0 keeps the first scale's values exactly, since
-        # probabilities are >= +0
-        c, dtype = held[0][0][1].shape[-1], held[0][0][1].dtype
-        total = np.zeros((b - a, h, w, c), dtype=dtype)
-        for (iy, ix), parts in zip(gathers, held):  # in scale order
+    for a in range(0, max(n, 1), run):
+        b = min(n, a + run)
+        for k, (stream, (iy, ix), parts) in enumerate(zip(streams, gathers, held)):
+            while not parts or parts[-1][0] + len(parts[-1][1]) < b:
+                parts.append(next(stream))
+            if k == 0:  # sum from +0, which keeps the first scale's values (>= +0) exactly
+                total = np.zeros((b - a, h, w) + parts[0][1].shape[-1:], parts[0][1].dtype)
             for lo, probs in parts:
                 i, j = max(a, lo), min(b, lo + len(probs))
-                if i < j:
-                    total[i - a:j - a] += probs[i - lo:j - lo][:, iy, ix]
+                total[i - a:j - a] += probs[i - lo:j - lo][:, iy, ix]
+            parts[:] = [(lo, p) for lo, p in parts if lo + len(p) > b]
         total /= np.float32(len(scales))
-        return total, total.argmax(axis=-1).astype(np.uint8)
-
-    done = 0
-    while live:
-        k = min(live, key=covered.__getitem__)
-        res = next(streams[k], None)
-        if res is None:
-            live.discard(k)
-            continue
-        held[k].append(res)
-        covered[k] = res[0] + len(res[1])
-        while done < min(covered):
-            end = min(min(covered), done + run)
-            yield done, *average(done, end)
-            done = end
-            held = [[(lo, p) for lo, p in parts if lo + len(p) > done] for parts in held]
-    if n == 0:  # the empty slices give the outputs a shape
-        yield 0, *average(0, 0)
+        yield a, total, total.argmax(axis=-1).astype(np.uint8)
 
 
 def multi_scale_predict(
@@ -433,22 +438,14 @@ def multi_scale_predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Softmax maps averaged over resized copies of an (h,w,c) image or an
     (n,h,w,c) stack, and their argmax labels: :func:`multi_scale_slices`
-    collected into two preallocated arrays.
+    collected into two arrays.
 
     Each scaled size is rounded to the segmenter's stride multiple; with
     ``scales=[1.0]`` this is exactly :func:`predict_segmentation`.
     """
     batch, squeeze = _as_batch(images)
-    probs = labels = None
-    for start, part, part_labels in multi_scale_slices(net, batch, scales):
-        if probs is None:
-            probs = np.empty((len(batch),) + part.shape[1:], dtype=part.dtype)
-            labels = np.empty(probs.shape[:-1], dtype=np.uint8)
-        probs[start:start + len(part)] = part
-        labels[start:start + len(part)] = part_labels
-    if squeeze:
-        return probs[0], labels[0]
-    return probs, labels
+    probs, labels = collect(multi_scale_slices(net, batch, scales), len(batch))
+    return (probs[0], labels[0]) if squeeze else (probs, labels)
 
 
 def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,9 +453,7 @@ def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray
     :func:`multi_scale_predict` at the one scale 1.0, after checking that
     the segmenter's stride divides (h, w), so that no image is resized.
 
-    The stack runs through :func:`infer_in_slices`, ``INFER_PIXELS`` input
-    pixels per slice (8 images at 64x64), so memory is bounded by the slice,
-    not the stack. Each slice's graph stops at the body-resolution softmax,
+    Each inference slice's graph stops at the body-resolution softmax,
     and its probabilities are upsampled outside the graph, which copies the
     values the graph's own upsampling would. So a stack of at most one
     slice gives the whole-batch graph's output bit for bit. Otherwise only

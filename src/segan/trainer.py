@@ -58,6 +58,7 @@ from .networks import (
     build_discriminator,
     build_segnet,
     build_style_generator,
+    collect,
     disc_forward,
     infer_stack,
     label_slices,
@@ -104,6 +105,13 @@ class NumericAbort(RuntimeError):
         super().__init__(f"non-finite {what} at iteration {iteration}: {parts}")
 
 
+def _check_at_least(record, **lows) -> None:
+    """Raise :class:`ConfigError` at the first named field below its low."""
+    for name, low in lows.items():
+        if getattr(record, name) < low:
+            raise ConfigError(name, f"{name} must be >= {low}, got {getattr(record, name)}")
+
+
 @dataclass
 class TrainConfig:
     """Adversarial stage configuration. Defaults follow the reference
@@ -131,22 +139,16 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+            raise ConfigError("alpha", f"alpha must be in [0, 1], got {self.alpha}")
         for name in ("lambda_con", "lambda_adv", "lr_student", "lr_disc", "st_lr"):
             if (getattr(self, name) or 0) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if self.st_maxiter < 0:
-            raise ValueError(f"st_maxiter must be >= 0, got {self.st_maxiter}")
-        if self.batch_source < 1 or self.batch_target < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.eval_interval < 1:
-            raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("train.checkpoint_interval",
-                              f"must be >= 0, got {self.checkpoint_interval}")
+                raise ConfigError(name, f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_at_least(self, maxiter=1, st_maxiter=0, batch_source=1, batch_target=1,
+                        eval_interval=1, checkpoint_interval=0)
         self.mst_scales = tuple(self.mst_scales)
+        if not self.mst_scales or any(s <= 0 for s in self.mst_scales):
+            raise ConfigError("mst_scales",
+                              f"scales must be positive and non-empty, got {list(self.mst_scales)}")
 
 
 @dataclass
@@ -166,13 +168,8 @@ class TGSTNConfig:
     batch_target: int = 2
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_source < 1 or self.batch_target < 1:
-            raise ValueError("batch sizes must be >= 1")
-        for name in ("lambda_sem", "lambda_per", "lr_gen", "lr_disc"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_at_least(self, epochs=0, batch_source=1, batch_target=1, lambda_sem=0,
+                        lambda_per=0, lr_gen=0, lr_disc=0)
 
 
 # The columns of ``train_log.csv``, which the adversarial and self-training
@@ -438,9 +435,7 @@ def generate_pseudo_labels(teacher: NetParams, images: np.ndarray) -> np.ndarray
     """(n,h,w) uint8 label maps of the teacher's per-pixel argmax; ties
     resolve to the lowest class index. They are written one inference slice
     at a time, so no probability stack is held."""
-    pseudo = np.empty(np.shape(images)[:-1], dtype=np.uint8)
-    for start, labels in label_slices(teacher, images):
-        pseudo[start:start + len(labels)] = labels
+    (pseudo,) = collect(label_slices(teacher, images), len(images))
     return pseudo
 
 
@@ -597,13 +592,10 @@ def train_tgstn(
 
 
 def apply_style_generator(gen: NetParams, images: np.ndarray) -> np.ndarray:
-    """Run the generator over an (h,w,c) image or an (n,h,w,c) stack.
-
-    The stack runs in slices of ``networks.INFER_PIXELS`` input pixels (8
-    images at 64x64), so memory is bounded by the slice, not the stack. As
-    in :func:`predict_segmentation`, only float rounding could move against
-    one whole-batch graph; on the stock generator the output is
-    bit-identical, and the tests hold it to that.
+    """Run the generator over an (h,w,c) image or an (n,h,w,c) stack, one
+    inference slice at a time. As in :func:`predict_segmentation`, only
+    float rounding could move against one whole-batch graph; on the stock
+    generator the output is bit-identical, and the tests hold it to that.
     """
     return infer_stack(gen, "gen", stylegen_forward, images)
 
@@ -656,6 +648,10 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
     tensors, meta = sgt.load_checkpoint(path)
     if not isinstance(meta.get("specs"), dict):
         raise sgt.FormatError(f"{path} holds no networks (no 'specs' object in its metadata)")
+    seed = meta.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise sgt.FormatError(f"{path}: metadata seed must be a non-negative integer, "
+                              f"got {seed!r}")
     nets: dict[str, NetParams | None] = {}
     for comp, spec_dict in meta["specs"].items():
         values = {

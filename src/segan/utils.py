@@ -53,12 +53,15 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
 # dataclass records <-> JSON objects
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A record that does not fit its dataclass; ``path`` is the dotted field
-    path, e.g. ``dataset.target.layout[0].cov``."""
+    path, e.g. ``dataset.target.layout[0].cov``. A record's own check raises
+    it at the field's name, and :func:`record_from_dict` prefixes the
+    record's path."""
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 
@@ -105,12 +108,14 @@ def record_from_dict(cls, data, path: str = "", default=None, **given):
             kwargs[f.name] = fallback
     try:
         return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(_join(path, exc.path), exc.message) from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+    return f"{path}.{key}" if path and key else path or key
 
 
 def _decode(tp, value, path: str, fallback):

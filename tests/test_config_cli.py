@@ -135,7 +135,7 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         ({"train": {"aug": False}}, "train.aug", "--mode"),
         ({"train": {"st": True}}, "train.st", "--mode"),
         ({"train": {"mst": False}}, "train.mst", "--mode"),
-        ({"tgstn": {"lr_gen": -0.1}}, "tgstn", "lr_gen must be >= 0"),
+        ({"tgstn": {"lr_gen": -0.1}}, "tgstn.lr_gen", "lr_gen must be >= 0"),
         ({"networks": {"segnet_widths": [8.5, 16, 16]}}, "networks.segnet_widths", "integers"),
         ({"bounds": {"power_iters": 0}}, "bounds.power_iters", ">= 1"),
         ({"train": {"checkpoint_interval": -5}}, "train.checkpoint_interval", ">= 0"),
@@ -684,6 +684,54 @@ def test_dataset_sizes_the_nets_cannot_take_exit_2(trained, tmp_path, capsys, si
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, sections, seed, code, first_line",
+    [
+        (["train-tgstn"], {"networks": {"stylegen_widths": [0]}}, None, 2,
+         "config error: networks.stylegen_widths: "),
+        (["train", "--mode", "at"], {"networks": {"disc_widths": [8, 16]}}, None, 2,
+         "config error: networks.disc_widths: "),
+        (["train", "--mode", "noadapt"], {"networks": {"segnet_widths": []}}, None, 2,
+         "config error: networks.segnet_widths: "),
+        (["train", "--mode", "noadapt"], {"networks": {"segnet_downsample": 5}}, None, 2,
+         "config error: networks.segnet_downsample: "),
+        (["train", "--mode", "full-mst", "--oracle-style"],
+         {"train": dict(TINY["train"], mst_scales=[-1.0])}, None, 2,
+         "config error: train.mst_scales: "),
+        (["train", "--mode", "full-mst", "--oracle-style"],
+         {"train": dict(TINY["train"], mst_scales=[])}, None, 2,
+         "config error: train.mst_scales: "),
+        (["train-tgstn"], {"tgstn": {"epochs": 1, "lr_gen": -0.1}}, None, 2,
+         "config error: tgstn.lr_gen: "),
+        (["train", "--mode", "noadapt"], {"train": dict(TINY["train"], alpha=2)}, None, 2,
+         "config error: train.alpha: "),
+        (["bounds"], {"bounds": {"n": 10}}, None, 2, "config error: bounds.n: "),
+        (["bounds"], {}, -1, 4, "i/o error: "),
+        (["bounds"], {}, 1.5, 4, "i/o error: "),
+        (["bounds"], {}, True, 4, "i/o error: "),
+    ],
+    ids=["stylegen-widths", "disc-widths", "segnet-widths", "segnet-downsample",
+         "mst-negative", "mst-empty", "tgstn-lr", "train-alpha", "bounds-n",
+         "checkpoint-seed-negative", "checkpoint-seed-fraction", "checkpoint-seed-bool"],
+)
+def test_bad_values_exit_at_their_path_before_out_exists(workdir, trained, tmp_path, capsys,
+                                                         argv, sections, seed, code,
+                                                         first_line):
+    argv = [*argv, "--config", _config_file(tmp_path, **sections), "--data", workdir["data"]]
+    if argv[0] == "bounds":
+        checkpoint = trained / "checkpoint.sgt"
+        if seed is not None:
+            tensors, meta = sgt.load_checkpoint(checkpoint)
+            checkpoint = tmp_path / "reseeded.sgt"
+            sgt.save_checkpoint(checkpoint, tensors, dict(meta, seed=seed))
+        argv += ["--checkpoint", str(checkpoint)]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(first_line) and "Traceback" not in err
+    assert seed is None or "reseeded.sgt: metadata seed must be" in err
     assert not (tmp_path / "o").exists()
 
 

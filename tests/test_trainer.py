@@ -400,6 +400,20 @@ def test_pseudo_label_memory_is_bounded_by_the_slice(stock_ds):
     assert peak <= pseudo.nbytes + 4 * 2**20, peak / 2**20
 
 
+def test_an_empty_stack_streams_to_empty_outputs():
+    # every sliced output is collected from one empty slice, which shapes it
+    empty = np.zeros((0, 64, 48, 3), dtype=np.float32)
+    net = build_segnet(SegNetSpec(), seed=4)
+    for probs, labels in (multi_scale_predict(net, empty, [0.75, 1.0, 1.25]),
+                          predict_segmentation(net, empty)):
+        assert probs.shape == (0, 64, 48, 4) and probs.dtype == np.float32
+        assert labels.shape == (0, 64, 48) and labels.dtype == np.uint8
+    pseudo = generate_pseudo_labels(net, empty)
+    assert pseudo.shape == (0, 64, 48) and pseudo.dtype == np.uint8
+    styled = apply_style_generator(build_style_generator(StyleGenSpec(), seed=5), empty)
+    assert styled.shape == (0, 64, 48, 3) and styled.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # pseudo labels and self-training
 
