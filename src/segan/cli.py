@@ -75,7 +75,9 @@ class OutputDirError(OSError):
     pass
 
 
-def _prepare_out(path: str, force: bool) -> Path:
+def _check_out(path: str, force: bool) -> Path:
+    """Reject an output path that is a file, or a populated directory
+    without ``force``; the directory is not created."""
     out = Path(path)
     if out.exists():
         if not out.is_dir():
@@ -84,6 +86,11 @@ def _prepare_out(path: str, force: bool) -> Path:
             raise OutputDirError(
                 f"output directory {out} is not empty; pass --force to overwrite"
             )
+    return out
+
+
+def _prepare_out(path: str, force: bool) -> Path:
+    out = _check_out(path, force)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -157,7 +164,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_tgstn(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
-    ds = datagen.load_dataset(args.data)
+    ds = datagen.load_dataset(args.data, source=True)
     check_tgstn_batches(cfg.tgstn, ds)
     _check_size(ds, cfg.networks.segnet_spec(ds.classes), cfg.networks.disc_spec(3))
     out = _prepare_out(args.out, args.force)
@@ -182,7 +189,7 @@ def cmd_train_tgstn(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
-    ds = datagen.load_dataset(args.data)
+    ds = datagen.load_dataset(args.data, source=True)
     at, _, needs_aug, _, _ = resolve_mode(args.mode)
     specs = [cfg.networks.segnet_spec(ds.classes)]
     if at:
@@ -220,7 +227,7 @@ def cmd_eval(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     bundle, _ = load_bundle(args.checkpoint)
-    ds = datagen.load_dataset(args.data)
+    ds = datagen.load_dataset(args.data, source=False)
     if bundle.student is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no segmenter")
     if bundle.student.spec.class_count != ds.classes:
@@ -247,8 +254,9 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
+    out = _check_out(args.out, args.force)  # created once the payload is computed
     bundle, meta = load_bundle(args.checkpoint)
-    ds = datagen.load_dataset(args.data)
+    ds = datagen.load_dataset(args.data, source=False)
     if bundle.disc is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no discriminator")
     if bundle.student is None:
@@ -267,7 +275,7 @@ def cmd_bounds(args) -> int:
         "statement": bound_report(spec, "statement").to_dict(),
         "proof_final_line": bound_report(spec, "proof-final-line").to_dict(),
     }
-    out = _prepare_out(args.out, args.force)
+    out.mkdir(parents=True, exist_ok=True)
     sgt.write_json(out / "bounds.json", payload)
     _write_record(
         out, "bounds", cfg, started,

@@ -274,7 +274,8 @@ ARRAY_NAMES = ("source/images", "source/labels", "target/images", "target/labels
 class DomainDataset:
     """Source scenes with labels, target scenes with held-out labels.
 
-    ``arrays`` maps each of :data:`ARRAY_NAMES` to one stacked, read-only
+    ``arrays`` maps each of :data:`ARRAY_NAMES` (the target's alone, when
+    :func:`load_dataset` skips the source domain) to one stacked, read-only
     array: ``<domain>/images`` is (n, h, w, 3) float32 in [0, 1] and
     ``<domain>/labels`` is (n, h, w) uint8. Training code may touch the
     source arrays and :meth:`target_images` only; target labels are exposed
@@ -447,18 +448,29 @@ def save_dataset(ds: DomainDataset, dirpath) -> None:
                         {"format": DATASET_FORMAT, **meta})
 
 
-def load_dataset(dirpath) -> DomainDataset:
+def load_dataset(dirpath, source: bool = True) -> DomainDataset:
+    """The dataset saved in ``dirpath``; without ``source``, its target
+    domain alone.
+
+    A target-only load skips the source arrays' payloads and leaves them out
+    of the dataset. Its structural checks are a full load's: the container
+    must hold exactly :data:`ARRAY_NAMES`, and every array's header must
+    match its expected shape and dtype. The payload checks (finite values,
+    labels within the class count) run on the arrays read.
+    """
     path = Path(dirpath) / DATASET_FILE
     if not path.exists():
         raise FileNotFoundError(f"no dataset at {path}")
-    arrays, meta = sgt.load_checkpoint(path)
+    domains = ("source", "target") if source else ("target",)
+    names = [f"{d}/{kind}" for d in domains for kind in ("images", "labels")]
+    arrays, meta = sgt.load_checkpoint(path, names)
     fmt = meta.pop("format", None)
     if fmt != DATASET_FORMAT:
         raise sgt.FormatError(f"{path}: dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
     if sorted(arrays) != sorted(ARRAY_NAMES):
         raise sgt.FormatError(f"{path}: arrays {sorted(arrays)}, expected {sorted(ARRAY_NAMES)}")
     try:
-        ds = record_from_dict(DomainDataset, meta, arrays=arrays)
+        ds = record_from_dict(DomainDataset, meta, arrays={k: arrays[k] for k in names})
     except ConfigError as e:
         raise sgt.FormatError(f"{path}: bad dataset metadata: {e}") from None
     h, w = ds.h, ds.w
@@ -473,7 +485,7 @@ def load_dataset(dirpath) -> DomainDataset:
                 f"{labels.dtype} {labels.shape}; expected n >= 1 scenes of float32 "
                 f"(n, {h}, {w}, 3) and uint8 (n, {h}, {w})"
             )
-        if labels.max() >= ds.classes:
+        if domain in domains and labels.max() >= ds.classes:
             raise sgt.FormatError(
                 f"{path}: {domain} labels reach {labels.max()}, but the dataset has "
                 f"{ds.classes} classes"

@@ -320,7 +320,21 @@ def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def upsample_nearest_bwd(g: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient of :func:`upsample_nearest`: each input cell sums the
+    factor² output cells it was copied to.
+
+    The ``[0, 0]`` phase is copied and the other phases are added to it in
+    row-major order, one whole-map slice at a time. For c >= 2 channels
+    that is the order of ``.sum(axis=(2, 4))`` over the (n, h, f, w, f, c)
+    view, so the bytes are the same. At c = 1 numpy sums the then
+    contiguous phase axis pairwise, so the last bit can differ; the program
+    upsamples class maps only, and a segmenter has at least two classes."""
     n, ho, wo, c = g.shape
-    h, w = ho // factor, wo // factor
-    return g.reshape(n, h, factor, w, factor, c).sum(axis=(2, 4))
+    phases = g.reshape(n, ho // factor, factor, wo // factor, factor, c)
+    out = phases[:, :, 0, :, 0].copy()
+    for py in range(factor):
+        for px in range(factor):
+            if py or px:
+                out += phases[:, :, py, :, px]
+    return out
 

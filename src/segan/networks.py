@@ -313,8 +313,9 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
     With ``size`` each slice is first resized (nearest) to that (h, w).
     Slices hold at most ``INFER_PIXELS`` pixels at that size, so one graph
     is built per slice length: at most two per call (full slices and the
-    remainder). An empty stack still runs one empty slice, so its outputs
-    have a shape.
+    remainder). Each pass is told its output node, so it holds only the
+    activations a later node still reads. An empty stack still runs one
+    empty slice, so its outputs have a shape.
     """
     n, h, w, _ = batch.shape
     th, tw = size or (h, w)
@@ -331,7 +332,7 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
             pn = add_param_inputs(g, prefix, net)
             graphs[m] = (g, x, pn, build(g, net.spec, pn, x))
         g, x, pn, node = graphs[m]
-        out = forward(g, {x: chunk, **param_feeds(pn, net)})[node]
+        out = forward(g, {x: chunk, **param_feeds(pn, net)}, node)[node]
         del chunk  # a resized slice is not held while the generator waits
         yield start, out
 
@@ -384,15 +385,15 @@ def _scale_stream(net: NetParams, batch: np.ndarray, s: float):
     over them with their body-resolution probabilities, and the nearest
     indices ``(iy, ix)`` that take such a map straight to the batch's
     (h, w). The indices compose the stride's upsampling with the resize
-    back, so gathering through them copies the same values those two
-    steps would."""
+    back, so taking rows ``iy`` and then columns ``ix`` copies the same
+    values those two steps would."""
     spec: SegNetSpec = net.spec
     _, h, w, _ = batch.shape
     th = max(spec.scale, int(round(h * s / spec.scale)) * spec.scale)
     tw = max(spec.scale, int(round(w * s / spec.scale)) * spec.scale)
     iy = (np.arange(h) * th) // h // spec.scale
     ix = (np.arange(w) * tw) // w // spec.scale
-    return infer_in_slices(net, "seg", _segnet_probs, batch, (th, tw)), (iy[:, None], ix)
+    return infer_in_slices(net, "seg", _segnet_probs, batch, (th, tw)), (iy, ix)
 
 
 def multi_scale_slices(net: NetParams, images: np.ndarray, scales: list[float]):
@@ -427,7 +428,7 @@ def multi_scale_slices(net: NetParams, images: np.ndarray, scales: list[float]):
                 total = np.zeros((b - a, h, w) + parts[0][1].shape[-1:], parts[0][1].dtype)
             for lo, probs in parts:
                 i, j = max(a, lo), min(b, lo + len(probs))
-                total[i - a:j - a] += probs[i - lo:j - lo][:, iy, ix]
+                total[i - a:j - a] += probs[i - lo:j - lo].take(iy, axis=1).take(ix, axis=2)
             parts[:] = [(lo, p) for lo, p in parts if lo + len(p) > b]
         total /= np.float32(len(scales))
         yield a, total, total.argmax(axis=-1).astype(np.uint8)
@@ -469,11 +470,13 @@ def predict_segmentation(net: NetParams, images: np.ndarray) -> tuple[np.ndarray
 
 
 def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbour resize of (..., h, w, c); exact identity at same size."""
+    """Nearest-neighbour resize of (..., h, w, c); exact identity at same size.
+    Rows are taken, then columns: two contiguous copies, where one 2-d
+    fancy index gathers cell by cell."""
     h, w = arr.shape[-3], arr.shape[-2]
     iy = (np.arange(out_h) * h) // out_h
     ix = (np.arange(out_w) * w) // out_w
-    return arr[..., iy[:, None], ix, :]
+    return arr.take(iy, axis=-3).take(ix, axis=-2)
 
 
 # ---------------------------------------------------------------------------

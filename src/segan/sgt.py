@@ -11,6 +11,9 @@ SGT1 layout (all integers little-endian):
 A checkpoint is a uint32 manifest length, a UTF-8 JSON manifest, then the
 referenced SGT1 blobs concatenated in manifest order. The manifest carries
 tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
+A load may read some of the tensors alone: it still parses and checks
+every tensor header in order and seeks past the payloads it skips, so a
+partial read rejects every malformed container layout a full read does.
 
 Every file the program writes (checkpoints, datasets, reports, logs and
 manifests) goes through :func:`atomic_open`: it is written to
@@ -70,10 +73,10 @@ def write_sgt(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(sgt_bytes(arr))
 
 
-def _read_sgt(f, offset: int, size: int) -> tuple[np.ndarray, int]:
-    """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
-    (``size`` bytes long) into its own array; returns it and the offset
-    after it. The payload is read straight into the array's buffer."""
+def _read_header(f, offset: int, size: int) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Parse the SGT1 header at ``offset`` of the open file ``f`` (``size``
+    bytes long): its magic, dtype code and dims. Returns the dtype, the
+    dims and the offset where the payload ends, which must fit the file."""
     magic = f.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic at offset {offset}: {magic!r}")
@@ -85,15 +88,28 @@ def _read_sgt(f, offset: int, size: int) -> tuple[np.ndarray, int]:
     if code not in _DTYPE_BY_CODE:
         raise FormatError(f"unknown dtype code {code}")
     dtype = _DTYPE_BY_CODE[code]
-    start = offset + 6 + 4 * ndim
-    end = start + math.prod(dims) * dtype.itemsize
+    end = offset + 6 + 4 * ndim + math.prod(dims) * dtype.itemsize
     if end > size:
         raise FormatError("payload truncated")
+    return dtype, dims, end
+
+
+def _read_sgt(f, offset: int, size: int, read: bool) -> tuple[np.ndarray, int]:
+    """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
+    (``size`` bytes long); returns its array and the offset after it.
+
+    With ``read`` the payload is read straight into the array's own buffer.
+    Without it the payload is skipped, and the array is a read-only
+    zero-strided placeholder of the blob's dtype and dims that holds no
+    data."""
+    dtype, dims, end = _read_header(f, offset, size)
     try:  # a zero dim passes the size check while the others overflow
-        arr = np.empty(dims, dtype=dtype)
+        arr = np.empty(dims, dtype) if read else np.broadcast_to(np.zeros((), dtype), dims)
     except ValueError:
         raise FormatError(f"dims {list(dims)} at offset {offset} are too large") from None
-    if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+    if not read:
+        f.seek(end)
+    elif f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
         raise FormatError("payload truncated")
     return arr, end
 
@@ -101,7 +117,7 @@ def _read_sgt(f, offset: int, size: int) -> tuple[np.ndarray, int]:
 def read_sgt(path) -> np.ndarray:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        arr, end = _read_sgt(f, 0, size)
+        arr, end = _read_sgt(f, 0, size, True)
     if end != size:
         raise FormatError(f"{size - end} trailing bytes after payload")
     return arr
@@ -179,9 +195,16 @@ def _check_manifest(manifest) -> None:
             raise FormatError(f"manifest tensor entry {i} lacks a 'name' string or 'shape' list")
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
     """The tensors and metadata of a checkpoint. Each tensor is read from
-    the file straight into its own array, so the load holds one copy."""
+    the file straight into its own array, so the load holds one copy.
+
+    ``names``, when given, are the tensors to read. Every tensor header is
+    still parsed and checked in order (magic, dtype code, dims against the
+    manifest, payload within the file) and trailing bytes are still
+    rejected, but the payloads of the other tensors are skipped: they come
+    back as read-only placeholders of their dtype and shape that hold no
+    data, and their values are not checked."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < 4:
@@ -195,13 +218,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
         offset = f.seek(4 + mlen)
         for entry in manifest["tensors"]:
-            arr, offset = _read_sgt(f, offset, size)
+            read = names is None or entry["name"] in names
+            arr, offset = _read_sgt(f, offset, size, read)
             if list(arr.shape) != entry["shape"]:
                 raise FormatError(f"tensor {entry['name']!r}: shape {list(arr.shape)} "
                                   f"!= manifest {entry['shape']}")
             # min and max are nan if any value is, and +-inf if any value is
             # infinite; unlike isfinite they need no array-sized mask
-            if arr.dtype.kind == "f" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+            if (read and arr.dtype.kind == "f" and arr.size
+                    and not np.isfinite([arr.min(), arr.max()]).all()):
                 raise FormatError(f"tensor {entry['name']!r} holds non-finite values")
             tensors[entry["name"]] = arr
     if offset != size:

@@ -251,8 +251,14 @@ def _eval_node(node: Node, args: list[np.ndarray]) -> np.ndarray:
     raise GraphError(f"unknown op {op!r}")
 
 
-def forward(graph: Graph, feeds: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """Evaluate every node; returns activations indexed by node id."""
+def forward(graph: Graph, feeds: dict[int, np.ndarray], read: int | None = None) -> list:
+    """Evaluate every node; returns activations indexed by node id.
+
+    ``read``, when given, is the one node the caller will read. Every other
+    activation, feeds included, is then dropped once the last node that
+    reads it has run, so the pass holds only live activations and the
+    returned list is None everywhere but at ``read``. Training passes no
+    ``read``: its backward sweep reads most activations."""
     input_ids = {i for i, n in enumerate(graph.nodes) if n.op == "input"}
     missing = input_ids - set(feeds)
     if missing:
@@ -275,12 +281,23 @@ def forward(graph: Graph, feeds: dict[int, np.ndarray]) -> list[np.ndarray]:
             raise GraphError(f"{graph._label(i)}: feed contains non-finite values")
         values[i] = arr
 
-    acts: list[np.ndarray] = []
+    dead: dict[int, list[int]] = {}  # node id -> the ids it is the last reader of
+    if read is not None:
+        last = list(range(len(graph.nodes)))  # a node no other reads is dead once made
+        for idx, node in enumerate(graph.nodes):
+            for i in node.inputs:
+                last[i] = idx
+        for i, idx in enumerate(last):
+            if i != read:
+                dead.setdefault(idx, []).append(i)
+    acts: list[np.ndarray | None] = []
     for idx, node in enumerate(graph.nodes):
         if node.op == "input":
             acts.append(values[idx])
         else:
             acts.append(_eval_node(node, [acts[i] for i in node.inputs]))
+        for i in dead.get(idx, ()):
+            acts[i] = None
     return acts
 
 

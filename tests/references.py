@@ -10,7 +10,9 @@ multi-scale prediction is the oracle the sliced one is held to, bit for bit,
 and the checkpoint corruptions are the cases the container reader must
 reject with its own error. The per-scene generator, which styles each image
 alone and blurs it with ``scipy.ndimage.gaussian_filter``, is the oracle
-the stack-styled ``generate_dataset`` is held to, array for array.
+the stack-styled ``generate_dataset`` is held to, array for array. The
+reduce form of the upsampling gradient and the 2-d fancy-index resize are
+the one-call forms the program's sliced kernels are held to, byte for byte.
 """
 
 import json
@@ -155,6 +157,25 @@ def dudley_objective(alpha: float, R: float, n: int) -> float:
     if R <= 0:
         raise ValueError(f"R must be > 0, got {R}")
     return 4 * alpha / math.sqrt(n) + (12 * math.sqrt(R) / n) * math.log(math.sqrt(n) / alpha)
+
+
+# ---------------------------------------------------------------------------
+# kernels and resizing
+
+
+def upsample_bwd_by_reduce(g: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient of nearest upsampling as one numpy reduction over the
+    (n, h, f, w, f, c) view's phase axes."""
+    n, ho, wo, c = g.shape
+    return g.reshape(n, ho // factor, factor, wo // factor, factor, c).sum(axis=(2, 4))
+
+
+def resize_by_fancy_index(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest resize of (..., h, w, c) by one 2-d fancy index."""
+    h, w = arr.shape[-3], arr.shape[-2]
+    iy = (np.arange(out_h) * h) // out_h
+    ix = (np.arange(out_w) * w) // out_w
+    return arr[..., iy[:, None], ix, :]
 
 
 # ---------------------------------------------------------------------------

@@ -405,35 +405,69 @@ def _resave(tmp_path, edit):
     return tmp_path
 
 
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (lambda a, m: m.update(format="segan-dataset-v1"), "format"),
-        (lambda a, m: a.pop("target/labels"), "arrays"),
-        (lambda a, m: a.update(extra=np.zeros(1, np.float32)), "arrays"),
-        (lambda a, m: a.update({"source/images": a["source/images"][:, :16]}), "source images"),
-        (lambda a, m: a.update({"source/labels": a["source/labels"][:1]}), "source images"),
-        (lambda a, m: a.update({"target/images": a["target/images"].astype(np.float64)}),
-         "target images"),
-        (lambda a, m: a.update({"target/labels": a["target/labels"].astype(np.float32)}),
-         "target images"),
-        (lambda a, m: a.update({"target/images": a["target/images"][:0],
-                                "target/labels": a["target/labels"][:0]}), "n >= 1"),
-        (lambda a, m: a.update({"source/images": a["source/images"][0]}), "source images"),
-        (lambda a, m: m.pop("classes"), "metadata"),
-        (lambda a, m: m.update(h="32"), r"metadata: h: expected an integer"),
-        (lambda a, m: a["source/labels"].__setitem__((0, 0, 0), 2),
-         "source labels reach 2, but the dataset has 2 classes"),
-        (lambda a, m: a["target/images"].__setitem__((0, 0, 0, 0), np.nan),
-         "'target/images' holds non-finite values"),
-    ],
-    ids=["format", "missing-array", "extra-array", "image-shape", "label-count",
-         "image-dtype", "label-dtype", "empty-domain", "image-ndim", "missing-meta",
-         "string-meta", "label-range", "nan-image"],
-)
+_MALFORMED = [
+    pytest.param(lambda a, m: m.update(format="segan-dataset-v1"), "format", id="format"),
+    pytest.param(lambda a, m: a.pop("target/labels"), "arrays", id="missing-array"),
+    pytest.param(lambda a, m: a.update(extra=np.zeros(1, np.float32)), "arrays",
+                 id="extra-array"),
+    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][:, :16]}),
+                 "source images", id="image-shape"),
+    pytest.param(lambda a, m: a.update({"source/labels": a["source/labels"][:1]}),
+                 "source images", id="label-count"),
+    pytest.param(lambda a, m: a.update({"target/images": a["target/images"].astype(np.float64)}),
+                 "target images", id="image-dtype"),
+    pytest.param(lambda a, m: a.update({"target/labels": a["target/labels"].astype(np.float32)}),
+                 "target images", id="label-dtype"),
+    pytest.param(lambda a, m: a.update({"target/images": a["target/images"][:0],
+                                        "target/labels": a["target/labels"][:0]}), "n >= 1",
+                 id="empty-domain"),
+    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][0]}),
+                 "source images", id="image-ndim"),
+    pytest.param(lambda a, m: m.pop("classes"), "metadata", id="missing-meta"),
+    pytest.param(lambda a, m: m.update(h="32"), r"metadata: h: expected an integer",
+                 id="string-meta"),
+    pytest.param(lambda a, m: a["source/labels"].__setitem__((0, 0, 0), 2),
+                 "source labels reach 2, but the dataset has 2 classes", id="label-range"),
+    pytest.param(lambda a, m: a["target/images"].__setitem__((0, 0, 0, 0), np.nan),
+                 "'target/images' holds non-finite values", id="nan-image"),
+]
+
+
+@pytest.mark.parametrize("edit, match", _MALFORMED)
 def test_load_rejects_malformed_container(tmp_path, edit, match):
     with pytest.raises(sgt.FormatError, match=match):
         load_dataset(_resave(tmp_path, edit))
+
+
+@pytest.mark.parametrize("edit, match", _MALFORMED)
+def test_target_only_load_rejects_malformed_container(tmp_path, request, edit, match):
+    # the source arrays' headers are checked as in a full load, their payloads
+    # are not read: "label-range" edits only the source labels' values, so a
+    # target-only load takes it. Every command that reads source labels
+    # loads both domains and checks their range.
+    path = _resave(tmp_path, edit)
+    if request.node.callspec.id == "label-range":
+        ds = load_dataset(path, source=False)
+        assert sorted(ds.arrays) == ["target/images", "target/labels"]
+        return
+    with pytest.raises(sgt.FormatError, match=match):
+        load_dataset(path, source=False)
+
+
+def test_target_only_load_returns_the_target_arrays_alone(tmp_path):
+    ds = generate_dataset(*benchmark_shifts(), n_source=3, n_target=2, seed=12,
+                          h=32, w=32, classes=4)
+    save_dataset(ds, tmp_path)
+    full, target = load_dataset(tmp_path), load_dataset(tmp_path, source=False)
+    assert sorted(target.arrays) == ["target/images", "target/labels"]
+    for name, arr in target.arrays.items():
+        assert arr.dtype == full.arrays[name].dtype and arr.tobytes() == full.arrays[name].tobytes()
+        assert not arr.flags.writeable
+    assert (target.h, target.w, target.classes, target.seed, target.n_target) == (
+        full.h, full.w, full.classes, full.seed, full.n_target)
+    assert (target.source_params, target.target_params) == (full.source_params, full.target_params)
+    with pytest.raises(KeyError):
+        target.source_images()
 
 
 def test_shift_params_dict_round_trip():

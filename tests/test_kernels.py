@@ -4,7 +4,8 @@ Forward passes are checked against scipy.signal.correlate2d; backward
 passes against the adjoint identity <g, conv(x)> == <conv^T(g), x>,
 which holds exactly for linear maps. The space-to-depth and GEMM paths
 are checked against the tap loop, which stays the reference for every conv
-shape.
+shape. The upsampling gradient is held to its one-reduction form, byte for
+byte.
 """
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from scipy.signal import correlate2d
 
 from segan import kernels
+
+from references import upsample_bwd_by_reduce
 
 
 def _oracle_conv(x, w, stride, pad):
@@ -141,6 +144,20 @@ def test_upsample_and_adjoint():
     assert np.array_equal(kernels.upsample_nearest(x, 1), x)
     with pytest.raises(ValueError):
         kernels.upsample_nearest(x, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("factor", [1, 2, 4, 8])
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 8])
+def test_upsample_bwd_is_bit_identical_to_the_reduce_form(dtype, factor, c):
+    # c >= 2 only: at c = 1 numpy's reduction sums the contiguous phase axis
+    # pairwise, and the program upsamples class maps of at least two classes
+    for n in (1, 2, 3):
+        g = _rand((n, 8 * factor, 4 * factor, c), seed=n).astype(dtype)
+        out = kernels.upsample_nearest_bwd(g, factor)
+        ref = upsample_bwd_by_reduce(g, factor)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
 
 
 

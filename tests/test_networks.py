@@ -38,6 +38,7 @@ from segan.tensor import Graph, backward, forward
 from segan.trainer import TrainConfig, _build_segan_graph
 
 from references import multi_scale_predict as whole_stack_multi_scale_predict
+from references import resize_by_fancy_index
 
 
 def _zeroed(net: NetParams) -> NetParams:
@@ -313,7 +314,8 @@ def test_sliced_prediction_of_200_stock_images(stock_images):
 def test_prediction_builds_at_most_two_graphs_and_runs_one_per_slice(monkeypatch):
     built, ran = [], []
     monkeypatch.setattr(networks, "Graph", lambda: built.append(Graph()) or built[-1])
-    monkeypatch.setattr(networks, "forward", lambda g, feeds: ran.append(g) or forward(g, feeds))
+    monkeypatch.setattr(networks, "forward",
+                        lambda g, feeds, read: ran.append(g) or forward(g, feeds, read))
     net = build_segnet(SegNetSpec(), seed=4)
     images = np.zeros((2 * SLICE + 3, 64, 64, 3), dtype=np.float32)
     probs, labels = predict_segmentation(net, images)
@@ -485,6 +487,16 @@ def test_resize_nearest_identity_and_block_structure():
     up = resize_nearest(arr, 8, 8)
     assert np.array_equal(up[:, ::2, ::2, :], arr)
     assert np.array_equal(up[:, 1::2, 1::2, :], arr)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 64, 64, 3), (5, 64, 48, 4), (2, 3, 7, 5, 2)])
+@pytest.mark.parametrize("size", [(48, 48), (80, 80), (64, 48), (1, 1), (13, 29)])
+def test_resize_nearest_is_bit_identical_to_the_fancy_index(shape, size):
+    # an (h, w, c) image, image stacks, and a stack with two leading axes
+    arr = np.random.default_rng(3).random(shape).astype(np.float32)
+    out, ref = resize_nearest(arr, *size), resize_by_fancy_index(arr, *size)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

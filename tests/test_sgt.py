@@ -406,7 +406,9 @@ def test_checkpoint_save_streams_each_tensor(tmp_path):
     assert path.read_bytes().endswith(expected)
 
 
-def test_checkpoint_reader_raises_only_format_errors(tmp_path):
+def _misread_corruptions(tmp_path, names):
+    """The corruptions of a small checkpoint that ``load_checkpoint(path,
+    names)`` loads, or rejects with anything but ``FormatError``."""
     path = tmp_path / "ckpt.sgt"
     sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
                                "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
@@ -418,11 +420,39 @@ def test_checkpoint_reader_raises_only_format_errors(tmp_path):
     for case, data in cases:
         bad.write_bytes(data)
         try:
-            sgt.load_checkpoint(bad)
+            sgt.load_checkpoint(bad, names)
         except sgt.FormatError:
             continue
         except Exception as exc:  # struct.error, ValueError, EOFError, ...
             wrong.append((case, repr(exc)))
         else:
             wrong.append((case, "loaded"))
-    assert wrong == []
+    return wrong
+
+
+def test_checkpoint_reader_raises_only_format_errors(tmp_path):
+    assert _misread_corruptions(tmp_path, None) == []
+
+
+@pytest.mark.parametrize("names", [["w"], ["labels"], []], ids=["first", "last", "none"])
+def test_partial_checkpoint_read_raises_only_format_errors(tmp_path, names):
+    # every header is still parsed, so a cut or a flipped header bit in a
+    # skipped tensor is found as it is in a read one
+    assert _misread_corruptions(tmp_path, names) == []
+
+
+def test_partial_checkpoint_read_holds_only_the_named_tensors(tmp_path):
+    tensors = _dataset_shaped()
+    tensors["features"][0, 0, 0, 0] = np.nan  # a skipped payload's values are not read
+    path = tmp_path / "big.sgt"
+    sgt.save_checkpoint(path, tensors, {"seed": 1})
+    (back, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path, ["labels"]))
+    assert meta == {"seed": 1} and list(back) == list(tensors)
+    assert back["labels"].flags.owndata and back["labels"].flags.writeable
+    assert back["labels"].tobytes() == tensors["labels"].tobytes()
+    assert peak <= tensors["labels"].nbytes + 2**16, peak / tensors["labels"].nbytes
+    for name in ("images", "features"):
+        assert back[name].shape == tensors[name].shape and back[name].dtype == tensors[name].dtype
+        assert not back[name].flags.writeable and set(back[name].strides) == {0}
+    with pytest.raises(sgt.FormatError, match="non-finite"):
+        sgt.load_checkpoint(path, ["features"])

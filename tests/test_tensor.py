@@ -239,6 +239,45 @@ def test_backward_releases_each_gradient_once_its_vjp_runs():
     assert peak < 6 * 2**20
 
 
+def test_forward_with_a_read_node_holds_only_live_activations():
+    # a chain of 80 ops over 1 MiB of float64 each, with a side branch that
+    # the last node reads: the full pass holds all 83 activations at its end
+    g = Graph()
+    x = node = g.input("x", (128, 1024))
+    branch = g.scalar_mul(x, 0.5)
+    for _ in range(40):
+        node = g.relu(g.scalar_add(node, -0.01))
+    out = g.add(node, branch)
+    feeds = {x: np.random.default_rng(0).standard_normal((128, 1024))}
+    full = forward(g, feeds)
+    tracemalloc.start()
+    try:
+        acts = forward(g, feeds, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert acts[out].tobytes() == full[out].tobytes()
+    assert [i for i, a in enumerate(acts) if a is not None] == [out]
+    assert peak < 6 * 2**20, peak / 2**20
+
+
+def test_forward_with_a_read_node_matches_the_full_pass_on_a_conv_net():
+    g = Graph()
+    x = g.input("x", (2, 8, 8, 3))
+    w0, b0 = g.input("w0", (3, 3, 3, 16)), g.input("b0", (16,))
+    w1, b1 = g.input("w1", (4, 4, 16, 4)), g.input("b1", (4,))
+    h = g.leaky_relu(g.conv2d(x, w0, b0, pad=1))
+    out = g.softmax(g.upsample_nearest(g.conv2d(h, w1, b1, stride=2, pad=1), 2))
+    rng = np.random.default_rng(1)
+    feeds = {i: rng.standard_normal(g.shape(i)).astype(np.float32) for i in (x, w0, b0, w1, b1)}
+    acts = forward(g, feeds, h)
+    assert acts[h].tobytes() == forward(g, feeds)[h].tobytes()
+    assert [i for i, a in enumerate(acts) if a is not None] == [h]
+    acts = forward(g, feeds, out)
+    assert acts[out].tobytes() == forward(g, feeds)[out].tobytes()
+    assert [i for i, a in enumerate(acts) if a is not None] == [out]
+
+
 def test_constant_wrt_loss_gives_zero_everywhere():
     g = Graph()
     x = g.input("x", (3,))
