@@ -45,7 +45,7 @@ from .networks import ModelBundle, predict_segmentation
 from .trainer import (
     MODES,
     NumericAbort,
-    check_tgstn_batches,
+    check_batches,
     evaluate_student,
     load_bundle,
     oracle_style_fn,
@@ -165,7 +165,7 @@ def cmd_train_tgstn(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     ds = datagen.load_dataset(args.data, source=True)
-    check_tgstn_batches(cfg.tgstn, ds)
+    check_batches("tgstn", ds, cfg.tgstn.batch_source, None)
     _check_size(ds, cfg.networks.segnet_spec(ds.classes), cfg.networks.disc_spec(3))
     out = _prepare_out(args.out, args.force)
     phi = pretrain_phi(ds, cfg.seed, networks=cfg.networks)
@@ -195,6 +195,8 @@ def cmd_train(args) -> int:
     if at:
         specs.append(cfg.networks.disc_spec(ds.classes))
     _check_size(ds, *specs)
+    # every mode past noadapt feeds target batches
+    check_batches("train", ds, cfg.train.batch_source, cfg.train.batch_target if at else None)
     style_fn = _style_fn(args, ds, cfg, needs_aug)
     out = _prepare_out(args.out, args.force)
     report, bundle, log = run_ablation(args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn,

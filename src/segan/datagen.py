@@ -277,7 +277,9 @@ class DomainDataset:
     ``arrays`` maps each of :data:`ARRAY_NAMES` (the target's alone, when
     :func:`load_dataset` skips the source domain) to one stacked, read-only
     array: ``<domain>/images`` is (n, h, w, 3) float32 in [0, 1] and
-    ``<domain>/labels`` is (n, h, w) uint8. Training code may touch the
+    ``<domain>/labels`` is (n, h, w) uint8. A loaded dataset's arrays are
+    read-only maps of ``dataset.sgt``, so a process holds only the scenes
+    it touches. Training code may touch the
     source arrays and :meth:`target_images` only; target labels are exposed
     solely through :meth:`eval_target_labels`.
     """
@@ -457,13 +459,22 @@ def load_dataset(dirpath, source: bool = True) -> DomainDataset:
     must hold exactly :data:`ARRAY_NAMES`, and every array's header must
     match its expected shape and dtype. The payload checks (finite values,
     labels within the class count) run on the arrays read.
+
+    Each array read is a read-only map of the file (``sgt.load_checkpoint``
+    with ``mapped``): its finite check streams the payload through a small
+    buffer, so the load holds none of it, and later reads bring in only the
+    pages they touch. The label-range check reads the label pages, 1/12 of
+    the payload. A map outlives a rename over the file (every writer in the
+    program replaces files by rename), but truncating or rewriting
+    ``dataset.sgt`` in place while a process reads it ends that process with
+    SIGBUS.
     """
     path = Path(dirpath) / DATASET_FILE
     if not path.exists():
         raise FileNotFoundError(f"no dataset at {path}")
     domains = ("source", "target") if source else ("target",)
     names = [f"{d}/{kind}" for d in domains for kind in ("images", "labels")]
-    arrays, meta = sgt.load_checkpoint(path, names)
+    arrays, meta = sgt.load_checkpoint(path, names, mapped=True)
     fmt = meta.pop("format", None)
     if fmt != DATASET_FORMAT:
         raise sgt.FormatError(f"{path}: dataset format {fmt!r}, expected {DATASET_FORMAT!r}")

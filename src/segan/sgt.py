@@ -14,6 +14,9 @@ tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
 A load may read some of the tensors alone: it still parses and checks
 every tensor header in order and seeks past the payloads it skips, so a
 partial read rejects every malformed container layout a full read does.
+A load reads each payload either into an array of its own or, with
+``mapped``, through a small buffer and then maps it read-only from the
+file, so the process holds only the pages its callers touch.
 
 Every file the program writes (checkpoints, datasets, reports, logs and
 manifests) goes through :func:`atomic_open`: it is written to
@@ -29,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import os
 import struct
 from contextlib import contextmanager
@@ -40,6 +44,10 @@ MAGIC = b"SGT1"
 CHECKPOINT_FORMAT = "segan-checkpoint-v1"
 _DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<f8")}
 _CODE_BY_KIND = {"<f4": 0, "u1": 1, "<f8": 2}
+# The buffer a mapped payload is checked through. It stays below glibc's
+# 128 KiB mmap threshold: freeing a larger buffer raises that threshold, and
+# the heap then keeps more memory.
+CHECK_BYTES = 1 << 16
 
 
 class FormatError(Exception):
@@ -94,30 +102,64 @@ def _read_header(f, offset: int, size: int) -> tuple[np.dtype, tuple[int, ...], 
     return dtype, dims, end
 
 
-def _read_sgt(f, offset: int, size: int, read: bool) -> tuple[np.ndarray, int]:
-    """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
-    (``size`` bytes long); returns its array and the offset after it.
+def _finite(vals: np.ndarray) -> bool:
+    # min and max are nan if any value is, and +-inf if any value is
+    # infinite; unlike isfinite they need no array-sized mask
+    return vals.dtype.kind != "f" or not vals.size or bool(
+        np.isfinite([vals.min(), vals.max()]).all())
 
-    With ``read`` the payload is read straight into the array's own buffer.
-    Without it the payload is skipped, and the array is a read-only
-    zero-strided placeholder of the blob's dtype and dims that holds no
-    data."""
+
+def _map(f, start: int, dtype: np.dtype, dims: tuple[int, ...]) -> np.ndarray:
+    """A read-only array over the payload at ``start`` of the open file
+    ``f``, mapped from the file rather than copied."""
+    base = start - start % mmap.ALLOCATIONGRANULARITY
+    count = math.prod(dims)
+    view = mmap.mmap(f.fileno(), start - base + count * dtype.itemsize,
+                     access=mmap.ACCESS_READ, offset=base)
+    return np.frombuffer(view, dtype, count, start - base).reshape(dims)
+
+
+def _read_sgt(f, offset: int, size: int, read: bool,
+              mapped: bool) -> tuple[np.ndarray, int, bool]:
+    """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
+    (``size`` bytes long); returns its array, the offset after it, and
+    whether the values read are all finite.
+
+    With ``read`` and without ``mapped`` the payload is read straight into
+    the array's own buffer. With ``mapped`` it is read through one
+    :data:`CHECK_BYTES` buffer, chunk by chunk, and the array is a
+    read-only map of it from ``f`` itself, so the bytes mapped are the bytes
+    checked; a zero-size payload is read, not mapped. Without ``read`` the
+    payload is skipped, and the array is a read-only zero-strided
+    placeholder of the blob's dtype and dims that holds no data."""
     dtype, dims, end = _read_header(f, offset, size)
     try:  # a zero dim passes the size check while the others overflow
-        arr = np.empty(dims, dtype) if read else np.broadcast_to(np.zeros((), dtype), dims)
+        arr = np.broadcast_to(np.zeros((), dtype), dims)
     except ValueError:
         raise FormatError(f"dims {list(dims)} at offset {offset} are too large") from None
     if not read:
         f.seek(end)
-    elif f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-        raise FormatError("payload truncated")
-    return arr, end
+        return arr, end, True
+    if not (mapped and arr.size):
+        arr = np.empty(dims, dtype)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise FormatError("payload truncated")
+        return arr, end, _finite(arr)
+    start = end - arr.nbytes
+    buf = np.empty(min(CHECK_BYTES, arr.nbytes), np.uint8)
+    finite = True
+    for lo in range(start, end, CHECK_BYTES):
+        chunk = buf[: min(CHECK_BYTES, end - lo)]
+        if f.readinto(chunk) != len(chunk):
+            raise FormatError("payload truncated")
+        finite = finite and _finite(chunk.view(dtype))
+    return _map(f, start, dtype, dims), end, finite
 
 
 def read_sgt(path) -> np.ndarray:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        arr, end = _read_sgt(f, 0, size, True)
+        arr, end, _ = _read_sgt(f, 0, size, True, False)
     if end != size:
         raise FormatError(f"{size - end} trailing bytes after payload")
     return arr
@@ -195,9 +237,15 @@ def _check_manifest(manifest) -> None:
             raise FormatError(f"manifest tensor entry {i} lacks a 'name' string or 'shape' list")
 
 
-def load_checkpoint(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
-    """The tensors and metadata of a checkpoint. Each tensor is read from
-    the file straight into its own array, so the load holds one copy.
+def load_checkpoint(path, names=None,
+                    mapped: bool = False) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and metadata of a checkpoint. Without ``mapped`` each
+    tensor is read from the file straight into its own writeable array, so
+    the load holds one copy. With ``mapped`` each payload is checked in one
+    streamed pass through a :data:`CHECK_BYTES` buffer and handed out as a
+    read-only map of the file: the load holds none of the payload, and a
+    caller's reads bring in only the pages they touch. Every check is the
+    same either way.
 
     ``names``, when given, are the tensors to read. Every tensor header is
     still parsed and checked in order (magic, dtype code, dims against the
@@ -219,14 +267,11 @@ def load_checkpoint(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
         offset = f.seek(4 + mlen)
         for entry in manifest["tensors"]:
             read = names is None or entry["name"] in names
-            arr, offset = _read_sgt(f, offset, size, read)
+            arr, offset, finite = _read_sgt(f, offset, size, read, mapped)
             if list(arr.shape) != entry["shape"]:
                 raise FormatError(f"tensor {entry['name']!r}: shape {list(arr.shape)} "
                                   f"!= manifest {entry['shape']}")
-            # min and max are nan if any value is, and +-inf if any value is
-            # infinite; unlike isfinite they need no array-sized mask
-            if (read and arr.dtype.kind == "f" and arr.size
-                    and not np.isfinite([arr.min(), arr.max()]).all()):
+            if not finite:
                 raise FormatError(f"tensor {entry['name']!r} holds non-finite values")
             tensors[entry["name"]] = arr
     if offset != size:

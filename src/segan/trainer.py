@@ -347,6 +347,23 @@ def _descend(g: Graph, nets: list[tuple[dict[str, int], NetParams]], sweeps: lis
         hook(it, values)
 
 
+def check_batches(section: str, ds: DomainDataset, source: int, target: int | None) -> None:
+    """Reject, at ``<section>.batch_source`` or ``<section>.batch_target``,
+    a batch of more scenes than its domain holds; a ``None`` batch is not
+    checked. TGSTN walks a permutation of the source scenes, so it cannot
+    fill a larger source batch. ``train`` draws with replacement, where such
+    a batch only repeats scenes: it is a mistyped size, and one of 10^6
+    32x32 source scenes asked numpy for 11.4 GiB."""
+    for domain, batch in (("source", source), ("target", target)):
+        n = getattr(ds, f"n_{domain}")
+        if batch is not None and batch > n:
+            raise ConfigError(
+                f"{section}.batch_{domain}",
+                f"batch_{domain} is {batch} but the dataset has only "
+                f"n_{domain}={n} {domain} scenes; each step needs a full batch",
+            )
+
+
 def train_segan(
     cfg: TrainConfig,
     ds: DomainDataset,
@@ -494,17 +511,6 @@ def self_train(
 # style-transfer stage
 
 
-def check_tgstn_batches(cfg: TGSTNConfig, ds: DomainDataset) -> None:
-    """Reject a source batch larger than the dataset: each step needs a full
-    batch of distinct scenes."""
-    if ds.n_source < cfg.batch_source:
-        raise ConfigError(
-            "tgstn.batch_source",
-            f"batch_source is {cfg.batch_source} but the dataset has only "
-            f"n_source={ds.n_source} source scenes; each step needs a full batch",
-        )
-
-
 def train_tgstn(
     cfg: TGSTNConfig,
     ds: DomainDataset,
@@ -523,7 +529,9 @@ def train_tgstn(
         raise ValueError(
             f"guiding segmenter emits {phi.spec.class_count} classes, dataset has {ds.classes}"
         )
-    check_tgstn_batches(cfg, ds)
+    # each epoch walks a permutation of the source scenes; target batches
+    # draw with replacement
+    check_batches("tgstn", ds, cfg.batch_source, None)
 
     gen = build_style_generator(networks.stylegen_spec(), derive_seed(seed, "gen"))
     disc = build_discriminator(networks.disc_spec(3), derive_seed(seed, "styledisc"))

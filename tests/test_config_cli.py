@@ -574,10 +574,40 @@ def stock_eval(tmp_path_factory):
     return root
 
 
+def test_stock_dataset_load_holds_none_of_its_arrays(stock_eval):
+    # a load that copied the arrays peaked at 20.35 MiB; a mapped load holds
+    # only the check buffer and the metadata
+    datagen.load_dataset(stock_eval / "data")  # warm-up
+    tracemalloc.start()
+    try:
+        ds = datagen.load_dataset(stock_eval / "data")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_source == ds.n_target == 200
+    assert peak < 2**20, peak / 2**20
+
+
+def test_rewriting_a_loaded_dataset_leaves_its_arrays(workdir, tmp_path):
+    # every writer replaces a file by rename, and a map keeps the file it
+    # was made from
+    data = tmp_path / "data"
+    argv = ["gen-data", "--config", workdir["config"], "--out", str(data)]
+    assert cli.main(argv) == 0
+    ds = datagen.load_dataset(data)
+    first = {name: arr.tobytes() for name, arr in ds.arrays.items()}
+    assert cli.main([*argv, "--force", "--seed", "4"]) == 0
+    for name, arr in ds.arrays.items():
+        assert arr.tobytes() == first[name], name
+    again = datagen.load_dataset(data)
+    assert again.seed == 4 and again.source_images().tobytes() != first["source/images"]
+
+
 @pytest.mark.parametrize("mst", [[], ["--mst", "0.75,1,1.25"]], ids=["single", "mst"])
 def test_eval_holds_the_target_arrays_alone(stock_eval, tmp_path, mst):
-    # loading both domains peaked at 23.6 MiB (24.9 MiB with --mst), the
-    # target alone at 11.9 (13.3): the 10.6 MiB of source arrays are not read
+    # loading both domains peaked at 23.6 MiB (24.9 MiB with --mst), copying
+    # the target alone at 11.9 (13.3), mapping it at 1.7 (3.2): the source
+    # arrays are not read, and the target's are not copied
     runs = iter(range(2))
 
     def run():
@@ -595,7 +625,7 @@ def test_eval_holds_the_target_arrays_alone(stock_eval, tmp_path, mst):
     assert code == 0
     assert (tmp_path / "e0" / "report.json").read_bytes() == (
         tmp_path / "e1" / "report.json").read_bytes()
-    assert peak < 18 * 2**20, peak / 2**20
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 def test_eval_rejects_class_mismatched_checkpoint(workdir, trained, tmp_path, capsys):
@@ -886,6 +916,58 @@ def test_train_tgstn_batch_above_source_count_exits_2(workdir, tmp_path, capsys,
     assert "batch_source is 7" in err and "n_source=6" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_train_batch_above_domain_count_exits_2(workdir, tmp_path, capsys, monkeypatch, domain):
+    # a source batch of 10^6 once ended in "Unable to allocate 11.4 GiB" from
+    # the batch generator, after --out was made
+    def no_training(*args, **kwargs):
+        pytest.fail("training ran before the batch check")
+
+    monkeypatch.setattr(cli, "run_ablation", no_training)
+    cfg = dict(TINY, train={**TINY["train"], f"batch_{domain}": 10**6})
+    cfg_path = tmp_path / "big_batch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(
+        ["train", "--config", str(cfg_path), "--data", workdir["data"], "--mode", "full",
+         "--oracle-style", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: train.batch_{domain}: ")
+    assert f"batch_{domain} is 1000000" in err and f"n_{domain}=6" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_noadapt_leaves_its_unfed_target_batch_unchecked(workdir, tmp_path):
+    # noadapt feeds no target batch, so a target batch above n_target=6 runs
+    cfg_path = tmp_path / "big_target.json"
+    cfg_path.write_text(json.dumps(dict(TINY, train={**TINY["train"], "batch_target": 7})))
+    code = cli.main(
+        ["train", "--config", str(cfg_path), "--data", workdir["data"], "--mode", "noadapt",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert (tmp_path / "o" / "checkpoint.sgt").exists()
+
+
+def test_train_tgstn_runs_on_one_scene_per_domain(tmp_path):
+    # phi pretrains with the default batches of 2, which draw with
+    # replacement; the config's train batches are not read
+    cfg = dict(TINY, dataset={**TINY["dataset"], "n_source": 1, "n_target": 1},
+               tgstn={"epochs": 1, "batch_source": 1})
+    cfg_path = tmp_path / "one_scene.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    code = cli.main(
+        ["train-tgstn", "--config", str(cfg_path), "--data", str(data),
+         "--out", str(tmp_path / "g")]
+    )
+    assert code == 0
+    assert (tmp_path / "g" / "tgstn.sgt").exists()
 
 
 def test_export_plots_cross_checks(workdir, tmp_path):

@@ -406,9 +406,43 @@ def test_checkpoint_save_streams_each_tensor(tmp_path):
     assert path.read_bytes().endswith(expected)
 
 
-def _misread_corruptions(tmp_path, names):
+def test_mapped_load_equals_an_owned_load_and_holds_no_payload(tmp_path):
+    tensors = _dataset_shaped()
+    tensors["empty"] = np.zeros((0, 3), np.float32)  # a zero-size payload is read, not mapped
+    path = tmp_path / "big.sgt"
+    sgt.save_checkpoint(path, tensors, {"seed": 1})
+    owned, _ = sgt.load_checkpoint(path)
+    (mapped, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path, mapped=True))
+    assert meta == {"seed": 1} and list(mapped) == list(tensors)
+    assert peak < 2**20, peak / 2**20
+    for name, arr in mapped.items():
+        assert type(arr) is np.ndarray and arr.dtype == owned[name].dtype
+        assert arr.shape == owned[name].shape and arr.tobytes() == owned[name].tobytes()
+        if arr.size:
+            assert not arr.flags.writeable and not arr.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mapped_load_finds_a_non_finite_value_at_every_chunk_edge(tmp_path, dtype, value):
+    per_chunk = sgt.CHECK_BYTES // np.dtype(dtype).itemsize
+    good = np.arange(2 * per_chunk + 5, dtype=dtype)
+    path = tmp_path / "t.sgt"
+    for i in (0, per_chunk - 1, per_chunk, 2 * per_chunk, len(good) - 1):
+        bad = good.copy()
+        bad[i] = value
+        sgt.save_checkpoint(path, {"ok": good, "x": bad}, {})
+        with pytest.raises(sgt.FormatError, match="'x' holds non-finite values"):
+            sgt.load_checkpoint(path, mapped=True)
+        back, _ = sgt.load_checkpoint(path, ["ok"], mapped=True)
+        assert back["ok"].tobytes() == good.tobytes()
+
+
+def _misread_corruptions(tmp_path, names, mapped=False):
     """The corruptions of a small checkpoint that ``load_checkpoint(path,
-    names)`` loads, or rejects with anything but ``FormatError``."""
+    names, mapped)`` loads, or rejects with anything but ``FormatError``."""
     path = tmp_path / "ckpt.sgt"
     sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
                                "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
@@ -420,7 +454,7 @@ def _misread_corruptions(tmp_path, names):
     for case, data in cases:
         bad.write_bytes(data)
         try:
-            sgt.load_checkpoint(bad, names)
+            sgt.load_checkpoint(bad, names, mapped)
         except sgt.FormatError:
             continue
         except Exception as exc:  # struct.error, ValueError, EOFError, ...
@@ -432,6 +466,11 @@ def _misread_corruptions(tmp_path, names):
 
 def test_checkpoint_reader_raises_only_format_errors(tmp_path):
     assert _misread_corruptions(tmp_path, None) == []
+
+
+@pytest.mark.parametrize("names", [None, ["w"]], ids=["all", "first"])
+def test_mapped_checkpoint_reader_raises_only_format_errors(tmp_path, names):
+    assert _misread_corruptions(tmp_path, names, mapped=True) == []
 
 
 @pytest.mark.parametrize("names", [["w"], ["labels"], []], ids=["first", "last", "none"])
