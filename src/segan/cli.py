@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -220,8 +221,8 @@ def _parse_scales(text: str) -> tuple[float, ...]:
         scales = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError("", f"--mst expects comma-separated numbers, got {text!r}")
-    if not scales or any(s <= 0 for s in scales):
-        raise ConfigError("", f"--mst scales must be positive, got {text!r}")
+    if not scales or not all(0 < s < math.inf for s in scales):
+        raise ConfigError("", f"--mst scales must be positive and finite, got {text!r}")
     return scales
 
 

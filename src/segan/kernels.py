@@ -1,8 +1,8 @@
 """Convolution and resampling kernels.
 
 These are the hot inner loops of the autodiff engine, written in numpy.
-Each conv kernel is picked by the shape alone. The forward has three
-paths; the input and weight gradients have the first and the last:
+Each conv kernel is picked by the stride and shape alone. The forward and
+each gradient have two paths, and space-to-depth comes first in all three:
 
 - **Space-to-depth**, when the stride s > 1 divides both kernel sides and
   both padded input sides. A stride-s conv whose kernel is a multiple of s
@@ -16,33 +16,36 @@ paths; the input and weight gradients have the first and the last:
   and are dropped (forward) or meet zero gradient rows (backward). Every
   discriminator conv (k4 s2 p1 on even maps) takes this path: 4 GEMMs with
   K = 4·c_in instead of 16 strided copies and 16 GEMMs.
-- **One GEMM per row block** (forward only), for every other conv larger
-  than 1×1 with at least ``GEMM_MIN_CHANNELS`` channels on either side:
-  every 3×3 conv of the segmenter and the generator. A sliding-window view
-  of the padded input is copied once, transposed, into (rows, kh·kw·c_in)
-  columns, which meet the (kh·kw·c_in, c_out) weight in one GEMM. The rows
-  go in blocks of whole images or of output-row bands, so that one block's
+- **One GEMM per row block**, for every other forward conv: every 3×3
+  conv of the segmenter and the generator, and the segmenter's 1×1 head.
+  A read-only strided view of the padded input, already in the weight's
+  (ky, kx, ci) order, is copied once into (rows, kh·kw·c_in) columns,
+  which meet the (kh·kw·c_in, c_out) weight in one GEMM. The rows go in
+  blocks of whole images or of output-row bands, so that one block's
   columns hold at most ``GEMM_BLOCK_BYTES`` (256 KiB, about a per-core L2)
   unless one output row alone is larger. The whole column matrix of a
   batch-8 generator conv would be 19 MB. With one BLAS thread on 2 vCPUs
   the forward of ``seg.conv0`` at batch 8 went from 1.35 to 0.51 ms,
   ``gen.conv1`` at batch 2 from 1.23–1.77 to 0.87–1.29 ms, and ``gen.out``
-  from 0.61–1.01 to 0.45–0.85 ms. Narrower convs, such as 3 -> 8 at
-  64×64, ran slower this way.
-- **Tap loop**, for every other conv: each kernel tap (ky, kx) contributes
-  one small matmul between the strided input slice it touches and that
-  tap's weight matrix. It is the reference the tests hold the other paths
-  to.
+  from 0.61–1.01 to 0.45–0.85 ms, against a loop over the kernel taps.
+  That tap loop was faster only on narrow 3×3 convs, such as 3 -> 8 at
+  64×64, which no stock net runs. Its only stock forward user was the 1×1
+  head (32 -> 4), at 4–8 ms of a 0.7–2.7 s ``perfbench`` round. A 1×1
+  conv here is the same single GEMM over the same rows, so its bytes are
+  the same.
+- **Tap loop**, for every other backward conv: each kernel tap (ky, kx)
+  contributes one small matmul between the output gradient and the strided
+  input slice that tap touches.
 
 The paths add the same products in another order. Float64 results agree
-to ~1e-15 relative. Float32 forward outputs agree with the tap loop to
-~4e-7 of their largest magnitude on the space-to-depth path and to ~8e-7
-on the GEMM path; the tests hold them to 1e-6 and 2e-6. The backward
-kernels are mostly bit-identical. The wrapped rows of space-to-depth are
-GEMM work too, a large share on small maps (an 8×8 input gives 25 phase
-cells per 16 outputs), so at batch 6 the 8×8 disc layer runs no faster
-than the tap loop. At the default batch sizes (2 in training, 1 in
-``bounds``) every disc layer is faster.
+to ~1e-15 relative. Float32 forward outputs agree with a tap-loop
+reference to ~4e-7 of their largest magnitude on the space-to-depth path
+and to ~8e-7 on the GEMM path; the tests hold them to 1e-6 and 2e-6. The
+backward kernels are mostly bit-identical. The wrapped rows of
+space-to-depth are GEMM work too, a large share on small maps (an 8×8
+input gives 25 phase cells per 16 outputs), so at batch 6 the 8×8 disc
+layer runs no faster than the tap loop. At the default batch sizes (2 in
+training, 1 in ``bounds``) every disc layer is faster.
 
 Layout convention throughout: activations are ``(batch, h, w, channels)``,
 weights are ``(kh, kw, c_in, c_out)``, both C-contiguous.
@@ -55,10 +58,6 @@ import numpy as np
 # The columns of one forward GEMM block hold at most this many bytes (or
 # one output row, when a row alone is larger), so they stay L2-sized.
 GEMM_BLOCK_BYTES = 256 * 1024
-
-# A forward conv with this many channels on either side runs as GEMMs;
-# narrower ones keep the tap loop.
-GEMM_MIN_CHANNELS = 16
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -81,18 +80,7 @@ def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tap loops
-
-
-def _conv2d_forward_np(xp, w, out_shape, stride):
-    n, ho, wo, c_out = out_shape
-    kh, kw, c_in, _ = w.shape
-    acc = np.zeros((n * ho * wo, c_out), dtype=xp.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            tap = xp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :]
-            acc += tap.reshape(-1, c_in) @ w[ky, kx]
-    return acc.reshape(out_shape)
+# backward tap loops
 
 
 def _conv2d_bwd_input_np(g, w, gxp, stride):
@@ -222,9 +210,11 @@ def _conv2d_forward_gemm(xp, w, out_shape, stride):
     n, ho, wo, c_out = out_shape
     kh, kw, c_in, _ = w.shape
     k = kh * kw * c_in
-    # (n, ho, wo, c_in, kh, kw) windows, regrouped to the weight's (ky, kx, ci) order
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    # (n, ho, wo, kh, kw, c_in) windows, already in the weight's (ky, kx, ci) order
+    sn, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, kh, kw, c_in), (sn, stride * sh, stride * sw, sh, sw, sc),
+        writeable=False)
     wmat = w.reshape(k, c_out)
     out = np.empty(out_shape, dtype=xp.dtype)
     rows = max(1, GEMM_BLOCK_BYTES // (wo * k * xp.itemsize))
@@ -251,30 +241,23 @@ def _check_conv_args(x, w, stride, pad):
 
 def _takes_s2d(kh: int, kw: int, hp: int, wp: int, stride: int) -> bool:
     """Whether a conv of kernel (kh, kw) over a padded (hp, wp) map runs by
-    space-to-depth; every other conv runs the tap loop."""
+    space-to-depth; every other conv runs one GEMM per row block forward
+    and the tap loop backward."""
     return (stride > 1 and kh % stride == 0 and kw % stride == 0
             and hp % stride == 0 and wp % stride == 0)
-
-
-def _takes_gemm(kh: int, kw: int, c_in: int, c_out: int) -> bool:
-    """Whether a forward conv that does not take space-to-depth runs as one
-    GEMM per row block; every other one runs the tap loop."""
-    return kh * kw > 1 and max(c_in, c_out) >= GEMM_MIN_CHANNELS
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of ``x`` (n,h,w,ci) with ``w`` (kh,kw,ci,co)."""
     _check_conv_args(x, w, stride, pad)
-    n, h, wd, c_in = x.shape
+    n, h, wd, _ = x.shape
     kh, kw, _, c_out = w.shape
     ho = conv_output_size(h, kh, stride, pad)
     wo = conv_output_size(wd, kw, stride, pad)
     xp = _pad_input(x, pad)
     if _takes_s2d(kh, kw, h + 2 * pad, wd + 2 * pad, stride):
         return _conv2d_forward_s2d(xp, w, (n, ho, wo, c_out), stride)
-    if _takes_gemm(kh, kw, c_in, c_out):
-        return _conv2d_forward_gemm(xp, w, (n, ho, wo, c_out), stride)
-    return _conv2d_forward_np(xp, w, (n, ho, wo, c_out), stride)
+    return _conv2d_forward_gemm(xp, w, (n, ho, wo, c_out), stride)
 
 
 def conv2d_bwd_input(

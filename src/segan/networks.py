@@ -77,6 +77,9 @@ class DiscSpec:
         if len(self.widths) != 5 or self.widths[-1] != 1 or min(self.widths) < 1:
             raise ConfigError("widths", "the discriminator has 5 positive conv widths, the "
                                         f"last 1 (its score map); got {self.widths}")
+        for name in ("kernel", "stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
 
     @property
     def min_input(self) -> int:
@@ -168,43 +171,44 @@ def _conv_pair(rng, kh, kw, cin, cout):
     return _kaiming(rng, kh, kw, cin, cout), np.zeros(cout, dtype=np.float32)
 
 
-def build_segnet(spec: SegNetSpec, seed: int) -> NetParams:
-    rng = substream(seed, "init", "segnet")
-    values: dict[str, np.ndarray] = {}
-    cin = spec.in_channels
+def layer_shapes(spec) -> dict[str, tuple[int, int, int, int]]:
+    """(kh, kw, c_in, c_out) of each conv of the net ``spec`` describes, by
+    layer name in build order; each layer has a ``w`` and a ``b`` tensor."""
+    k = spec.kernel if isinstance(spec, DiscSpec) else 3
+    shapes, cin = {}, spec.in_channels
     for i, width in enumerate(spec.widths):
-        values[f"conv{i}/w"], values[f"conv{i}/b"] = _conv_pair(rng, 3, 3, cin, width)
+        shapes[f"conv{i}"] = (k, k, cin, width)
         cin = width
-    values["head/w"], values["head/b"] = _conv_pair(rng, 1, 1, cin, spec.class_count)
+    if isinstance(spec, SegNetSpec):
+        shapes["head"] = (1, 1, cin, spec.class_count)
+    elif isinstance(spec, StyleGenSpec):
+        shapes["out"] = (3, 3, cin, spec.in_channels)
+    return shapes
+
+
+def _build(spec, seed: int, stream: str, zero_layers=()) -> NetParams:
+    rng = substream(seed, "init", stream)
+    values: dict[str, np.ndarray] = {}
+    for layer, (kh, kw, cin, cout) in layer_shapes(spec).items():
+        if layer in zero_layers:
+            values[f"{layer}/w"] = np.zeros((kh, kw, cin, cout), dtype=np.float32)
+            values[f"{layer}/b"] = np.zeros(cout, dtype=np.float32)
+        else:
+            values[f"{layer}/w"], values[f"{layer}/b"] = _conv_pair(rng, kh, kw, cin, cout)
     return NetParams(spec, values)
+
+
+def build_segnet(spec: SegNetSpec, seed: int) -> NetParams:
+    return _build(spec, seed, "segnet")
 
 
 def build_discriminator(spec: DiscSpec, seed: int) -> NetParams:
-    rng = substream(seed, "init", "disc")
-    values: dict[str, np.ndarray] = {}
-    cin = spec.in_channels
-    for i, width in enumerate(spec.widths):
-        values[f"conv{i}/w"], values[f"conv{i}/b"] = _conv_pair(
-            rng, spec.kernel, spec.kernel, cin, width
-        )
-        cin = width
-    return NetParams(spec, values)
+    return _build(spec, seed, "disc")
 
 
 def build_style_generator(spec: StyleGenSpec, seed: int) -> NetParams:
-    rng = substream(seed, "init", "stylegen")
-    values: dict[str, np.ndarray] = {}
-    cin = spec.in_channels
-    for i, width in enumerate(spec.widths):
-        values[f"conv{i}/w"], values[f"conv{i}/b"] = _conv_pair(rng, 3, 3, cin, width)
-        cin = width
-    if spec.residual:
-        # identity start: the generator begins as a no-op on the image
-        values["out/w"] = np.zeros((3, 3, cin, spec.in_channels), dtype=np.float32)
-    else:
-        values["out/w"] = _kaiming(rng, 3, 3, cin, spec.in_channels)
-    values["out/b"] = np.zeros(spec.in_channels, dtype=np.float32)
-    return NetParams(spec, values)
+    # a residual generator starts from a zero output conv, a no-op on the image
+    return _build(spec, seed, "stylegen", ("out",) if spec.residual else ())
 
 
 def add_param_inputs(g: Graph, prefix: str, net: NetParams) -> dict[str, int]:

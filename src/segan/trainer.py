@@ -62,6 +62,7 @@ from .networks import (
     disc_forward,
     infer_stack,
     label_slices,
+    layer_shapes,
     multi_scale_predict,  # unused here; perfbench/tracing.py wraps trainer.multi_scale_predict
     multi_scale_slices,
     param_feeds,
@@ -652,7 +653,28 @@ def save_bundle(path, bundle: ModelBundle, **meta) -> None:
     sgt.save_checkpoint(path, tensors, {"specs": specs, **meta})
 
 
+def _check_tensors(path, comp: str, spec, values: dict[str, np.ndarray]) -> None:
+    """Raise ``FormatError`` at the first tensor of net ``comp`` that is
+    missing from ``values``, or is not the float32 shape its builder makes
+    for ``spec``, or that the builder does not make at all."""
+    want = {}
+    for layer, shape in layer_shapes(spec).items():
+        want[f"{layer}/w"], want[f"{layer}/b"] = shape, shape[3:]
+    for name, shape in want.items():
+        if name not in values:
+            raise sgt.FormatError(f"{path}: tensor {comp}/{name} is missing")
+        arr = values[name]
+        if arr.shape != shape or arr.dtype != np.float32:
+            raise sgt.FormatError(f"{path}: tensor {comp}/{name} is {arr.dtype} {arr.shape}, "
+                                  f"its spec makes float32 {shape}")
+    for name in values:
+        if name not in want:
+            raise sgt.FormatError(f"{path}: tensor {comp}/{name} is not in its spec")
+
+
 def load_bundle(path) -> tuple[ModelBundle, dict]:
+    """The nets of a checkpoint, each checked against its spec; raises
+    ``FormatError`` naming the file at the first disagreement."""
     tensors, meta = sgt.load_checkpoint(path)
     if not isinstance(meta.get("specs"), dict):
         raise sgt.FormatError(f"{path} holds no networks (no 'specs' object in its metadata)")
@@ -671,7 +693,12 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
             spec = spec_from_dict(spec_dict, f"specs.{comp}")
         except ConfigError as e:
             raise sgt.FormatError(f"{path}: bad network spec: {e}") from None
+        _check_tensors(path, comp, spec, values)
         nets[comp] = NetParams(spec, values)
+    for name in tensors:
+        comp, _, layer = name.partition("/")
+        if comp not in nets or layer not in nets[comp].values:
+            raise sgt.FormatError(f"{path}: tensor {name} belongs to no network spec")
     bundle = ModelBundle(
         student=nets.get("student"),
         teacher=nets.get("teacher"),

@@ -5,6 +5,7 @@ metadata, network specs, bound reports)."""
 from __future__ import annotations
 
 import dataclasses
+import sys
 import types
 import typing
 import zlib
@@ -140,9 +141,10 @@ def _decode(tp, value, path: str, fallback):
 
 def _plain(tp, value):
     """A JSON value as ``tp``, a scalar or a tuple of them; TypeError if it
-    is not one. Booleans are not numbers, and integers take no fractions."""
+    is not one. Booleans are not numbers, integers take no fractions, and
+    floats are finite: Python's ``json`` reads NaN and Infinity."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tp is float and number:
+    if tp is float and number and abs(value) <= sys.float_info.max:
         return float(value)
     if tp is int and number and isinstance(value, int):
         return value
@@ -157,12 +159,12 @@ def _plain(tp, value):
 
 
 def _describe(tp) -> str:
-    names = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+    names = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
     if tp in names:
         return names[tp]
     args = typing.get_args(tp)
     if args[-1:] == (Ellipsis,):
-        return "a list of numbers" + (" (integers)" if args[0] is int else "")
+        return "a list of numbers (integers)" if args[0] is int else "a list of finite numbers"
     if typing.get_args(args[0]):
         return f"a {len(args)}x{len(typing.get_args(args[0]))} number matrix"
     return f"a list of {len(args)} numbers"

@@ -13,6 +13,8 @@ alone and blurs it with ``scipy.ndimage.gaussian_filter``, is the oracle
 the stack-styled ``generate_dataset`` is held to, array for array. The
 reduce form of the upsampling gradient and the 2-d fancy-index resize are
 the one-call forms the program's sliced kernels are held to, byte for byte.
+The forward tap loop, one small matmul per kernel tap, is the reference the
+space-to-depth and GEMM conv paths are held to within named tolerances.
 """
 
 import json
@@ -161,6 +163,21 @@ def dudley_objective(alpha: float, R: float, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # kernels and resizing
+
+
+def conv_forward_taps(xp: np.ndarray, w: np.ndarray, out_shape, stride: int) -> np.ndarray:
+    """Cross-correlation of the padded ``xp`` (n, Hp, Wp, c_in) with ``w``
+    (kh, kw, c_in, c_out) as a sum over kernel taps: tap (ky, kx) adds the
+    strided input slice it touches times that tap's weight matrix, in
+    row-major tap order from zero."""
+    n, ho, wo, c_out = out_shape
+    kh, kw, c_in, _ = w.shape
+    acc = np.zeros((n * ho * wo, c_out), dtype=xp.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            tap = xp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :]
+            acc += tap.reshape(-1, c_in) @ w[ky, kx]
+    return acc.reshape(out_shape)
 
 
 def upsample_bwd_by_reduce(g: np.ndarray, factor: int) -> np.ndarray:

@@ -148,6 +148,9 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
          "need 2 class priors, got 3"),
         ({"dataset": {"source": {"layout": [{"cov": [[1.0, 2.0], [2.0, 1.0]]}, {}, {}]}}},
          "dataset.source.layout[0]", "positive semi-definite"),
+        # Python's json reads NaN and Infinity
+        ({"train": {"mst_scales": [1.0, float("nan")]}}, "train.mst_scales", "finite numbers"),
+        ({"bounds": {"epsilon": float("inf")}}, "bounds.epsilon", "finite number"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -556,11 +559,12 @@ def test_eval_report_and_mst_flag(workdir, trained, tmp_path):
     # eval covers the whole target split
     assert r_plain["pixel_count"] == 6 * 32 * 32
 
-    assert cli.main(
-        ["eval", "--data", workdir["data"], "--checkpoint", str(trained / "checkpoint.sgt"),
-         "--mst", "0,1", "--out", str(tmp_path / "bad")]
-    ) == 2
-    assert not (tmp_path / "bad").exists()
+    for scales in ("0,1", "nan", "inf", "1,inf"):
+        assert cli.main(
+            ["eval", "--data", workdir["data"], "--checkpoint", str(trained / "checkpoint.sgt"),
+             "--mst", scales, "--out", str(tmp_path / "bad")]
+        ) == 2, scales
+        assert not (tmp_path / "bad").exists(), scales
 
 
 @pytest.fixture(scope="module")
@@ -707,9 +711,16 @@ def test_bounds_payload_is_internally_consistent(workdir, trained, tmp_path):
         lambda t, meta: meta.update(specs=[meta["specs"]["student"]]),
         lambda t, meta: t["student/conv0/w"].__setitem__((0, 0, 0, 0), np.nan),
         lambda t, meta: t["disc/conv0/w"].__setitem__((0, 0, 0, 0), -np.inf),
+        lambda t, meta: t.pop("student/head/w"),
+        lambda t, meta: t.__setitem__("student/extra/w", np.zeros(3, np.float32)),
+        lambda t, meta: t.__setitem__("student/head/b", np.zeros(5, np.float32)),
+        lambda t, meta: meta["specs"]["student"].update(widths=[16, 32, 64]),
+        lambda t, meta: t.__setitem__("critic/w", np.zeros(3, np.float32)),
+        lambda t, meta: meta["specs"]["disc"].update(stride=0),
     ],
     ids=["no-kind", "unknown-kind", "unknown-field", "string-widths", "specs-list",
-         "nan-weight", "inf-weight"],
+         "nan-weight", "inf-weight", "missing-tensor", "extra-tensor", "shape-disagrees",
+         "widths-disagree", "tensor-of-no-net", "disc-stride-zero"],
 )
 @pytest.mark.parametrize("command", ["eval", "bounds"])
 def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, command, edit):

@@ -2,10 +2,13 @@
 
 Forward passes are checked against scipy.signal.correlate2d; backward
 passes against the adjoint identity <g, conv(x)> == <conv^T(g), x>,
-which holds exactly for linear maps. The space-to-depth and GEMM paths
-are checked against the tap loop, which stays the reference for every conv
-shape. The upsampling gradient is held to its one-reduction form, byte for
-byte.
+which holds exactly for linear maps. The forward has two paths, chosen by
+stride and shape: space-to-depth and one GEMM per row block. Both are held
+to the forward tap loop of ``references.conv_forward_taps`` within named
+tolerances, and the GEMM path to it byte for byte on the stock 1x1 head.
+The backward kernels have two paths too, space-to-depth and the tap loop;
+the first is held to the second. The upsampling gradient is held to its
+one-reduction form, byte for byte.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from scipy.signal import correlate2d
 
 from segan import kernels
 
-from references import upsample_bwd_by_reduce
+from references import conv_forward_taps, upsample_bwd_by_reduce
 
 
 def _oracle_conv(x, w, stride, pad):
@@ -175,7 +178,7 @@ S2D_FLOAT64_RTOL = 1e-13
 # kernel 4, stride 2, pad 1, 64 -> 32 -> 16 -> 8 -> 4 -> 2
 DISC_LAYERS = [(64, 4, 8), (64, 3, 8), (32, 8, 16), (16, 16, 32), (8, 32, 64), (4, 64, 1)]
 
-_TAP_LOOP = ("_conv2d_forward_np", "_conv2d_bwd_input_np", "_conv2d_bwd_weight_np")
+_TAP_LOOP = ("_conv2d_bwd_input_np", "_conv2d_bwd_weight_np")
 _S2D = ("_conv2d_forward_s2d", "_conv2d_bwd_input_s2d", "_conv2d_bwd_weight_s2d")
 
 
@@ -197,7 +200,7 @@ def _all_three(x, w, g, stride, pad):
 
 def _tap_loop(x, w, g, stride, pad):
     xp = kernels._pad_input(x, pad)
-    out = kernels._conv2d_forward_np(xp, w, g.shape, stride)
+    out = conv_forward_taps(xp, w, g.shape, stride)
     gxp = np.zeros(xp.shape, dtype=x.dtype)
     kernels._conv2d_bwd_input_np(g, w, gxp, stride)
     gx = gxp[:, pad : xp.shape[1] - pad, pad : xp.shape[2] - pad]
@@ -277,11 +280,15 @@ def test_space_to_depth_adjoint_and_finite_differences(monkeypatch, n, h, wd, ke
     ],
 )
 def test_other_convs_take_the_tap_loop(monkeypatch, n, h, wd, kernel, c_in, c_out, stride, pad):
+    # backward through the tap loop itself; forward through the GEMM path
     x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
     want = _tap_loop(x, w, g, stride, pad)
     _forbid(monkeypatch, _S2D)
-    for a, b in zip(_all_three(x, w, g, stride, pad), want):
-        assert np.array_equal(a, b)
+    out, gx, gw = _all_three(x, w, g, stride, pad)
+    assert out.shape == want[0].shape
+    assert np.max(np.abs(out - want[0])) <= GEMM_FLOAT32_RTOL * np.max(np.abs(want[0]))
+    assert np.array_equal(gx, want[1])
+    assert np.array_equal(gw, want[2])
 
 
 def test_space_to_depth_regroups_phases():
@@ -307,7 +314,7 @@ GEMM_FLOAT64_RTOL = 1e-12
 _GEMM = ("_conv2d_forward_gemm",)
 
 # (c_in, c_out, stride) of the 3x3 pad-1 convs of the stock nets: the
-# segmenter's body (its 1x1 head keeps the tap loop) and the generator
+# segmenter's body and the generator
 SEG_CONVS = [(3, 16, 2), (16, 32, 2), (32, 32, 1)]
 GEN_CONVS = [(3, 16, 1), (16, 16, 1), (16, 3, 1)]
 
@@ -372,14 +379,35 @@ def test_gemm_blocks_stay_within_the_bound(monkeypatch):
         (8, 16, 16, 3, 32, 32, 1, 1, _GEMM),     # seg.conv2
         (2, 64, 64, 3, 16, 3, 1, 1, _GEMM),      # gen.out: 16 channels in
         (2, 9, 9, 4, 16, 4, 2, 1, _GEMM),        # padded 11x11: no space-to-depth
-        (2, 16, 16, 1, 32, 4, 1, 0, _TAP_LOOP),  # seg.head: 1x1
-        (2, 16, 16, 3, 8, 15, 1, 1, _TAP_LOOP),  # fewer than 16 channels either side
+        (2, 16, 16, 1, 32, 4, 1, 0, _GEMM),      # seg.head: 1x1
+        (2, 16, 16, 3, 8, 15, 1, 1, _GEMM),      # fewer than 16 channels either side
         (2, 16, 16, 4, 16, 32, 2, 1, _S2D),      # disc.conv2: space-to-depth first
     ],
 )
 def test_forward_path_is_chosen_by_shape(monkeypatch, n, h, wd, kernel, c_in, c_out, stride,
                                          pad, path):
     x, w, _ = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
-    others = {_GEMM: _TAP_LOOP + _S2D, _TAP_LOOP: _GEMM + _S2D, _S2D: _GEMM + _TAP_LOOP}[path]
-    _forbid(monkeypatch, others)
+    _forbid(monkeypatch, _S2D if path == _GEMM else _GEMM)
     kernels.conv2d_forward(x, w, stride, pad)
+
+
+# (batch, input side) of every call of the stock segmenter's 1x1 head
+# (32 -> 4): batch 2 in training, and the inference slices of 8, 5 and 14
+# images at 64, 80 and 48 pixels
+HEAD_CALLS = [(2, 16), (8, 16), (5, 20), (14, 12)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,side", HEAD_CALLS)
+def test_gemm_is_byte_equal_to_the_tap_loop_on_the_stock_head(monkeypatch, n, side, dtype):
+    # a 1x1 conv is one GEMM over the same rows either way, so the head's
+    # outputs, and every artifact made from them, keep their bytes; the
+    # input is a relu map with one all-zero pixel, as the body makes it
+    x, w, _ = _operands(n, side, side, 1, 32, 4, 1, 0, dtype, seed=side)
+    x = np.maximum(x, 0)
+    x[0, 0, 0] = 0
+    want = conv_forward_taps(x, w, (n, side, side, 4), 1)
+    _forbid(monkeypatch, _S2D)
+    got = kernels.conv2d_forward(x, w, 1, 0)
+    assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
