@@ -22,7 +22,9 @@ two spaces and end in a newline. ``train_log.csv`` holds both stages of a
 (``adversarial`` or ``self_train``).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort (a non-finite
-loss or parameter in ``train`` or ``train-tgstn``), 4 I/O error.
+loss or parameter in ``train`` or ``train-tgstn``), 4 I/O error. Only
+``ConfigError`` maps to exit 2; any other ``ValueError`` is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -435,9 +437,6 @@ def main(argv=None) -> int:
         print(f"{abort}; details in {payload}", file=sys.stderr)
         return EXIT_NUMERIC
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except sgt.FormatError as exc:

@@ -1,51 +1,55 @@
 """Convolution and resampling kernels.
 
 These are the hot inner loops of the autodiff engine, written in numpy.
-Each conv kernel is picked by the stride and shape alone. The forward and
-each gradient have two paths, and space-to-depth comes first in all three:
+Every convolution, forward and backward, runs one kernel: a GEMM over a
+read-only strided window view.
 
-- **Space-to-depth**, when the stride s > 1 divides both kernel sides and
-  both padded input sides. A stride-s conv whose kernel is a multiple of s
-  is a stride-1 conv over the s·s phases of its padded input (the
-  regrouping of Shi et al., 2016, *Real-Time Single Image and Video
-  Super-Resolution Using an Efficient Sub-Pixel CNN*): ``space_to_depth``
-  turns the (n, Hp, Wp, c) map into n·Hq·Wq flat rows of s²·c channels,
-  and the (kh, kw, c_in, c_out) kernel into (kh/s)·(kw/s) taps over them.
-  Tap (ty, tx) is one GEMM on the contiguous row slice at offset
-  ty·Wq + tx; rows that wrap past an image edge land outside the output
-  and are dropped (forward) or meet zero gradient rows (backward). Every
-  discriminator conv (k4 s2 p1 on even maps) takes this path: 4 GEMMs with
-  K = 4·c_in instead of 16 strided copies and 16 GEMMs.
-- **One GEMM per row block**, for every other forward conv: every 3×3
-  conv of the segmenter and the generator, and the segmenter's 1×1 head.
-  A read-only strided view of the padded input, already in the weight's
-  (ky, kx, ci) order, is copied once into (rows, kh·kw·c_in) columns,
-  which meet the (kh·kw·c_in, c_out) weight in one GEMM. The rows go in
-  blocks of whole images or of output-row bands, so that one block's
-  columns hold at most ``GEMM_BLOCK_BYTES`` (256 KiB, about a per-core L2)
-  unless one output row alone is larger. The whole column matrix of a
-  batch-8 generator conv would be 19 MB. With one BLAS thread on 2 vCPUs
-  the forward of ``seg.conv0`` at batch 8 went from 1.35 to 0.51 ms,
-  ``gen.conv1`` at batch 2 from 1.23–1.77 to 0.87–1.29 ms, and ``gen.out``
-  from 0.61–1.01 to 0.45–0.85 ms, against a loop over the kernel taps.
-  That tap loop was faster only on narrow 3×3 convs, such as 3 -> 8 at
-  64×64, which no stock net runs. Its only stock forward user was the 1×1
-  head (32 -> 4), at 4–8 ms of a 0.7–2.7 s ``perfbench`` round. A 1×1
-  conv here is the same single GEMM over the same rows, so its bytes are
-  the same.
-- **Tap loop**, for every other backward conv: each kernel tap (ky, kx)
-  contributes one small matmul between the output gradient and the strided
-  input slice that tap touches.
+- **Windows.** For a stride-s conv with a (kh, kw) kernel over a map
+  ``a`` (n, H, W, c), one ``as_strided`` view (n, ho, wo, kh, kw, c) holds
+  the window each output cell reads, already in the weight's (ky, kx, ci)
+  order. The output cells go in blocks of whole images or of output-row
+  bands; each block's windows are copied once into (cells, kh·kw·c)
+  columns, which hold at most ``GEMM_BLOCK_BYTES`` (256 KiB, about a
+  per-core L2) unless one output row alone is larger. The whole column
+  matrix of a batch-8 generator conv would be 19 MB.
+- **Forward**: the columns of the zero-padded input times the
+  (kh·kw·c_in, c_out) weight, one GEMM per block.
+- **Weight gradient**: the columns of the padded input, transposed, times
+  the output gradient's rows, summed over the blocks.
+- **Input gradient**: the transpose of the forward, by the adjoint identity
+  <g, conv(x)> = <conv^T(g), x>. It is the forward GEMM run over the output
+  gradient zero-bordered by k − 1 cells, with the kernel flipped and its
+  channel axes swapped (Dumoulin & Visin, 2016, *A guide to convolution
+  arithmetic for deep learning*). At stride s > 1 the kernel is first
+  zero-extended to k' = s·⌈k/s⌉ taps a side, and ``space_to_depth``
+  regroups it into a (k'/s, k'/s) kernel over s²·c_in phase channels (Shi
+  et al., 2016, *Real-Time Single Image and Video Super-Resolution Using an
+  Efficient Sub-Pixel CNN*); the border is then k'/s − 1 cells of the
+  output grid, on which the GEMM runs. The s² phase channels go back to
+  their input cells, and the pad is cropped. Only the grid cells that hold
+  input cells are computed, so at stride 1, where the phases are the
+  kernel itself, the GEMM writes the cropped input gradient directly. Input
+  rows that no output reads get zeros, and a pad wider than the kernel
+  only moves the border.
 
-The paths add the same products in another order. Float64 results agree
-to ~1e-15 relative. Float32 forward outputs agree with a tap-loop
-reference to ~4e-7 of their largest magnitude on the space-to-depth path
-and to ~8e-7 on the GEMM path; the tests hold them to 1e-6 and 2e-6. The
-backward kernels are mostly bit-identical. The wrapped rows of
-space-to-depth are GEMM work too, a large share on small maps (an 8×8
-input gives 25 phase cells per 16 outputs), so at batch 6 the 8×8 disc
-layer runs no faster than the tap loop. At the default batch sizes (2 in
-training, 1 in ``bounds``) every disc layer is faster.
+This replaced three kernel families: space-to-depth GEMMs for every conv
+whose stride divides its kernel and padded map (every discriminator conv),
+row-block GEMMs for every other forward conv, and a loop over kernel taps
+for every other gradient. Per call (float32, batch 2, default BLAS threads
+on 2 vCPUs, best of 9, both kernels timed in one process, ranges over two
+runs), the input gradient of ``gen.conv1`` went from 1.29–1.47 to
+0.98–1.08 ms, of ``gen.out`` from 1.21 to 0.32 ms and of ``seg.conv0``
+from 0.38–0.42 to 0.30–0.31 ms. The weight gradient of ``seg.conv0`` went
+from 0.20–0.32 to 0.09 ms, but of ``gen.conv1`` from 1.12–1.15 to
+1.21–1.29 ms and of ``gen.out`` from 0.45–0.48 to 0.53–0.59 ms. Each of
+the discriminator's layers moved by −0.04 to +0.04 ms per call. Larger
+weight-gradient blocks did not close that gap (ROADMAP, "Measured and
+parked").
+
+The GEMMs add the products in another order than a tap loop. Float64
+results agree with a float64 oracle to ~3e-15 relative; the tests hold all
+three entry points to 1e-12 in float64 and 2e-6 in float32, relative to
+the oracle's largest magnitude.
 
 Layout convention throughout: activations are ``(batch, h, w, channels)``,
 weights are ``(kh, kw, c_in, c_out)``, both C-contiguous.
@@ -55,8 +59,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# The columns of one forward GEMM block hold at most this many bytes (or
-# one output row, when a row alone is larger), so they stay L2-sized.
+# The window copy of one GEMM block holds at most this many bytes (or one
+# output row, when a row alone is larger), so it stays L2-sized.
 GEMM_BLOCK_BYTES = 256 * 1024
 
 
@@ -70,43 +74,17 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return np.ascontiguousarray(x)
-    n, h, w, c = x.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:-pad, pad:-pad, :] = x
-    return xp
-
-
-# ---------------------------------------------------------------------------
-# backward tap loops
-
-
-def _conv2d_bwd_input_np(g, w, gxp, stride):
-    n, ho, wo, c_out = g.shape
-    kh, kw, c_in, _ = w.shape
-    gmat = g.reshape(-1, c_out)
-    for ky in range(kh):
-        for kx in range(kw):
-            contrib = gmat @ w[ky, kx].T
-            gxp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :] += (
-                contrib.reshape(n, ho, wo, c_in)
-            )
-
-
-def _conv2d_bwd_weight_np(xp, g, gw, stride):
-    n, ho, wo, c_out = g.shape
-    kh, kw, c_in, _ = gw.shape
-    gmat = g.reshape(-1, c_out)
-    for ky in range(kh):
-        for kx in range(kw):
-            tap = xp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :]
-            gw[ky, kx] += tap.reshape(-1, c_in).T @ gmat
-
-
-# ---------------------------------------------------------------------------
-# space-to-depth
+def _embed(a: np.ndarray, hw: tuple[int, int], top: int, left: int) -> np.ndarray:
+    """``a`` (n, h, w, c) with its [0, 0] cell at (top, left) of a zero
+    (n, *hw, c) map; rows and columns that fall outside the map are cut."""
+    n, h, w, c = a.shape
+    if (top, left, h, w) == (0, 0, *hw):
+        return np.ascontiguousarray(a)
+    out = np.zeros((n, *hw, c), dtype=a.dtype)
+    y0, y1 = max(top, 0), min(top + h, hw[0])
+    x0, x1 = max(left, 0), min(left + w, hw[1])
+    out[:, y0:y1, x0:x1] = a[:, y0 - top : y1 - top, x0 - left : x1 - left]
+    return out
 
 
 def space_to_depth(a: np.ndarray, s: int) -> np.ndarray:
@@ -114,118 +92,44 @@ def space_to_depth(a: np.ndarray, s: int) -> np.ndarray:
     (n, H/s, W/s, s, s, *rest) array whose [b, i, j, py, px] is
     ``a[b, s·i + py, s·j + px]``.
 
-    A padded activation (n, Hp, Wp, c) becomes n·Hq·Wq rows of s²·c phase
-    channels. A weight (kh, kw, c_in, c_out), taken as a batch of one,
-    becomes the matching (kh/s, kw/s, s²·c_in, c_out) kernel over those
-    channels. Swapping axes 2 and 3 back and merging them undoes it.
+    A weight (kh, kw, c_in, c_out) with both sides a multiple of s, taken
+    as a batch of one, becomes its (kh/s, kw/s, s, s, c_in, c_out) phase
+    kernel. Swapping axes 2 and 3 back and merging them undoes it.
     """
     n, h, w = a.shape[:3]
     return np.ascontiguousarray(a.reshape(n, h // s, s, w // s, s, *a.shape[3:]).swapaxes(2, 3))
 
 
-def _phase_taps(kernel_hw, wq, s):
-    """(ty, tx, flat row offset ty·Wq + tx) of each tap of the phase kernel."""
-    kh, kw = kernel_hw
-    return [(ty, tx, ty * wq + tx) for ty in range(kh // s) for tx in range(kw // s)]
-
-
-def _grad_rows(g, hq, wq):
-    """Output gradient ``g`` (n, ho, wo, c) zero-filled to the (n, Hq, Wq)
-    phase grid, as flat rows."""
-    n, ho, wo, c = g.shape
-    gq = np.zeros((n, hq, wq, c), dtype=g.dtype)
-    gq[:, :ho, :wo] = g
-    return gq.reshape(n * hq * wq, c)
-
-
-def _conv2d_forward_s2d(xp, w, out_shape, stride):
-    n, ho, wo, c_out = out_shape
-    kh, kw = w.shape[:2]
-    hq, wq = xp.shape[1] // stride, xp.shape[2] // stride
-    xq = space_to_depth(xp, stride).reshape(n * hq * wq, -1)
-    wph = space_to_depth(w[None], stride).reshape(kh // stride, kw // stride, -1, c_out)
-    taps = _phase_taps((kh, kw), wq, stride)
-    span = len(xq) - taps[-1][2]
-    acc = np.zeros((len(xq), c_out), dtype=xp.dtype)
-    for ty, tx, o in taps:
-        acc[:span] += xq[o : o + span] @ wph[ty, tx]
-    return np.ascontiguousarray(acc.reshape(n, hq, wq, c_out)[:, :ho, :wo])
-
-
-def _conv2d_bwd_input_s2d(g, w, padded_hw, stride):
-    n = g.shape[0]
-    kh, kw, c_in, c_out = w.shape
-    hp, wp = padded_hw
-    hq, wq = hp // stride, wp // stride
-    gmat = _grad_rows(g, hq, wq)
-    wph = space_to_depth(w[None], stride).reshape(kh // stride, kw // stride, -1, c_out)
-    taps = _phase_taps((kh, kw), wq, stride)
-    span = len(gmat) - taps[-1][2]
-    gxq = np.zeros((len(gmat), stride * stride * c_in), dtype=g.dtype)
-    for ty, tx, o in taps:
-        gxq[o : o + span] += gmat[:span] @ wph[ty, tx].T
-    gxq = gxq.reshape(n, hq, wq, stride, stride, c_in).swapaxes(2, 3)
-    return gxq.reshape(n, hp, wp, c_in)
-
-
-def _conv2d_bwd_weight_s2d(xp, g, kernel_hw, stride):
-    n, _, _, c_out = g.shape
-    c_in = xp.shape[3]
-    kh, kw = kernel_hw
-    hq, wq = xp.shape[1] // stride, xp.shape[2] // stride
-    xq = space_to_depth(xp, stride).reshape(n * hq * wq, -1)
-    gmat = _grad_rows(g, hq, wq)
-    taps = _phase_taps(kernel_hw, wq, stride)
-    span = len(gmat) - taps[-1][2]
-    # each tap's block is written in place: stacking the blocks and then
-    # regrouping them needs two more weight-sized arrays, 256 KB each at
-    # float64 8x8, 32 -> 64, which is past malloc's mmap threshold; a
-    # batch-1 call took 0.31 ms that way, against 0.05 ms here and 0.13 ms
-    # in the tap loop (one BLAS thread, 2 vCPUs)
-    gw = np.empty((kh // stride, stride, kw // stride, stride, c_in, c_out), dtype=g.dtype)
-    for ty, tx, o in taps:
-        gw[ty, :, tx] = (xq[o : o + span].T @ gmat[:span]).reshape(stride, stride, c_in, c_out)
-    return gw.reshape(kh, kw, c_in, c_out)
-
-
-# ---------------------------------------------------------------------------
-# one GEMM per row block
-
-
-def _row_blocks(n, ho, rows):
-    """(images, output rows) slices that cover an (n, ho) output grid in
-    blocks of at most ``rows`` output rows: whole images when one fits,
-    else bands of rows within one image."""
-    if rows >= ho:
-        step = rows // ho
-        for b in range(0, n, step):
-            yield slice(b, b + step), slice(None)
-    else:
-        for b in range(n):
-            for y in range(0, ho, rows):
-                yield slice(b, b + 1), slice(y, y + rows)
-
-
-def _conv2d_forward_gemm(xp, w, out_shape, stride):
-    n, ho, wo, c_out = out_shape
-    kh, kw, c_in, _ = w.shape
-    k = kh * kw * c_in
-    # (n, ho, wo, kh, kw, c_in) windows, already in the weight's (ky, kx, ci) order
-    sn, sh, sw, sc = xp.strides
+def _window_blocks(a, kernel_hw, out_hw, stride):
+    """Yield ``(images, rows, columns)`` over the (n, *out_hw) output grid
+    of a stride-``stride`` conv over ``a`` (n, H, W, c): blocks of whole
+    images, or of output-row bands within one image, with the copy of the
+    (cells, kh·kw·c) windows they read, in the weight's (ky, kx, ci) order.
+    One copy holds at most ``GEMM_BLOCK_BYTES`` unless one output row alone
+    is larger."""
+    n, c = a.shape[0], a.shape[3]
+    ho, wo = out_hw
+    k = kernel_hw[0] * kernel_hw[1] * c
+    sn, sh, sw, sc = a.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, kh, kw, c_in), (sn, stride * sh, stride * sw, sh, sw, sc),
+        a, (n, ho, wo, *kernel_hw, c), (sn, stride * sh, stride * sw, sh, sw, sc),
         writeable=False)
-    wmat = w.reshape(k, c_out)
-    out = np.empty(out_shape, dtype=xp.dtype)
-    rows = max(1, GEMM_BLOCK_BYTES // (wo * k * xp.itemsize))
-    for images, band in _row_blocks(n, ho, rows):
-        np.matmul(win[images, band].reshape(-1, k), wmat,
-                  out=out[images, band].reshape(-1, c_out))
+    rows = max(1, GEMM_BLOCK_BYTES // (wo * k * a.itemsize))
+    if rows >= ho:
+        blocks = [(slice(b, b + rows // ho), slice(None)) for b in range(0, n, rows // ho)]
+    else:
+        blocks = [(slice(b, b + 1), slice(y, y + rows)) for b in range(n) for y in range(0, ho, rows)]
+    for images, band in blocks:
+        yield images, band, win[images, band].reshape(-1, k)
+
+
+def _gemm(a, wmat, kernel_hw, stride, out_shape):
+    """The conv of ``a`` with the (kh·kw·c, c_out) kernel matrix ``wmat``,
+    one GEMM per window block."""
+    out = np.empty(out_shape, dtype=a.dtype)
+    for images, band, cols in _window_blocks(a, kernel_hw, out_shape[1:3], stride):
+        np.matmul(cols, wmat, out=out[images, band].reshape(-1, out_shape[3]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# public entry points
 
 
 def _check_conv_args(x, w, stride, pad):
@@ -239,14 +143,6 @@ def _check_conv_args(x, w, stride, pad):
         raise ValueError(f"invalid stride={stride} pad={pad}")
 
 
-def _takes_s2d(kh: int, kw: int, hp: int, wp: int, stride: int) -> bool:
-    """Whether a conv of kernel (kh, kw) over a padded (hp, wp) map runs by
-    space-to-depth; every other conv runs one GEMM per row block forward
-    and the tap loop backward."""
-    return (stride > 1 and kh % stride == 0 and kw % stride == 0
-            and hp % stride == 0 and wp % stride == 0)
-
-
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of ``x`` (n,h,w,ci) with ``w`` (kh,kw,ci,co)."""
     _check_conv_args(x, w, stride, pad)
@@ -254,10 +150,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) 
     kh, kw, _, c_out = w.shape
     ho = conv_output_size(h, kh, stride, pad)
     wo = conv_output_size(wd, kw, stride, pad)
-    xp = _pad_input(x, pad)
-    if _takes_s2d(kh, kw, h + 2 * pad, wd + 2 * pad, stride):
-        return _conv2d_forward_s2d(xp, w, (n, ho, wo, c_out), stride)
-    return _conv2d_forward_gemm(xp, w, (n, ho, wo, c_out), stride)
+    xp = _embed(x, (h + 2 * pad, wd + 2 * pad), pad, pad)
+    return _gemm(xp, w.reshape(-1, c_out), (kh, kw), stride, (n, ho, wo, c_out))
 
 
 def conv2d_bwd_input(
@@ -266,31 +160,41 @@ def conv2d_bwd_input(
     """Gradient of conv2d_forward w.r.t. its input, given output gradient ``g``."""
     h, wd = input_hw
     n = g.shape[0]
-    kh, kw, c_in, _ = w.shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    if _takes_s2d(kh, kw, hp, wp, stride):
-        gxp = _conv2d_bwd_input_s2d(g, w, (hp, wp), stride)
+    kh, kw, c_in, c_out = w.shape
+    s = stride
+    th, tw = -(-kh // s), -(-kw // s)
+    if s == 1:
+        phases = w[:, :, None, None]
     else:
-        gxp = np.zeros((n, hp, wp, c_in), dtype=g.dtype)
-        _conv2d_bwd_input_np(g, w, gxp, stride)
-    if pad == 0:
-        return gxp
-    return gxp[:, pad:-pad, pad:-pad, :].copy()
+        wz = np.zeros((s * th, s * tw, c_in, c_out), dtype=w.dtype)
+        wz[:kh, :kw] = w
+        phases = space_to_depth(wz[None], s)[0]
+    # (ty, tx, co) rows by (py, px, ci) columns, taps flipped
+    wmat = phases[::-1, ::-1].transpose(0, 1, 5, 2, 3, 4).reshape(th * tw * c_out, s * s * c_in)
+    # phase cells q0 .. q0 + hq - 1 hold the input rows pad .. pad + h - 1;
+    # cell q reads output rows q - th + 1 .. q
+    q0 = pad // s
+    hq, wq = -(-(pad + h) // s) - q0, -(-(pad + wd) // s) - q0
+    gz = _embed(g, (hq + th - 1, wq + tw - 1), th - 1 - q0, tw - 1 - q0)
+    gxq = _gemm(gz, wmat, (th, tw), 1, (n, hq, wq, s * s * c_in))
+    if s == 1:
+        return gxq
+    gxp = gxq.reshape(n, hq, wq, s, s, c_in).swapaxes(2, 3).reshape(n, hq * s, wq * s, c_in)
+    r = pad - q0 * s
+    return np.ascontiguousarray(gxp[:, r : r + h, r : r + wd])
 
 
 def conv2d_bwd_weight(
     x: np.ndarray, g: np.ndarray, kernel_hw: tuple[int, int], stride: int = 1, pad: int = 0
 ) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. its weight, given output gradient ``g``."""
-    kh, kw = kernel_hw
-    c_in = x.shape[3]
+    _, h, wd, c_in = x.shape
     c_out = g.shape[3]
-    xp = _pad_input(x, pad)
-    if _takes_s2d(kh, kw, xp.shape[1], xp.shape[2], stride):
-        return _conv2d_bwd_weight_s2d(xp, g, kernel_hw, stride)
-    gw = np.zeros((kh, kw, c_in, c_out), dtype=g.dtype)
-    _conv2d_bwd_weight_np(xp, g, gw, stride)
-    return gw
+    xp = _embed(x, (h + 2 * pad, wd + 2 * pad), pad, pad)
+    gw = np.zeros((kernel_hw[0] * kernel_hw[1] * c_in, c_out), dtype=g.dtype)
+    for images, band, cols in _window_blocks(xp, kernel_hw, g.shape[1:3], stride):
+        gw += np.matmul(cols.T, g[images, band].reshape(-1, c_out))
+    return gw.reshape(*kernel_hw, c_in, c_out)
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

@@ -88,6 +88,8 @@ class DiscSpec:
     def check_size(self, h: int, w: int) -> None:
         if min(h, w) < self.min_input:
             raise ValueError(f"discriminator input {h}x{w} smaller than minimum {self.min_input}")
+        for _ in self.widths:  # a kernel above stride + 2 can still collapse a layer
+            h, w = (kernels.conv_output_size(side, self.kernel, self.stride, 1) for side in (h, w))
 
 
 @dataclass

@@ -14,7 +14,10 @@ the stack-styled ``generate_dataset`` is held to, array for array. The
 reduce form of the upsampling gradient and the 2-d fancy-index resize are
 the one-call forms the program's sliced kernels are held to, byte for byte.
 The forward tap loop, one small matmul per kernel tap, is the reference the
-space-to-depth and GEMM conv paths are held to within named tolerances.
+windowed-GEMM forward is held to, byte for byte on the stock 1x1 head and
+within a named tolerance elsewhere; the input-gradient tap loop is the one
+the stride-2 phase form of the input gradient is held to on the
+discriminator's layers.
 """
 
 import json
@@ -178,6 +181,23 @@ def conv_forward_taps(xp: np.ndarray, w: np.ndarray, out_shape, stride: int) -> 
             tap = xp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :]
             acc += tap.reshape(-1, c_in) @ w[ky, kx]
     return acc.reshape(out_shape)
+
+
+def conv_bwd_input_taps(g: np.ndarray, w: np.ndarray, padded_hw, stride: int) -> np.ndarray:
+    """Gradient of ``conv_forward_taps`` w.r.t. its padded input, as a sum
+    over kernel taps: tap (ky, kx) adds the output gradient times that tap's
+    transposed weight matrix into the strided slice it read."""
+    n, ho, wo, c_out = g.shape
+    kh, kw, c_in, _ = w.shape
+    gxp = np.zeros((n, *padded_hw, c_in), dtype=g.dtype)
+    gmat = g.reshape(-1, c_out)
+    for ky in range(kh):
+        for kx in range(kw):
+            contrib = gmat @ w[ky, kx].T
+            gxp[:, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride, :] += (
+                contrib.reshape(n, ho, wo, c_in)
+            )
+    return gxp
 
 
 def upsample_bwd_by_reduce(g: np.ndarray, factor: int) -> np.ndarray:

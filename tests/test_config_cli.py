@@ -736,6 +736,38 @@ def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, c
     assert not (tmp_path / "o").exists()
 
 
+def test_a_disc_kernel_that_collapses_a_layer_exits_2(workdir, trained, tmp_path, capsys):
+    # a checkpoint's disc spec may set any kernel; at kernel 7 the 32x32
+    # input collapses at the fifth layer, which the size check reports
+    tensors, meta = sgt.load_checkpoint(trained / "checkpoint.sgt")
+    meta["specs"]["disc"]["kernel"] = 7
+    for name, arr in tensors.items():
+        if name.startswith("disc/") and name.endswith("/w"):
+            tensors[name] = np.full((7, 7, *arr.shape[2:]), 0.01, dtype=np.float32)
+    bad = tmp_path / "k7.sgt"
+    sgt.save_checkpoint(bad, tensors, meta)
+    code = cli.main(["bounds", "--data", workdir["data"], "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "collapses" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_internal_value_error_is_no_config_error(workdir, trained, tmp_path, capsys,
+                                                    monkeypatch):
+    # exit 2 is for input that does not fit; a ValueError from the
+    # program's own code is a bug and ends in a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "evaluate_student", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["eval", "--data", workdir["data"], "--checkpoint",
+                  str(trained / "checkpoint.sgt"), "--out", str(tmp_path / "o")])
+    assert "config error:" not in capsys.readouterr().err
+
+
 def test_bounds_demands_discriminator(workdir, tmp_path, capsys):
     # a no-adaptation checkpoint carries no discriminator
     out = tmp_path / "noadapt"

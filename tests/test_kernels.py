@@ -1,23 +1,29 @@
 """Convolution and resampling kernels against independent oracles.
 
-Forward passes are checked against scipy.signal.correlate2d; backward
-passes against the adjoint identity <g, conv(x)> == <conv^T(g), x>,
-which holds exactly for linear maps. The forward has two paths, chosen by
-stride and shape: space-to-depth and one GEMM per row block. Both are held
-to the forward tap loop of ``references.conv_forward_taps`` within named
-tolerances, and the GEMM path to it byte for byte on the stock 1x1 head.
-The backward kernels have two paths too, space-to-depth and the tap loop;
-the first is held to the second. The upsampling gradient is held to its
+Every convolution runs one windowed GEMM, forward and backward. On every
+stock conv shape, all three entry points are held to float64 oracles built
+on scipy.signal: the correlation of the padded input (forward), the full
+convolution of the zero-dilated output gradient (input gradient) and the
+correlation of the padded input with that gradient (weight gradient), within
+the named tolerances below. Backward passes are also held to the adjoint
+identity <g, conv(x)> == <conv^T(g), x>, which holds exactly for linear
+maps, and to finite differences, on geometries that stress the input
+gradient's phase form. The forward is held to the tap loop of
+``references.conv_forward_taps``, byte for byte on the stock 1x1 head, and
+the stride-2 input gradient to ``references.conv_bwd_input_taps`` on the
+discriminator's layers. The upsampling gradient is held to its
 one-reduction form, byte for byte.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from scipy.signal import correlate2d
+from scipy.signal import convolve2d, correlate2d
 
 from segan import kernels
 
-from references import conv_forward_taps, upsample_bwd_by_reduce
+from references import conv_bwd_input_taps, conv_forward_taps, upsample_bwd_by_reduce
 
 
 def _oracle_conv(x, w, stride, pad):
@@ -35,6 +41,54 @@ def _oracle_conv(x, w, stride, pad):
             planes.append(acc[::stride, ::stride])
         rows.append(np.stack(planes, axis=-1))
     return np.stack(rows, axis=0)
+
+
+def _dilate(g, stride):
+    """``g`` with stride - 1 zero rows and columns between its cells."""
+    n, ho, wo, c = g.shape
+    gd = np.zeros((n, (ho - 1) * stride + 1, (wo - 1) * stride + 1, c))
+    gd[:, ::stride, ::stride] = g
+    return gd
+
+
+def _oracle_bwd_input(g, w, input_hw, stride, pad):
+    """Float64 input gradient: per image and channel pair, the full
+    convolution of the zero-dilated output gradient with the kernel plane,
+    cropped to the input."""
+    h, wd = input_hw
+    _, _, c_in, c_out = w.shape
+    gd = _dilate(g.astype(np.float64), stride)
+    w = w.astype(np.float64)
+    gxp = np.zeros((g.shape[0], h + 2 * pad, wd + 2 * pad, c_in))
+    for b in range(g.shape[0]):
+        for ci in range(c_in):
+            for co in range(c_out):
+                full = convolve2d(gd[b, :, :, co], w[:, :, ci, co], mode="full")
+                gxp[b, : full.shape[0], : full.shape[1], ci] += full
+    return gxp[:, pad : pad + h, pad : pad + wd]
+
+
+def _oracle_bwd_weight(x, g, kernel_hw, stride, pad):
+    """Float64 weight gradient: per image and channel pair, the correlation
+    of the padded input with the zero-dilated output gradient."""
+    kh, kw = kernel_hw
+    xp = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    gd = _dilate(g.astype(np.float64), stride)
+    gw = np.zeros((kh, kw, x.shape[3], g.shape[3]))
+    for b in range(x.shape[0]):
+        for ci in range(x.shape[3]):
+            for co in range(g.shape[3]):
+                gw[:, :, ci, co] += correlate2d(xp[b, :, :, ci], gd[b, :, :, co],
+                                                mode="valid")[:kh, :kw]
+    return gw
+
+
+def _oracles(x, w, g, stride, pad):
+    return (
+        _oracle_conv(x.astype(np.float64), w.astype(np.float64), stride, pad),
+        _oracle_bwd_input(g, w, x.shape[1:3], stride, pad),
+        _oracle_bwd_weight(x, g, w.shape[:2], stride, pad),
+    )
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -87,6 +141,9 @@ def test_forward_matches_scipy(shape, kernel, stride, pad):
         ((1, 9, 7, 2), (3, 3, 2, 5), 2, 1),
         ((3, 10, 10, 1), (4, 4, 1, 2), 2, 1),
         ((2, 6, 6, 2), (5, 5, 2, 2), 1, 2),
+        ((2, 7, 6, 2), (2, 2, 2, 3), 1, 3),   # pad 3 > kernel 2: border rows read only zeros
+        ((1, 5, 8, 3), (1, 1, 3, 2), 1, 1),   # 1x1 with pad 1
+        ((2, 8, 8, 3), (4, 4, 3, 4), 1, 1),   # an even kernel at stride 1
     ],
 )
 def test_backward_adjoint_identities(shape, kernel, stride, pad):
@@ -165,29 +222,37 @@ def test_upsample_bwd_is_bit_identical_to_the_reduce_form(dtype, factor, c):
 
 
 # ---------------------------------------------------------------------------
-# space-to-depth path against the tap loop
+# every stock conv against the float64 oracles
 
-# The space-to-depth GEMMs sum 4·c_in products per tap where the tap loop
-# sums c_in, so float32 results differ in the last bits. Both tolerances are
-# relative to the largest magnitude of the tap-loop result; the largest
-# float32 difference seen on the disc shapes below is 3.5e-7.
-S2D_FLOAT32_RTOL = 1e-6
-S2D_FLOAT64_RTOL = 1e-13
+# Named tolerances of the one kernel, relative to the largest magnitude of
+# the float64 oracle (or of the tap loop, below). A float32 GEMM sums the
+# products of one output cell, or of one window block for the weight
+# gradient, in another order. The largest float32 differences seen on the
+# stock shapes, at batch 1, 2, 6 and 8 over five seeds, are 1.4e-6 forward
+# (disc.conv3), 8.1e-7 for the input gradient and 1.8e-6 for the weight
+# gradient (seg.conv0). A float32 weight-gradient tap loop is itself up to
+# 3.6e-6 off the oracle (gen.conv0), so the reference is a float64 oracle.
+FLOAT32_RTOL = 2e-6
+FLOAT64_RTOL = 1e-12
 
-# (input size, c_in, c_out) of each layer of the stock discriminators:
-# kernel 4, stride 2, pad 1, 64 -> 32 -> 16 -> 8 -> 4 -> 2
-DISC_LAYERS = [(64, 4, 8), (64, 3, 8), (32, 8, 16), (16, 16, 32), (8, 32, 64), (4, 64, 1)]
-
-_TAP_LOOP = ("_conv2d_bwd_input_np", "_conv2d_bwd_weight_np")
-_S2D = ("_conv2d_forward_s2d", "_conv2d_bwd_input_s2d", "_conv2d_bwd_weight_s2d")
-
-
-def _forbid(monkeypatch, names):
-    """Make the named kernel functions raise, to show which path a call takes."""
-    def refuse(*args):
-        raise AssertionError("the other kernel path ran")
-    for name in names:
-        monkeypatch.setattr(kernels, name, refuse)
+# (layer, input side, kernel, c_in, c_out, stride, pad) of every conv of the
+# stock segmenter, generator and both discriminators; the output-map
+# discriminator reads 4 class maps, the style discriminator RGB
+STOCK_LAYERS = [
+    ("seg.conv0", 64, 3, 3, 16, 2, 1),
+    ("seg.conv1", 32, 3, 16, 32, 2, 1),
+    ("seg.conv2", 16, 3, 32, 32, 1, 1),
+    ("seg.head", 16, 1, 32, 4, 1, 0),
+    ("gen.conv0", 64, 3, 3, 16, 1, 1),
+    ("gen.conv1", 64, 3, 16, 16, 1, 1),
+    ("gen.out", 64, 3, 16, 3, 1, 1),
+    ("disc.conv0", 64, 4, 4, 8, 2, 1),
+    ("styledisc.conv0", 64, 4, 3, 8, 2, 1),
+    ("disc.conv1", 32, 4, 8, 16, 2, 1),
+    ("disc.conv2", 16, 4, 16, 32, 2, 1),
+    ("disc.conv3", 8, 4, 32, 64, 2, 1),
+    ("disc.conv4", 4, 4, 64, 1, 2, 1),
+]
 
 
 def _all_three(x, w, g, stride, pad):
@@ -196,17 +261,6 @@ def _all_three(x, w, g, stride, pad):
         kernels.conv2d_bwd_input(g, w, x.shape[1:3], stride, pad),
         kernels.conv2d_bwd_weight(x, g, w.shape[:2], stride, pad),
     )
-
-
-def _tap_loop(x, w, g, stride, pad):
-    xp = kernels._pad_input(x, pad)
-    out = conv_forward_taps(xp, w, g.shape, stride)
-    gxp = np.zeros(xp.shape, dtype=x.dtype)
-    kernels._conv2d_bwd_input_np(g, w, gxp, stride)
-    gx = gxp[:, pad : xp.shape[1] - pad, pad : xp.shape[2] - pad]
-    gw = np.zeros(w.shape, dtype=x.dtype)
-    kernels._conv2d_bwd_weight_np(xp, g, gw, stride)
-    return out, gx, gw
 
 
 def _operands(n, h, wd, kernel, c_in, c_out, stride, pad, dtype, seed=0):
@@ -218,19 +272,33 @@ def _operands(n, h, wd, kernel, c_in, c_out, stride, pad, dtype, seed=0):
     return x, w, g
 
 
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@functools.lru_cache(maxsize=1)
+def _stock_case(layer, n):
+    """Operands of one stock conv, float32 values, and their float64
+    oracles; the float32 and float64 cases of a layer and batch share them."""
+    _, side, kernel, c_in, c_out, stride, pad = layer
+    x, w, g = _operands(n, side, side, kernel, c_in, c_out, stride, pad, np.float32,
+                        seed=side + c_in)
+    return (x, w, g), _oracles(x, w, g, stride, pad)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 2, 6])
-@pytest.mark.parametrize("size,c_in,c_out", DISC_LAYERS)
-def test_space_to_depth_matches_tap_loop_on_disc_layers(monkeypatch, size, c_in, c_out, n, dtype):
-    x, w, g = _operands(n, size, size, 4, c_in, c_out, 2, 1, dtype)
-    want = _tap_loop(x, w, g, 2, 1)
-    _forbid(monkeypatch, _TAP_LOOP)
-    got = _all_three(x, w, g, 2, 1)
-    rtol = S2D_FLOAT32_RTOL if dtype == np.float32 else S2D_FLOAT64_RTOL
+@pytest.mark.parametrize("n", [1, 2, 6, 8])
+@pytest.mark.parametrize("layer", STOCK_LAYERS, ids=lambda layer: "-".join(map(str, layer)))
+def test_every_stock_conv_matches_the_float64_oracle(layer, n, dtype):
+    operands, want = _stock_case(layer, n)
+    x, w, g = (a.astype(dtype) for a in operands)
+    stride, pad = layer[-2:]
+    got = _all_three(x, w, g, stride, pad)
+    rtol = FLOAT32_RTOL if dtype == np.float32 else FLOAT64_RTOL
     for name, a, b in zip(("forward", "input grad", "weight grad"), got, want):
         assert a.dtype == dtype and a.shape == b.shape and a.flags.c_contiguous, name
-        rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
-        assert rel <= rtol, f"{name}: {rel:.3g} relative"
+        rel = _rel_err(a, b)
+        assert rel <= rtol, f"{name}: {rel:.3g} of the oracle's largest magnitude"
 
 
 @pytest.mark.parametrize(
@@ -240,11 +308,18 @@ def test_space_to_depth_matches_tap_loop_on_disc_layers(monkeypatch, size, c_in,
         (1, 8, 12, 4, 2, 3, 2, 0),    # non-square, no padding
         (2, 7, 10, 6, 2, 3, 3, 1),    # k6 s3: 3x3 phases, 2x2 phase kernel
         (1, 6, 6, 2, 3, 2, 2, 0),     # k2 s2: one phase tap
+        (2, 9, 9, 3, 3, 4, 2, 1),     # 3x3 s2: kernel no multiple of the stride; padded 11x11
+        (1, 8, 7, 1, 3, 2, 2, 0),     # 1x1 s2: the last input row is read by no output
+        (1, 10, 11, 5, 2, 3, 3, 1),   # 5x5 s3: the last 1 row and 2 columns are read by none
+        (2, 9, 9, 4, 3, 4, 2, 1),     # padded 11x11: the last row and column are read by none
+        (2, 8, 9, 4, 2, 3, 2, 1),     # padded 10x11: odd width only
+        (2, 8, 8, 1, 3, 4, 2, 1),     # a disc kernel of 1 with its fixed pad 1: pad >= kernel
+        (1, 5, 6, 2, 2, 3, 3, 3),     # pad 3 > kernel 2 at stride 3
     ],
 )
-def test_space_to_depth_adjoint_and_finite_differences(monkeypatch, n, h, wd, kernel, c_in,
-                                                       c_out, stride, pad):
-    _forbid(monkeypatch, _TAP_LOOP)
+def test_space_to_depth_adjoint_and_finite_differences(n, h, wd, kernel, c_in, c_out, stride,
+                                                       pad):
+    # a stride-s input gradient runs on the phase kernel space_to_depth builds
     x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float64, seed=21)
     out, gx, gw = _all_three(x, w, g, stride, pad)
     np.testing.assert_allclose(out, _oracle_conv(x, w, stride, pad), rtol=1e-12, atol=1e-12)
@@ -269,28 +344,6 @@ def test_space_to_depth_adjoint_and_finite_differences(monkeypatch, n, h, wd, ke
             np.testing.assert_allclose(grad[idx], (up - down) / (2 * eps), rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize(
-    "n,h,wd,kernel,c_in,c_out,stride,pad",
-    [
-        (2, 9, 9, 4, 3, 4, 2, 1),     # padded 11x11: odd
-        (1, 10, 9, 4, 2, 3, 2, 1),    # padded 12x11: even height, odd width
-        (1, 9, 10, 4, 2, 3, 2, 1),    # padded 11x12: odd height, even width
-        (2, 8, 8, 4, 3, 4, 1, 1),     # stride 1
-        (2, 10, 10, 3, 3, 4, 2, 1),   # kernel 3 is no multiple of stride 2
-    ],
-)
-def test_other_convs_take_the_tap_loop(monkeypatch, n, h, wd, kernel, c_in, c_out, stride, pad):
-    # backward through the tap loop itself; forward through the GEMM path
-    x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
-    want = _tap_loop(x, w, g, stride, pad)
-    _forbid(monkeypatch, _S2D)
-    out, gx, gw = _all_three(x, w, g, stride, pad)
-    assert out.shape == want[0].shape
-    assert np.max(np.abs(out - want[0])) <= GEMM_FLOAT32_RTOL * np.max(np.abs(want[0]))
-    assert np.array_equal(gx, want[1])
-    assert np.array_equal(gw, want[2])
-
-
 def test_space_to_depth_regroups_phases():
     a = np.arange(2 * 4 * 6 * 3).reshape(2, 4, 6, 3)
     q = kernels.space_to_depth(a, 2)
@@ -301,17 +354,34 @@ def test_space_to_depth_regroups_phases():
 
 
 # ---------------------------------------------------------------------------
-# GEMM forward path against the tap loop
+# against the tap loops
 
-# One GEMM sums kh·kw·c_in products per output where the tap loop adds kh·kw
-# GEMMs of c_in products, so float32 outputs differ in the last bits. The
-# tolerances are relative to the largest magnitude of the tap-loop result;
-# the largest float32 difference seen on the stock shapes below, over five
-# seeds, is 7.6e-7.
-GEMM_FLOAT32_RTOL = 2e-6
-GEMM_FLOAT64_RTOL = 1e-12
+# The phase-form input gradient sums 4·c_out products per phase tap where the
+# tap loop sums c_out, so float32 results differ in the last bits; relative
+# to the largest magnitude of the tap-loop result, the largest float32
+# difference seen on the disc shapes below is 5.5e-7.
+S2D_FLOAT32_RTOL = 1e-6
+S2D_FLOAT64_RTOL = 1e-13
 
-_GEMM = ("_conv2d_forward_gemm",)
+# (input size, c_in, c_out) of each layer of the stock discriminators:
+# kernel 4, stride 2, pad 1, 64 -> 32 -> 16 -> 8 -> 4 -> 2
+DISC_LAYERS = [(64, 4, 8), (64, 3, 8), (32, 8, 16), (16, 16, 32), (8, 32, 64), (4, 64, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("size,c_in,c_out", DISC_LAYERS)
+def test_space_to_depth_matches_tap_loop_on_disc_layers(size, c_in, c_out, n, dtype):
+    # the input gradient is the part of a disc conv that space_to_depth
+    # still regroups; the forward and weight gradient are held to the
+    # float64 oracle above
+    _, w, g = _operands(n, size, size, 4, c_in, c_out, 2, 1, dtype)
+    want = conv_bwd_input_taps(g, w, (size + 2, size + 2), 2)[:, 1:-1, 1:-1]
+    got = kernels.conv2d_bwd_input(g, w, (size, size), 2, 1)
+    assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
+    rtol = S2D_FLOAT32_RTOL if dtype == np.float32 else S2D_FLOAT64_RTOL
+    assert _rel_err(got, want) <= rtol
+
 
 # (c_in, c_out, stride) of the 3x3 pad-1 convs of the stock nets: the
 # segmenter's body and the generator
@@ -335,14 +405,13 @@ def _stock_convs():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("net,n,side,c_in,c_out,stride", _stock_convs())
-def test_gemm_matches_tap_loop_and_scipy_on_stock_convs(monkeypatch, net, n, side, c_in, c_out,
-                                                        stride, dtype):
+def test_gemm_matches_tap_loop_and_scipy_on_stock_convs(net, n, side, c_in, c_out, stride, dtype):
     x, w, g = _operands(n, side, side, 3, c_in, c_out, stride, 1, dtype, seed=side + c_in)
-    want = _tap_loop(x, w, g, stride, 1)[0]
-    _forbid(monkeypatch, _TAP_LOOP + _S2D)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    want = conv_forward_taps(xp, w, g.shape, stride)
     got = kernels.conv2d_forward(x, w, stride, 1)
     assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
-    rtol = GEMM_FLOAT32_RTOL if dtype == np.float32 else GEMM_FLOAT64_RTOL
+    rtol = FLOAT32_RTOL if dtype == np.float32 else FLOAT64_RTOL
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= rtol * scale
     oracle = _oracle_conv(x.astype(np.float64), w.astype(np.float64), stride, 1)
@@ -350,6 +419,8 @@ def test_gemm_matches_tap_loop_and_scipy_on_stock_convs(monkeypatch, net, n, sid
 
 
 def test_gemm_blocks_stay_within_the_bound(monkeypatch):
+    # every window copy, forward or backward, holds at most GEMM_BLOCK_BYTES;
+    # the weight gradient passes it transposed
     sizes = []
     matmul = np.matmul
 
@@ -358,37 +429,20 @@ def test_gemm_blocks_stay_within_the_bound(monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
-    for _, n, side, c_in, c_out, stride in _stock_convs():
-        x, w, _ = _operands(n, side, side, 3, c_in, c_out, stride, 1, np.float32)
-        kernels.conv2d_forward(x, w, stride, 1)
-    assert len(sizes) > len(_stock_convs())
+    cases = [(n, side, 3, c_in, c_out, stride, 1) for _, n, side, c_in, c_out, stride in _stock_convs()]
+    cases += [(8, *layer[1:]) for layer in STOCK_LAYERS]
+    for n, side, kernel, c_in, c_out, stride, pad in cases:
+        x, w, g = _operands(n, side, side, kernel, c_in, c_out, stride, pad, np.float32)
+        _all_three(x, w, g, stride, pad)
+    assert len(sizes) > 3 * len(cases)
     assert max(nbytes for _, nbytes in sizes) <= kernels.GEMM_BLOCK_BYTES
     # a row wider than the bound is one block by itself
     sizes.clear()
-    x, w, _ = _operands(1, 3, 300, 3, 32, 32, 1, 1, np.float32)
-    out = kernels.conv2d_forward(x, w, 1, 1)
-    assert [shape for shape, _ in sizes] == [(300, 288)] * 3
-    np.testing.assert_allclose(out, _oracle_conv(x, w, 1, 1), rtol=0,
-                               atol=GEMM_FLOAT32_RTOL * np.max(np.abs(out)))
-
-
-@pytest.mark.parametrize(
-    "n,h,wd,kernel,c_in,c_out,stride,pad,path",
-    [
-        (2, 64, 64, 3, 3, 16, 2, 1, _GEMM),      # seg.conv0
-        (8, 16, 16, 3, 32, 32, 1, 1, _GEMM),     # seg.conv2
-        (2, 64, 64, 3, 16, 3, 1, 1, _GEMM),      # gen.out: 16 channels in
-        (2, 9, 9, 4, 16, 4, 2, 1, _GEMM),        # padded 11x11: no space-to-depth
-        (2, 16, 16, 1, 32, 4, 1, 0, _GEMM),      # seg.head: 1x1
-        (2, 16, 16, 3, 8, 15, 1, 1, _GEMM),      # fewer than 16 channels either side
-        (2, 16, 16, 4, 16, 32, 2, 1, _S2D),      # disc.conv2: space-to-depth first
-    ],
-)
-def test_forward_path_is_chosen_by_shape(monkeypatch, n, h, wd, kernel, c_in, c_out, stride,
-                                         pad, path):
-    x, w, _ = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float32)
-    _forbid(monkeypatch, _S2D if path == _GEMM else _GEMM)
-    kernels.conv2d_forward(x, w, stride, pad)
+    x, w, g = _operands(1, 3, 300, 3, 32, 32, 1, 1, np.float32)
+    got = _all_three(x, w, g, 1, 1)
+    assert [shape for shape, _ in sizes] == [(300, 288)] * 6 + [(288, 300)] * 3
+    for a, b in zip(got, _oracles(x, w, g, 1, 1)):
+        assert _rel_err(a, b) <= FLOAT32_RTOL
 
 
 # (batch, input side) of every call of the stock segmenter's 1x1 head
@@ -399,7 +453,7 @@ HEAD_CALLS = [(2, 16), (8, 16), (5, 20), (14, 12)]
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n,side", HEAD_CALLS)
-def test_gemm_is_byte_equal_to_the_tap_loop_on_the_stock_head(monkeypatch, n, side, dtype):
+def test_gemm_is_byte_equal_to_the_tap_loop_on_the_stock_head(n, side, dtype):
     # a 1x1 conv is one GEMM over the same rows either way, so the head's
     # outputs, and every artifact made from them, keep their bytes; the
     # input is a relu map with one all-zero pixel, as the body makes it
@@ -407,7 +461,6 @@ def test_gemm_is_byte_equal_to_the_tap_loop_on_the_stock_head(monkeypatch, n, si
     x = np.maximum(x, 0)
     x[0, 0, 0] = 0
     want = conv_forward_taps(x, w, (n, side, side, 4), 1)
-    _forbid(monkeypatch, _S2D)
     got = kernels.conv2d_forward(x, w, 1, 0)
     assert got.dtype == dtype and got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
