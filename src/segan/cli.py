@@ -44,7 +44,7 @@ from . import __version__, datagen, sgt
 from .bounds import VARIANTS, bound_report, covering_bound, measure_discriminator
 from .config import ConfigError, RunConfig, load_config
 from .metrics import read_report, transfer_gain, write_report
-from .networks import ModelBundle, predict_segmentation
+from .networks import ModelBundle, infer_in_slices, predict_segmentation, stylegen_forward
 from .trainer import (
     MODES,
     NumericAbort,
@@ -175,17 +175,20 @@ def cmd_train_tgstn(args) -> int:
     gen, log = train_tgstn(cfg.tgstn, ds, phi, cfg.seed, networks=cfg.networks)
     save_bundle(out / "tgstn.sgt", ModelBundle(generator=gen), seed=cfg.seed)
     log.to_csv(out / "tgstn_log.csv")
-    src = ds.source_images()
-    gap_raw = datagen.appearance_gap(src, ds.target_images())
-    gap_styled = datagen.appearance_gap(
-        np.asarray(tgstn_style_fn(gen)(src)), ds.target_images()
-    )
+    # the styled source's color counts are summed over the generator's
+    # inference slices, so no styled stack is held
+    src, tgt = ds.source_images(), ds.target_images()
+    counts = {"raw": datagen.color_counts(src), "target": datagen.color_counts(tgt)}
+    sgt.release_pages(src, tgt)
+    counts["styled"] = sum(datagen.color_counts(styled)
+                           for _, styled in infer_in_slices(gen, "gen", stylegen_forward, src))
+    gaps = {k: datagen.count_gap(counts[k], counts["target"]) for k in ("raw", "styled")}
     _write_record(
         out, "train-tgstn", cfg, started,
         inputs={"config": args.config, "data": args.data},
-        appearance_gap={"raw": gap_raw, "styled": gap_styled},
+        appearance_gap=gaps,
     )
-    print(f"appearance gap {gap_raw:.4f} -> {gap_styled:.4f}; checkpoint in {out}")
+    print(f"appearance gap {gaps['raw']:.4f} -> {gaps['styled']:.4f}; checkpoint in {out}")
     return EXIT_OK
 
 

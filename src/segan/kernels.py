@@ -20,12 +20,14 @@ read-only strided window view.
   <g, conv(x)> = <conv^T(g), x>. It is the forward GEMM run over the output
   gradient zero-bordered by k − 1 cells, with the kernel flipped and its
   channel axes swapped (Dumoulin & Visin, 2016, *A guide to convolution
-  arithmetic for deep learning*). At stride s > 1 the kernel is first
-  zero-extended to k' = s·⌈k/s⌉ taps a side, and ``space_to_depth``
-  regroups it into a (k'/s, k'/s) kernel over s²·c_in phase channels (Shi
-  et al., 2016, *Real-Time Single Image and Video Super-Resolution Using an
-  Efficient Sub-Pixel CNN*); the border is then k'/s − 1 cells of the
-  output grid, on which the GEMM runs. The s² phase channels go back to
+  arithmetic for deep learning*). At stride s > 1 the kernel, zero-extended
+  to k' = s·⌈k/s⌉ taps a side, is regrouped space-to-depth into a
+  (k'/s, k'/s) kernel over s²·c_in phase channels (Shi et al., 2016,
+  *Real-Time Single Image and Video Super-Resolution Using an Efficient
+  Sub-Pixel CNN*); the border is then k'/s − 1 cells of the output grid,
+  on which the GEMM runs. The flipped, regrouped kernel matrix is one
+  strided copy of the weight, and the zero extension is made only when s
+  does not divide k. The s² phase channels go back to
   their input cells, and the pad is cropped. Only the grid cells that hold
   input cells are computed, so at stride 1, where the phases are the
   kernel itself, the GEMM writes the cropped input gradient directly. Input
@@ -87,19 +89,6 @@ def _embed(a: np.ndarray, hw: tuple[int, int], top: int, left: int) -> np.ndarra
     return out
 
 
-def space_to_depth(a: np.ndarray, s: int) -> np.ndarray:
-    """Regroup ``a`` (n, H, W, *rest) into its s·s phases: the C-contiguous
-    (n, H/s, W/s, s, s, *rest) array whose [b, i, j, py, px] is
-    ``a[b, s·i + py, s·j + px]``.
-
-    A weight (kh, kw, c_in, c_out) with both sides a multiple of s, taken
-    as a batch of one, becomes its (kh/s, kw/s, s, s, c_in, c_out) phase
-    kernel. Swapping axes 2 and 3 back and merging them undoes it.
-    """
-    n, h, w = a.shape[:3]
-    return np.ascontiguousarray(a.reshape(n, h // s, s, w // s, s, *a.shape[3:]).swapaxes(2, 3))
-
-
 def _window_blocks(a, kernel_hw, out_hw, stride):
     """Yield ``(images, rows, columns)`` over the (n, *out_hw) output grid
     of a stride-``stride`` conv over ``a`` (n, H, W, c): blocks of whole
@@ -154,6 +143,24 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) 
     return _gemm(xp, w.reshape(-1, c_out), (kh, kw), stride, (n, ho, wo, c_out))
 
 
+def _phase_matrix(w: np.ndarray, s: int) -> np.ndarray:
+    """The input gradient's kernel matrix of a (kh, kw, c_in, c_out) weight
+    at stride ``s``, with th, tw = ⌈kh/s⌉, ⌈kw/s⌉: (th·tw·c_out) rows by
+    (s·s·c_in) columns, whose row (ty, tx, co) and column (py, px, ci) hold
+    the weight's tap (s·(th − 1 − ty) + py, s·(tw − 1 − tx) + px) from ci
+    to co, or zero past the kernel. It is one strided copy of the weight,
+    zero-extended to (s·th, s·tw) taps first only when s does not divide
+    the kernel."""
+    kh, kw, c_in, c_out = w.shape
+    th, tw = -(-kh // s), -(-kw // s)
+    if (kh, kw) != (s * th, s * tw):
+        wz = np.zeros((s * th, s * tw, c_in, c_out), dtype=w.dtype)
+        wz[:kh, :kw] = w
+        w = wz
+    taps = w.reshape(th, s, tw, s, c_in, c_out)[::-1, :, ::-1].transpose(0, 2, 5, 1, 3, 4)
+    return np.ascontiguousarray(taps).reshape(th * tw * c_out, s * s * c_in)
+
+
 def conv2d_bwd_input(
     g: np.ndarray, w: np.ndarray, input_hw: tuple[int, int], stride: int = 1, pad: int = 0
 ) -> np.ndarray:
@@ -163,14 +170,7 @@ def conv2d_bwd_input(
     kh, kw, c_in, c_out = w.shape
     s = stride
     th, tw = -(-kh // s), -(-kw // s)
-    if s == 1:
-        phases = w[:, :, None, None]
-    else:
-        wz = np.zeros((s * th, s * tw, c_in, c_out), dtype=w.dtype)
-        wz[:kh, :kw] = w
-        phases = space_to_depth(wz[None], s)[0]
-    # (ty, tx, co) rows by (py, px, ci) columns, taps flipped
-    wmat = phases[::-1, ::-1].transpose(0, 1, 5, 2, 3, 4).reshape(th * tw * c_out, s * s * c_in)
+    wmat = _phase_matrix(w, s)
     # phase cells q0 .. q0 + hq - 1 hold the input rows pad .. pad + h - 1;
     # cell q reads output rows q - th + 1 .. q
     q0 = pad // s

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from . import kernels
+from . import kernels, sgt
 from .tensor import Graph, forward
 from .utils import ConfigError, record_from_dict, record_to_dict, substream
 
@@ -321,7 +321,9 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
     is built per slice length: at most two per call (full slices and the
     remainder). Each pass is told its output node, so it holds only the
     activations a later node still reads. An empty stack still runs one
-    empty slice, so its outputs have a shape.
+    empty slice, so its outputs have a shape. When ``batch`` is a view of a
+    mapped file, the pages each slice read are released
+    (``sgt.release_pages``) before the slice's output is yielded.
     """
     n, h, w, _ = batch.shape
     th, tw = size or (h, w)
@@ -340,6 +342,7 @@ def infer_in_slices(net: NetParams, prefix: str, build, batch: np.ndarray,
         g, x, pn, node = graphs[m]
         out = forward(g, {x: chunk, **param_feeds(pn, net)}, node)[node]
         del chunk  # a resized slice is not held while the generator waits
+        sgt.release_pages(batch)
         yield start, out
 
 

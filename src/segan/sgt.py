@@ -16,7 +16,10 @@ every tensor header in order and seeks past the payloads it skips, so a
 partial read rejects every malformed container layout a full read does.
 A load reads each payload either into an array of its own or, with
 ``mapped``, through a small buffer and then maps it read-only from the
-file, so the process holds only the pages its callers touch.
+file. A read of a map brings in far more than the bytes it asks for (the
+kernel maps whole runs of cached pages around each fault), so callers that
+read a map piece by piece call :func:`release_pages` after each piece: the
+process then holds no more of the file than the piece in hand.
 
 Every file the program writes (checkpoints, datasets, reports, logs and
 manifests) goes through :func:`atomic_open`: it is written to
@@ -117,6 +120,20 @@ def _map(f, start: int, dtype: np.dtype, dims: tuple[int, ...]) -> np.ndarray:
     view = mmap.mmap(f.fileno(), start - base + count * dtype.itemsize,
                      access=mmap.ACCESS_READ, offset=base)
     return np.frombuffer(view, dtype, count, start - base).reshape(dims)
+
+
+def release_pages(*arrays: np.ndarray) -> None:
+    """Drop the process's pages of the file map under each array that is a
+    view of one (a mapped payload or any slice of it); an array that owns
+    its data, such as a copy made by fancy indexing, is left alone.
+
+    The maps are read-only and shared, so nothing is lost: a later read
+    faults the pages back in from the page cache."""
+    for base in arrays:
+        while base is not None and not isinstance(base, mmap.mmap):
+            base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+        if base is not None:
+            base.madvise(mmap.MADV_DONTNEED)
 
 
 def _read_sgt(f, offset: int, size: int, read: bool,
@@ -244,8 +261,8 @@ def load_checkpoint(path, names=None,
     the load holds one copy. With ``mapped`` each payload is checked in one
     streamed pass through a :data:`CHECK_BYTES` buffer and handed out as a
     read-only map of the file: the load holds none of the payload, and a
-    caller's reads bring in only the pages they touch. Every check is the
-    same either way.
+    caller's reads stay resident until it calls :func:`release_pages`.
+    Every check is the same either way.
 
     ``names``, when given, are the tensors to read. Every tensor header is
     still parsed and checked in order (magic, dtype code, dims against the

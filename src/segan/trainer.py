@@ -292,7 +292,8 @@ def evaluate_student(
 
     The confusion matrix is summed one inference slice at a time, or one
     averaged run of :func:`~segan.networks.multi_scale_slices`, so no
-    probability stack is held; integer counts make the sum exact."""
+    probability stack is held; integer counts make the sum exact. Each
+    slice's label pages are released once its counts are taken."""
     count = min(count, ds.n_target) if count > 0 else ds.n_target
     images = ds.target_images()[:count]
     labels = ds.eval_target_labels()[:count]
@@ -300,8 +301,11 @@ def evaluate_student(
         slices = label_slices(net, images)
     else:
         slices = ((start, pred) for start, _, pred in multi_scale_slices(net, images, list(scales)))
-    return iou_report(sum(confusion_matrix(pred, labels[start:start + len(pred)], ds.classes)
-                          for start, pred in slices))
+    counts = 0
+    for start, pred in slices:
+        counts += confusion_matrix(pred, labels[start:start + len(pred)], ds.classes)
+        sgt.release_pages(labels)
+    return iou_report(counts)
 
 
 @dataclass
@@ -378,8 +382,12 @@ def train_segan(
     the AT, SE and Aug terms of ``mode``, on the nets ``networks`` sets.
 
     ``style_fn`` maps a stack of source images to their target-styled
-    counterparts; it is required when the mode has the Aug term and is
-    applied once up front since the generator stays fixed during this stage.
+    counterparts; it is required when the mode has the Aug term. It styles
+    each drawn source batch, so the stage holds one batch of scenes, never
+    a styled copy of the source set. Both stock style functions give each
+    image the bytes it gets alone, so this equals styling the whole set
+    once and indexing it. After each batch is drawn, the pages it read from
+    a mapped dataset are released (``sgt.release_pages``).
     """
     at, se, aug, _, _ = resolve_mode(mode)
     if aug and style_fn is None:
@@ -402,12 +410,6 @@ def train_segan(
 
     src_imgs, src_labels = ds.source_images(), ds.source_labels()
     tgt_imgs = ds.target_images()
-    aug_imgs = np.asarray(style_fn(src_imgs), dtype=np.float32) if aug else None
-    if aug and aug_imgs.shape != src_imgs.shape:
-        raise ValueError(
-            f"style transform changed the batch shape: {aug_imgs.shape} vs {src_imgs.shape}"
-        )
-
     batch_rng = substream(seed, "batch")
     log = TrainLog(SEGAN_COLUMNS)
 
@@ -415,12 +417,18 @@ def train_segan(
         for _ in range(cfg.maxiter):
             idx_s = batch_rng.integers(0, ds.n_source, cfg.batch_source)
             idx_t = batch_rng.integers(0, ds.n_target, cfg.batch_target)
-            feeds = {sg.inputs["x_src"]: src_imgs[idx_s],
+            x_src = src_imgs[idx_s]
+            feeds = {sg.inputs["x_src"]: x_src,
                      sg.inputs["y_src"]: one_hot(src_labels[idx_s], ds.classes)}
             if "x_aug" in sg.inputs:
-                feeds[sg.inputs["x_aug"]] = aug_imgs[idx_s]
+                x_aug = np.asarray(style_fn(x_src), dtype=np.float32)
+                if x_aug.shape != x_src.shape:
+                    raise ValueError(f"style transform changed the batch shape: "
+                                     f"{x_aug.shape} vs {x_src.shape}")
+                feeds[sg.inputs["x_aug"]] = x_aug
             if "x_tgt" in sg.inputs:
                 feeds[sg.inputs["x_tgt"]] = tgt_imgs[idx_t]
+            sgt.release_pages(src_imgs, src_labels, tgt_imgs)
             yield feeds
 
     def hook(it: int, losses: dict[str, float]) -> None:
@@ -494,7 +502,9 @@ def self_train(
     def batches():
         for _ in range(cfg.st_maxiter):
             idx = rng.integers(0, ds.n_target, bt)
-            yield {x: tgt_imgs[idx], y: one_hot(pseudo[idx], ds.classes)}
+            feeds = {x: tgt_imgs[idx], y: one_hot(pseudo[idx], ds.classes)}
+            sgt.release_pages(tgt_imgs)
+            yield feeds
 
     def hook(it: int, losses: dict[str, float]) -> None:
         step = it + 1
@@ -587,8 +597,10 @@ def train_tgstn(
             for k in range(steps_per_epoch):
                 idx_s = order[k * bs : (k + 1) * bs]
                 idx_t = rng.integers(0, ds.n_target, bt)
-                yield {x_src: src_imgs[idx_s], y_src: one_hot(src_labels[idx_s], ds.classes),
-                       x_tgt: tgt_imgs[idx_t]}
+                feeds = {x_src: src_imgs[idx_s], y_src: one_hot(src_labels[idx_s], ds.classes),
+                         x_tgt: tgt_imgs[idx_t]}
+                sgt.release_pages(src_imgs, src_labels, tgt_imgs)
+                yield feeds
 
     def hook(it: int, losses: dict[str, float]) -> None:
         lr_gen, lr_disc = (poly_lr(s.sched, it) for s in sweeps)

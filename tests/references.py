@@ -17,12 +17,16 @@ The forward tap loop, one small matmul per kernel tap, is the reference the
 windowed-GEMM forward is held to, byte for byte on the stock 1x1 head and
 within a named tolerance elsewhere; the input-gradient tap loop is the one
 the stride-2 phase form of the input gradient is held to on the
-discriminator's layers.
+discriminator's layers. The space-to-depth build of the input gradient's
+kernel matrix (extend, regroup, flip) is the one its single strided copy is
+held to, byte for byte. The resident size of a file's maps is read from
+the kernel's own account, ``/proc/self/smaps``.
 """
 
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -200,6 +204,28 @@ def conv_bwd_input_taps(g: np.ndarray, w: np.ndarray, padded_hw, stride: int) ->
     return gxp
 
 
+def space_to_depth(a: np.ndarray, s: int) -> np.ndarray:
+    """Regroup ``a`` (n, H, W, *rest) into its s·s phases: the C-contiguous
+    (n, H/s, W/s, s, s, *rest) array whose [b, i, j, py, px] is
+    ``a[b, s·i + py, s·j + px]``. Swapping axes 2 and 3 back and merging
+    them undoes it."""
+    n, h, w = a.shape[:3]
+    return np.ascontiguousarray(a.reshape(n, h // s, s, w // s, s, *a.shape[3:]).swapaxes(2, 3))
+
+
+def phase_matrix_by_space_to_depth(w: np.ndarray, s: int) -> np.ndarray:
+    """The input gradient's kernel matrix built step by step: the weight
+    zero-extended to a multiple of ``s`` taps a side, regrouped into its
+    (th, tw, s, s, c_in, c_out) phase kernel, flipped, and its channel axes
+    swapped into (ty, tx, co) rows by (py, px, ci) columns."""
+    kh, kw, c_in, c_out = w.shape
+    th, tw = -(-kh // s), -(-kw // s)
+    wz = np.zeros((s * th, s * tw, c_in, c_out), dtype=w.dtype)
+    wz[:kh, :kw] = w
+    phases = space_to_depth(wz[None], s)[0]
+    return phases[::-1, ::-1].transpose(0, 1, 5, 2, 3, 4).reshape(th * tw * c_out, s * s * c_in)
+
+
 def upsample_bwd_by_reduce(g: np.ndarray, factor: int) -> np.ndarray:
     """Gradient of nearest upsampling as one numpy reduction over the
     (n, h, f, w, f, c) view's phase axes."""
@@ -335,3 +361,23 @@ def checkpoint_corruptions(buf: bytes):
                 bad[pos] ^= mask
                 yield f"{entry['name']}-{field}^{mask}", bytes(bad)
         offset += entry["bytes"]
+
+
+# ---------------------------------------------------------------------------
+# resident memory
+
+SMAPS = Path("/proc/self/smaps")
+
+
+def mapped_rss_kb(filename: str) -> int:
+    """The resident kB of this process's maps of files named ``filename``,
+    summed over ``/proc/self/smaps``; 0 when no such map exists."""
+    total, counting = 0, False
+    for line in SMAPS.read_text().splitlines():
+        fields = line.split()
+        if fields[0].endswith(":"):
+            if counting and fields[0] == "Rss:":
+                total += int(fields[1])
+        elif "-" in fields[0]:  # a mapping's header line: range perms offset dev inode [path]
+            counting = Path(" ".join(fields[5:])).name == filename
+    return total

@@ -24,7 +24,8 @@ from segan.bounds import BoundsConfig, measure_discriminator
 from segan.config import ConfigError, RunConfig, load_config, parse_config
 from segan.datagen import ClassPrior, benchmark_shifts
 from segan.networks import ModelBundle, SegNetSpec, build_segnet, predict_segmentation
-from segan.trainer import load_bundle, pretrain_phi, run_ablation, save_bundle, train_tgstn
+from segan.trainer import (apply_style_generator, load_bundle, pretrain_phi, run_ablation,
+                           save_bundle, train_tgstn)
 from segan.utils import derive_seed
 
 from references import checkpoint_corruptions
@@ -920,6 +921,12 @@ def test_train_tgstn_then_styled_training(workdir, tmp_path):
     assert len(log) == 1 + 1 * (6 // 2)  # epochs * (n_source // batch_source)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert set(manifest["appearance_gap"]) == {"raw", "styled"}
+    # the gaps summed over inference slices equal those of the whole stacks
+    ds = datagen.load_dataset(workdir["data"])
+    src, tgt = ds.source_images(), ds.target_images()
+    styled_src = apply_style_generator(load_bundle(out / "tgstn.sgt")[0].generator, src)
+    assert manifest["appearance_gap"] == {"raw": datagen.appearance_gap(src, tgt),
+                                          "styled": datagen.appearance_gap(styled_src, tgt)}
 
     assert set(load_bundle(out / "tgstn.sgt")[1]) == {"specs", "seed"}
 

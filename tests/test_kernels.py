@@ -11,8 +11,9 @@ maps, and to finite differences, on geometries that stress the input
 gradient's phase form. The forward is held to the tap loop of
 ``references.conv_forward_taps``, byte for byte on the stock 1x1 head, and
 the stride-2 input gradient to ``references.conv_bwd_input_taps`` on the
-discriminator's layers. The upsampling gradient is held to its
-one-reduction form, byte for byte.
+discriminator's layers. The input gradient's kernel matrix is held to its
+step-by-step space-to-depth build, byte for byte. The upsampling gradient
+is held to its one-reduction form, byte for byte.
 """
 
 import functools
@@ -23,7 +24,13 @@ from scipy.signal import convolve2d, correlate2d
 
 from segan import kernels
 
-from references import conv_bwd_input_taps, conv_forward_taps, upsample_bwd_by_reduce
+from references import (
+    conv_bwd_input_taps,
+    conv_forward_taps,
+    phase_matrix_by_space_to_depth,
+    space_to_depth,
+    upsample_bwd_by_reduce,
+)
 
 
 def _oracle_conv(x, w, stride, pad):
@@ -319,7 +326,7 @@ def test_every_stock_conv_matches_the_float64_oracle(layer, n, dtype):
 )
 def test_space_to_depth_adjoint_and_finite_differences(n, h, wd, kernel, c_in, c_out, stride,
                                                        pad):
-    # a stride-s input gradient runs on the phase kernel space_to_depth builds
+    # a stride-s input gradient runs on the kernel's space-to-depth phases
     x, w, g = _operands(n, h, wd, kernel, c_in, c_out, stride, pad, np.float64, seed=21)
     out, gx, gw = _all_three(x, w, g, stride, pad)
     np.testing.assert_allclose(out, _oracle_conv(x, w, stride, pad), rtol=1e-12, atol=1e-12)
@@ -346,11 +353,34 @@ def test_space_to_depth_adjoint_and_finite_differences(n, h, wd, kernel, c_in, c
 
 def test_space_to_depth_regroups_phases():
     a = np.arange(2 * 4 * 6 * 3).reshape(2, 4, 6, 3)
-    q = kernels.space_to_depth(a, 2)
+    q = space_to_depth(a, 2)
     assert q.shape == (2, 2, 3, 2, 2, 3) and q.flags.c_contiguous
     for b, i, j, py, px in [(0, 0, 0, 0, 0), (1, 1, 2, 1, 0), (0, 1, 1, 0, 1), (1, 0, 2, 1, 1)]:
         assert np.array_equal(q[b, i, j, py, px], a[b, 2 * i + py, 2 * j + px])
     assert np.array_equal(q.swapaxes(2, 3).reshape(a.shape), a)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "kernel,c_in,c_out,stride",
+    [
+        (4, 32, 64, 2),   # the stock disc's conv3: s divides k, no extension
+        (3, 16, 32, 2),   # the segmenter's 3x3 s2: extended to 4x4
+        (3, 16, 3, 1),    # a stride-1 generator conv: the phases are the kernel
+        (1, 3, 2, 2),     # 1x1 s2: one tap, extended to 2x2
+        (5, 2, 3, 3),     # 5x5 s3: extended to 6x6, 2x2 phase taps
+        (6, 2, 3, 3),     # 6x6 s3: s divides k
+    ],
+)
+def test_phase_matrix_is_byte_equal_to_the_space_to_depth_build(kernel, c_in, c_out, stride,
+                                                                 dtype):
+    # one strided copy of the weight gives the kernel matrix that extending,
+    # regrouping and flipping it step by step gives
+    w = np.random.default_rng(3).standard_normal((kernel, kernel, c_in, c_out)).astype(dtype)
+    got = kernels._phase_matrix(w, stride)
+    want = phase_matrix_by_space_to_depth(w, stride)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +402,8 @@ DISC_LAYERS = [(64, 4, 8), (64, 3, 8), (32, 8, 16), (16, 16, 32), (8, 32, 64), (
 @pytest.mark.parametrize("n", [1, 2, 6])
 @pytest.mark.parametrize("size,c_in,c_out", DISC_LAYERS)
 def test_space_to_depth_matches_tap_loop_on_disc_layers(size, c_in, c_out, n, dtype):
-    # the input gradient is the part of a disc conv that space_to_depth
-    # still regroups; the forward and weight gradient are held to the
+    # the input gradient is the part of a disc conv that runs on the
+    # space-to-depth phases; the forward and weight gradient are held to the
     # float64 oracle above
     _, w, g = _operands(n, size, size, 4, c_in, c_out, 2, 1, dtype)
     want = conv_bwd_input_taps(g, w, (size + 2, size + 2), 2)[:, 1:-1, 1:-1]

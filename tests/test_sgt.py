@@ -16,7 +16,7 @@ from segan.networks import ModelBundle, NetworksConfig, build_discriminator, bui
 from segan.trainer import (SEGAN_COLUMNS, TGSTN_COLUMNS, NumericAbort, TrainLog,
                            save_bundle)
 
-from references import checkpoint_corruptions
+from references import SMAPS, checkpoint_corruptions, mapped_rss_kb
 
 
 @pytest.mark.parametrize(
@@ -422,6 +422,29 @@ def test_mapped_load_equals_an_owned_load_and_holds_no_payload(tmp_path):
             assert not arr.flags.writeable and not arr.flags.owndata
             with pytest.raises(ValueError, match="read-only"):
                 arr.reshape(-1)[0] = 0
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps to read resident maps from")
+def test_release_pages_drops_a_maps_pages_and_leaves_owned_arrays_alone(tmp_path):
+    tensors = _dataset_shaped()
+    path = tmp_path / "mapped.sgt"
+    sgt.save_checkpoint(path, tensors, {})
+    mapped, _ = sgt.load_checkpoint(path, mapped=True)
+    for arr in mapped.values():
+        arr.sum()
+    assert mapped_rss_kb("mapped.sgt") > 0
+    # owned arrays, a fancy-indexed copy of a map and an array over bytes
+    # hold no map: releasing them leaves the maps' pages resident
+    owned = [tensors["images"], mapped["labels"][[0, 2]], np.frombuffer(b"\0" * 8, np.uint8)]
+    before = [a.copy() for a in owned]
+    sgt.release_pages(*owned)
+    assert mapped_rss_kb("mapped.sgt") > 0
+    assert all(np.array_equal(a, b) for a, b in zip(owned, before))
+    # a slice of a map releases the whole map, which reads back unchanged
+    sgt.release_pages(*(arr[1:] for arr in mapped.values()))
+    assert mapped_rss_kb("mapped.sgt") == 0
+    for name, arr in mapped.items():
+        assert arr.tobytes() == tensors[name].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 from segan.datagen import (
+    DATASET_FILE,
     AppearanceParams,
     ClassPrior,
     ShiftParams,
     benchmark_shifts,
     generate_dataset,
+    load_dataset,
+    save_dataset,
 )
 from segan.metrics import confusion_matrix, iou_report
 from segan.networks import (
@@ -57,6 +60,8 @@ from segan.trainer import (
 )
 from segan.tensor import Graph, forward
 from segan.utils import derive_seed
+
+from references import SMAPS, mapped_rss_kb
 
 
 def _tiny_dataset(seed=11, n=6, shifted=True, n_target=None):
@@ -557,11 +562,16 @@ def _whole_batch_styled(gen, images: np.ndarray) -> np.ndarray:
     return forward(g, {x: images, **param_feeds(pn, gen)})[out]
 
 
+def _perturbed_generator(seed: int):
+    gen = build_style_generator(StyleGenSpec(), seed=6)
+    gen.values["out/w"] = np.random.default_rng(seed).standard_normal(
+        gen.values["out/w"].shape).astype(np.float32) * 0.1  # leave the identity start
+    return gen
+
+
 @pytest.mark.parametrize("n", [None, "below", "equal", "above", "stock"])
 def test_sliced_style_generator_is_bit_identical_to_whole_batch_graph(n):
-    gen = build_style_generator(StyleGenSpec(), seed=6)
-    gen.values["out/w"] = np.random.default_rng(1).standard_normal(
-        gen.values["out/w"].shape).astype(np.float32) * 0.1  # leave the identity start
+    gen = _perturbed_generator(1)
     per_slice = INFER_PIXELS // (64 * 64)
     if n == "stock":
         images = generate_dataset(*benchmark_shifts(), n_source=200, n_target=1,
@@ -574,6 +584,60 @@ def test_sliced_style_generator_is_bit_identical_to_whole_batch_graph(n):
     assert not np.array_equal(ref, images)
     assert out.dtype == np.float32
     assert np.array_equal(out, ref[0] if n is None else ref)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("style", ["oracle", "generator"])
+def test_styling_a_batch_equals_indexing_the_styled_set(ds, style, seed, batch):
+    # train_segan styles each drawn batch; that must give the bytes that
+    # styling the whole source set once and indexing it gave
+    if style == "oracle":
+        fn = oracle_style_fn(ds)
+        sets = [ds.source_images()]
+    else:
+        fn = tgstn_style_fn(_perturbed_generator(seed))
+        sets = [ds.source_images(),
+                np.random.default_rng(seed).random((12, 64, 64, 3)).astype(np.float32)]
+    rng = np.random.default_rng(seed)
+    for images in sets:
+        whole = fn(images)
+        assert not np.array_equal(whole, images)
+        for _ in range(4):
+            idx = rng.integers(0, len(images), batch)
+            assert fn(images[idx]).tobytes() == whole[idx].tobytes()
+
+
+def test_train_segan_styles_one_source_batch_at_a_time(ds):
+    oracle = oracle_style_fn(ds)
+    rows = []
+
+    def spy(images):
+        rows.append(len(images))
+        return oracle(images)
+
+    cfg = _fast_cfg(maxiter=5, eval_interval=5, eval_count=1, batch_source=3)
+    train_segan(cfg, ds, "at-se-aug", SEED, style_fn=spy)
+    assert rows == [cfg.batch_source] * cfg.maxiter
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps to read resident maps from")
+def test_training_and_evaluation_release_the_dataset_map(ds, tmp_path):
+    save_dataset(ds, tmp_path)
+    loaded = load_dataset(tmp_path)
+    assert mapped_rss_kb(DATASET_FILE) == 0  # the load released its label check
+    loaded.target_images().sum()  # the probe sees a read of the map
+    assert mapped_rss_kb(DATASET_FILE) > 0
+    cfg = _fast_cfg(maxiter=4, st_maxiter=2, eval_interval=2, eval_count=0)
+    bundle, _ = train_segan(cfg, loaded, "at-se-aug", SEED, style_fn=oracle_style_fn(loaded))
+    assert mapped_rss_kb(DATASET_FILE) == 0
+    evaluate_student(bundle.student, loaded, count=0, scales=(0.75, 1.0))
+    assert mapped_rss_kb(DATASET_FILE) == 0
+    # pseudo-labels, self-training and multi-scale evaluation
+    run_ablation("full-mst", loaded, cfg, SEED, style_fn=oracle_style_fn(loaded))
+    assert mapped_rss_kb(DATASET_FILE) == 0
+    train_tgstn(TGSTNConfig(epochs=1), loaded, bundle.student.frozen(), SEED)
+    assert mapped_rss_kb(DATASET_FILE) == 0
 
 
 # ---------------------------------------------------------------------------
