@@ -278,9 +278,9 @@ class DomainDataset:
     :func:`load_dataset` skips the source domain) to one stacked, read-only
     array: ``<domain>/images`` is (n, h, w, 3) float32 in [0, 1] and
     ``<domain>/labels`` is (n, h, w) uint8. A loaded dataset's arrays are
-    read-only maps of ``dataset.sgt``; a read keeps its pages resident until
-    ``sgt.release_pages`` drops them, which every reader in the program
-    does after each batch or slice. Training code may touch the source
+    read-only views of one map of ``dataset.sgt``; a read keeps its pages
+    resident until ``sgt.release_pages`` drops them, which every reader in
+    the program does after each batch or slice. Training code may touch the source
     arrays and :meth:`target_images` only; target labels are exposed solely
     through :meth:`eval_target_labels`.
     """
@@ -470,11 +470,11 @@ def load_dataset(dirpath, source: bool = True) -> DomainDataset:
     match its expected shape and dtype. The payload checks (finite values,
     labels within the class count) run on the arrays read.
 
-    Each array read is a read-only map of the file (``sgt.load_checkpoint``
-    with ``mapped``): its finite check streams the payload through a small
-    buffer, so the load holds none of it. The label-range check reads the
-    label pages, 1/12 of the payload, and then releases them
-    (``sgt.release_pages``), as every reader of a map does after each
+    Each array read is a read-only view of the file's one map
+    (``sgt.load_checkpoint``): its finite check streams the payload through
+    a small buffer, so the load holds none of it. The label-range check
+    reads the label pages, 1/12 of the payload, and then releases the map's
+    pages (``sgt.release_pages``), as every reader of a map does after each
     batch or slice. A mapped read brings in whole runs of pages around each
     fault: on ext4 (Linux 6.18), one random batch of two stock scenes made
     5.8 MB of the 10.6 MB source arrays resident, and 40 batches all of
@@ -488,7 +488,7 @@ def load_dataset(dirpath, source: bool = True) -> DomainDataset:
         raise FileNotFoundError(f"no dataset at {path}")
     domains = ("source", "target") if source else ("target",)
     names = [f"{d}/{kind}" for d in domains for kind in ("images", "labels")]
-    arrays, meta = sgt.load_checkpoint(path, names, mapped=True)
+    arrays, meta = sgt.load_checkpoint(path, names)
     fmt = meta.pop("format", None)
     if fmt != DATASET_FORMAT:
         raise sgt.FormatError(f"{path}: dataset format {fmt!r}, expected {DATASET_FORMAT!r}")

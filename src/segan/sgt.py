@@ -14,12 +14,14 @@ tensor names/shapes/dtypes plus caller metadata (seed, iteration, specs).
 A load may read some of the tensors alone: it still parses and checks
 every tensor header in order and seeks past the payloads it skips, so a
 partial read rejects every malformed container layout a full read does.
-A load reads each payload either into an array of its own or, with
-``mapped``, through a small buffer and then maps it read-only from the
-file. A read of a map brings in far more than the bytes it asks for (the
-kernel maps whole runs of cached pages around each fault), so callers that
-read a map piece by piece call :func:`release_pages` after each piece: the
-process then holds no more of the file than the piece in hand.
+There is one read path: a load maps its file read-only once, streams each
+payload it reads through a small buffer for its checks, and hands the
+payload out as a read-only view of that map. A read of a map brings in far
+more than the bytes it asks for (the kernel maps whole runs of cached pages
+around each fault), so callers that read a map piece by piece call
+:func:`release_pages` after each piece: the process then holds no more of
+the file than the piece in hand. A caller that writes into what it loaded,
+or must outlive an in-place rewrite of the file, copies it.
 
 Every file the program writes (checkpoints, datasets, reports, logs and
 manifests) goes through :func:`atomic_open`: it is written to
@@ -45,9 +47,9 @@ import numpy as np
 
 MAGIC = b"SGT1"
 CHECKPOINT_FORMAT = "segan-checkpoint-v1"
-_DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<f8")}
-_CODE_BY_KIND = {"<f4": 0, "u1": 1, "<f8": 2}
-# The buffer a mapped payload is checked through. It stays below glibc's
+# The dtype of each SGT1 dtype code; its ``.name`` is the manifest's string.
+_DTYPES = (np.dtype("<f4"), np.dtype("u1"), np.dtype("<f8"))
+# The buffer each payload read is checked through. It stays below glibc's
 # 128 KiB mmap threshold: freeing a larger buffer raises that threshold, and
 # the heap then keeps more memory.
 CHECK_BYTES = 1 << 16
@@ -58,11 +60,10 @@ class FormatError(Exception):
 
 
 def _dtype_code(arr: np.ndarray) -> int:
-    key = arr.dtype.newbyteorder("<").str.lstrip("<|=")
-    key = {"f4": "<f4", "f8": "<f8", "u1": "u1"}.get(key)
-    if key is None:
-        raise FormatError(f"unsupported dtype {arr.dtype}; use float32, float64 or uint8")
-    return _CODE_BY_KIND[key]
+    try:
+        return _DTYPES.index(arr.dtype.newbyteorder("<"))
+    except ValueError:
+        raise FormatError(f"unsupported dtype {arr.dtype}; use float32, float64 or uint8") from None
 
 
 def _header(arr: np.ndarray) -> bytes:
@@ -75,13 +76,11 @@ def _payload(arr: np.ndarray) -> memoryview:
     return memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
 
 
-def sgt_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr)
-    return _header(arr) + _payload(arr).tobytes()
-
-
 def write_sgt(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(sgt_bytes(arr))
+    arr = np.ascontiguousarray(arr)
+    with atomic_open(path, "wb") as f:
+        f.write(_header(arr))
+        f.write(_payload(arr))
 
 
 def _read_header(f, offset: int, size: int) -> tuple[np.dtype, tuple[int, ...], int]:
@@ -96,9 +95,9 @@ def _read_header(f, offset: int, size: int) -> tuple[np.dtype, tuple[int, ...], 
         dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
     except struct.error:
         raise FormatError(f"header truncated at offset {offset}") from None
-    if code not in _DTYPE_BY_CODE:
+    if code >= len(_DTYPES):
         raise FormatError(f"unknown dtype code {code}")
-    dtype = _DTYPE_BY_CODE[code]
+    dtype = _DTYPES[code]
     end = offset + 6 + 4 * ndim + math.prod(dims) * dtype.itemsize
     if end > size:
         raise FormatError("payload truncated")
@@ -108,24 +107,14 @@ def _read_header(f, offset: int, size: int) -> tuple[np.dtype, tuple[int, ...], 
 def _finite(vals: np.ndarray) -> bool:
     # min and max are nan if any value is, and +-inf if any value is
     # infinite; unlike isfinite they need no array-sized mask
-    return vals.dtype.kind != "f" or not vals.size or bool(
-        np.isfinite([vals.min(), vals.max()]).all())
-
-
-def _map(f, start: int, dtype: np.dtype, dims: tuple[int, ...]) -> np.ndarray:
-    """A read-only array over the payload at ``start`` of the open file
-    ``f``, mapped from the file rather than copied."""
-    base = start - start % mmap.ALLOCATIONGRANULARITY
-    count = math.prod(dims)
-    view = mmap.mmap(f.fileno(), start - base + count * dtype.itemsize,
-                     access=mmap.ACCESS_READ, offset=base)
-    return np.frombuffer(view, dtype, count, start - base).reshape(dims)
+    return vals.dtype.kind != "f" or bool(np.isfinite([vals.min(), vals.max()]).all())
 
 
 def release_pages(*arrays: np.ndarray) -> None:
     """Drop the process's pages of the file map under each array that is a
-    view of one (a mapped payload or any slice of it); an array that owns
-    its data, such as a copy made by fancy indexing, is left alone.
+    view of one (a loaded tensor or any slice of it): the whole file's
+    pages, since a load maps its file once. An array that owns its data,
+    such as a copy made by fancy indexing, is left alone.
 
     The maps are read-only and shared, so nothing is lost: a later read
     faults the pages back in from the page cache."""
@@ -136,32 +125,26 @@ def release_pages(*arrays: np.ndarray) -> None:
             base.madvise(mmap.MADV_DONTNEED)
 
 
-def _read_sgt(f, offset: int, size: int, read: bool,
-              mapped: bool) -> tuple[np.ndarray, int, bool]:
+def _read_sgt(f, offset: int, size: int,
+              view: mmap.mmap | None) -> tuple[np.ndarray, int, bool]:
     """Read one SGT1 blob that starts at ``offset`` of the open file ``f``
     (``size`` bytes long); returns its array, the offset after it, and
     whether the values read are all finite.
 
-    With ``read`` and without ``mapped`` the payload is read straight into
-    the array's own buffer. With ``mapped`` it is read through one
-    :data:`CHECK_BYTES` buffer, chunk by chunk, and the array is a
-    read-only map of it from ``f`` itself, so the bytes mapped are the bytes
-    checked; a zero-size payload is read, not mapped. Without ``read`` the
-    payload is skipped, and the array is a read-only zero-strided
-    placeholder of the blob's dtype and dims that holds no data."""
+    The payload is read through one :data:`CHECK_BYTES` buffer, chunk by
+    chunk, and the array is a read-only view of it in ``view``, the map of
+    ``f`` itself, so the bytes handed out are the bytes checked. With
+    ``view`` None the payload is skipped, and the array is a read-only
+    zero-strided placeholder of the blob's dtype and dims that holds no
+    data."""
     dtype, dims, end = _read_header(f, offset, size)
     try:  # a zero dim passes the size check while the others overflow
         arr = np.broadcast_to(np.zeros((), dtype), dims)
     except ValueError:
         raise FormatError(f"dims {list(dims)} at offset {offset} are too large") from None
-    if not read:
+    if view is None:
         f.seek(end)
         return arr, end, True
-    if not (mapped and arr.size):
-        arr = np.empty(dims, dtype)
-        if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise FormatError("payload truncated")
-        return arr, end, _finite(arr)
     start = end - arr.nbytes
     buf = np.empty(min(CHECK_BYTES, arr.nbytes), np.uint8)
     finite = True
@@ -170,13 +153,16 @@ def _read_sgt(f, offset: int, size: int, read: bool,
         if f.readinto(chunk) != len(chunk):
             raise FormatError("payload truncated")
         finite = finite and _finite(chunk.view(dtype))
-    return _map(f, start, dtype, dims), end, finite
+    return np.frombuffer(view, dtype, arr.size, start).reshape(dims), end, finite
 
 
 def read_sgt(path) -> np.ndarray:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        arr, end, _ = _read_sgt(f, 0, size, True, False)
+        if not size:
+            raise FormatError("empty file")
+        view = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
+        arr, end, _ = _read_sgt(f, 0, size, view)
     if end != size:
         raise FormatError(f"{size - end} trailing bytes after payload")
     return arr
@@ -219,7 +205,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         {
             "name": name,
             "shape": list(arr.shape),
-            "dtype": {0: "float32", 1: "uint8", 2: "float64"}[_dtype_code(arr)],
+            "dtype": _DTYPES[_dtype_code(arr)].name,
             "bytes": len(_header(arr)) + arr.nbytes,
         }
         for name, arr in arrays.items()
@@ -254,15 +240,16 @@ def _check_manifest(manifest) -> None:
             raise FormatError(f"manifest tensor entry {i} lacks a 'name' string or 'shape' list")
 
 
-def load_checkpoint(path, names=None,
-                    mapped: bool = False) -> tuple[dict[str, np.ndarray], dict]:
-    """The tensors and metadata of a checkpoint. Without ``mapped`` each
-    tensor is read from the file straight into its own writeable array, so
-    the load holds one copy. With ``mapped`` each payload is checked in one
-    streamed pass through a :data:`CHECK_BYTES` buffer and handed out as a
-    read-only map of the file: the load holds none of the payload, and a
-    caller's reads stay resident until it calls :func:`release_pages`.
-    Every check is the same either way.
+def load_checkpoint(path, names=None) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and metadata of a checkpoint. The file is mapped
+    read-only once; each payload read is checked in one streamed pass
+    through a :data:`CHECK_BYTES` buffer and handed out as a read-only view
+    of that map. The load holds none of the payload and one file
+    descriptor, the map's, for as long as any tensor lives; a caller's reads
+    stay resident until it calls :func:`release_pages`. Truncating or
+    rewriting the file in place while a tensor is read ends the process
+    with SIGBUS; a rename over it does not, since the map keeps the file it
+    was made from.
 
     ``names``, when given, are the tensors to read. Every tensor header is
     still parsed and checked in order (magic, dtype code, dims against the
@@ -274,6 +261,7 @@ def load_checkpoint(path, names=None,
         size = os.fstat(f.fileno()).st_size
         if size < 4:
             raise FormatError("checkpoint shorter than its length header")
+        view = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
         (mlen,) = struct.unpack("<I", f.read(4))
         try:
             manifest = json.loads(f.read(min(mlen, size - 4)).decode("utf-8"))
@@ -284,7 +272,7 @@ def load_checkpoint(path, names=None,
         offset = f.seek(4 + mlen)
         for entry in manifest["tensors"]:
             read = names is None or entry["name"] in names
-            arr, offset, finite = _read_sgt(f, offset, size, read, mapped)
+            arr, offset, finite = _read_sgt(f, offset, size, view if read else None)
             if list(arr.shape) != entry["shape"]:
                 raise FormatError(f"tensor {entry['name']!r}: shape {list(arr.shape)} "
                                   f"!= manifest {entry['shape']}")

@@ -686,7 +686,10 @@ def _check_tensors(path, comp: str, spec, values: dict[str, np.ndarray]) -> None
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
     """The nets of a checkpoint, each checked against its spec; raises
-    ``FormatError`` naming the file at the first disagreement."""
+    ``FormatError`` naming the file at the first disagreement. Each net
+    tensor is copied out of the checkpoint's read-only map, so the nets own
+    writeable arrays and keep their values if the file is later rewritten,
+    even in place."""
     tensors, meta = sgt.load_checkpoint(path)
     if not isinstance(meta.get("specs"), dict):
         raise sgt.FormatError(f"{path} holds no networks (no 'specs' object in its metadata)")
@@ -706,7 +709,7 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
         except ConfigError as e:
             raise sgt.FormatError(f"{path}: bad network spec: {e}") from None
         _check_tensors(path, comp, spec, values)
-        nets[comp] = NetParams(spec, values)
+        nets[comp] = NetParams(spec, values).copy()
     for name in tensors:
         comp, _, layer = name.partition("/")
         if comp not in nets or layer not in nets[comp].values:

@@ -7,8 +7,9 @@ is acceptance criterion 07's quantity and the negative classes criterion
 08's; the Dudley objective is the entropy integral whose minimum
 ``bounds.rademacher_bound`` states in closed form. The whole-stack
 multi-scale prediction is the oracle the sliced one is held to, bit for bit,
-and the checkpoint corruptions are the cases the container reader must
-reject with its own error. The per-scene generator, which styles each image
+the in-memory SGT1 blob is what the streamed writer must put on disk, and
+the checkpoint corruptions are the cases the container reader must reject
+with its own error. The per-scene generator, which styles each image
 alone and blurs it with ``scipy.ndimage.gaussian_filter``, is the oracle
 the stack-styled ``generate_dataset`` is held to, array for array. The
 reduce form of the upsampling gradient and the 2-d fancy-index resize are
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from segan import sgt
 from segan.datagen import (
     PALETTE,
     PIXEL_NOISE,
@@ -343,7 +345,13 @@ def per_scene_dataset(source: ShiftParams, target: ShiftParams, n_source: int, n
 
 
 # ---------------------------------------------------------------------------
-# corrupt containers
+# containers in memory
+
+
+def sgt_bytes(arr: np.ndarray) -> bytes:
+    """The bytes ``sgt.write_sgt`` writes for ``arr``, built in memory."""
+    arr = np.ascontiguousarray(arr)
+    return sgt._header(arr) + sgt._payload(arr).tobytes()
 
 
 def checkpoint_corruptions(buf: bytes):

@@ -726,6 +726,7 @@ def test_bounds_payload_is_internally_consistent(workdir, trained, tmp_path):
 @pytest.mark.parametrize("command", ["eval", "bounds"])
 def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, command, edit):
     tensors, meta = sgt.load_checkpoint(trained / "checkpoint.sgt")
+    tensors = {name: arr.copy() for name, arr in tensors.items()}  # the edits write in place
     edit(tensors, meta)
     bad = tmp_path / "bad.sgt"
     sgt.save_checkpoint(bad, tensors, meta)

@@ -394,12 +394,14 @@ def test_load_missing_manifest_raises(tmp_path):
 
 def _resave(tmp_path, edit):
     """Save a small dataset, apply ``edit`` to its arrays and metadata, and
-    write them back in the same container."""
+    write them back in the same container. The loaded arrays are read-only
+    views of the file's map, so ``edit`` works on copies."""
     ds = generate_dataset(
         _single_class(), _single_class(), n_source=2, n_target=1, seed=11, h=32, w=32, classes=2
     )
     save_dataset(ds, tmp_path)
     arrays, meta = sgt.load_checkpoint(tmp_path / "dataset.sgt")
+    arrays = {name: arr.copy() for name, arr in arrays.items()}
     edit(arrays, meta)
     sgt.save_checkpoint(tmp_path / "dataset.sgt", arrays, meta)
     return tmp_path

@@ -3,6 +3,8 @@ atomic write of every text artifact."""
 
 import json
 import math
+import mmap
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -16,7 +18,9 @@ from segan.networks import ModelBundle, NetworksConfig, build_discriminator, bui
 from segan.trainer import (SEGAN_COLUMNS, TGSTN_COLUMNS, NumericAbort, TrainLog,
                            save_bundle)
 
-from references import SMAPS, checkpoint_corruptions, mapped_rss_kb
+from references import SMAPS, checkpoint_corruptions, mapped_rss_kb, sgt_bytes
+
+FD_DIR = Path("/proc/self/fd")
 
 
 @pytest.mark.parametrize(
@@ -33,6 +37,7 @@ from references import SMAPS, checkpoint_corruptions, mapped_rss_kb
 def test_round_trip_preserves_bits(tmp_path, arr):
     path = tmp_path / "t.sgt"
     sgt.write_sgt(path, arr)
+    assert path.read_bytes() == sgt_bytes(arr)
     back = sgt.read_sgt(path)
     assert back.dtype == arr.dtype
     assert back.shape == arr.shape
@@ -41,7 +46,7 @@ def test_round_trip_preserves_bits(tmp_path, arr):
 
 def test_header_layout_is_as_documented():
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    buf = sgt.sgt_bytes(arr)
+    buf = sgt_bytes(arr)
     assert buf[:4] == b"SGT1"
     code, ndim = struct.unpack_from("<BB", buf, 4)
     assert code == 0 and ndim == 2
@@ -55,9 +60,9 @@ def test_dtype_codes_cover_exactly_the_three_kinds(tmp_path):
         (np.zeros(2, dtype=np.uint8), 1),
         (np.zeros(2, dtype=np.float64), 2),
     ]:
-        assert sgt.sgt_bytes(arr)[4] == code
+        assert sgt_bytes(arr)[4] == code
     with pytest.raises(sgt.FormatError, match="dtype"):
-        sgt.sgt_bytes(np.zeros(2, dtype=np.int32))
+        sgt_bytes(np.zeros(2, dtype=np.int32))
 
 
 def test_big_endian_input_is_normalized(tmp_path):
@@ -70,13 +75,13 @@ def test_big_endian_input_is_normalized(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.sgt"
-    path.write_bytes(sgt.sgt_bytes(np.zeros(3, dtype=np.float32)) + b"\x00")
+    path.write_bytes(sgt_bytes(np.zeros(3, dtype=np.float32)) + b"\x00")
     with pytest.raises(sgt.FormatError, match="trailing"):
         sgt.read_sgt(path)
 
 
 def test_truncated_payload_rejected(tmp_path):
-    buf = sgt.sgt_bytes(np.arange(8, dtype=np.float64))
+    buf = sgt_bytes(np.arange(8, dtype=np.float64))
     path = tmp_path / "t.sgt"
     path.write_bytes(buf[:-1])
     with pytest.raises(sgt.FormatError, match="truncated"):
@@ -84,7 +89,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 
 def test_truncated_header_rejected(tmp_path):
-    buf = sgt.sgt_bytes(np.zeros((2, 3), dtype=np.float32))
+    buf = sgt_bytes(np.zeros((2, 3), dtype=np.float32))
     path = tmp_path / "t.sgt"
     for cut in range(4, 6 + 4 * 2):
         path.write_bytes(buf[:cut])
@@ -93,7 +98,7 @@ def test_truncated_header_rejected(tmp_path):
 
 
 def test_bad_magic_and_bad_code_rejected(tmp_path):
-    good = bytearray(sgt.sgt_bytes(np.zeros(2, dtype=np.float32)))
+    good = bytearray(sgt_bytes(np.zeros(2, dtype=np.float32)))
     path = tmp_path / "t.sgt"
 
     bad_magic = bytes(b"XGT1" + good[4:])
@@ -239,6 +244,10 @@ def _export_plots(out, k):  # fig6_stability.csv, table3_ablation.csv, fig7_gain
     _cli("export-plots", "--runs", *runs, "--out", str(out))
 
 
+def _write_sgt(out, k):
+    sgt.write_sgt(out / "t.sgt", np.full(3, k, np.float32))
+
+
 def _numeric_abort(out, k):
     def abort(args):
         raise NumericAbort(k, {"seg": math.nan})
@@ -261,6 +270,7 @@ def _numeric_abort(out, k):
         ("table3_ablation.csv", _export_plots, 2),
         ("fig7_gains.csv", _export_plots, 2),
         ("numeric_abort.json", _numeric_abort, 1),
+        ("t.sgt", _write_sgt, 2),  # the header went out, the payload failed
     ],
 )
 def test_interrupted_text_write_keeps_the_previous_file(tmp_path, monkeypatch, name, write,
@@ -330,7 +340,7 @@ def _raw_checkpoint(path, manifest, blobs=b""):
     path.write_bytes(struct.pack("<I", len(raw)) + raw + blobs)
 
 
-_BLOB = sgt.sgt_bytes(np.zeros(3, dtype=np.float32))
+_BLOB = sgt_bytes(np.zeros(3, dtype=np.float32))
 _ENTRY = {"name": "w", "shape": [3], "dtype": "float32", "bytes": len(_BLOB)}
 
 
@@ -378,17 +388,16 @@ def _traced_peak(fn):
 
 
 def test_checkpoint_load_copies_each_tensor_once(tmp_path):
-    # Each tensor is read straight into its own array: 1x the payload. Reading
-    # the whole file first, then copying each array out of it, was 2x.
+    # Each tensor is a view of the file's map: the load holds no payload.
+    # Reading each tensor into its own array was 1x the payload; reading the
+    # whole file first, then copying each array out of it, was 2x.
     tensors = _dataset_shaped()
-    payload = sum(a.nbytes for a in tensors.values())
     path = tmp_path / "big.sgt"
     sgt.save_checkpoint(path, tensors, {"seed": 1})
     before = path.read_bytes()
     (back, _), peak = _traced_peak(lambda: sgt.load_checkpoint(path))
-    assert peak <= 1.1 * payload, peak / payload
+    assert peak < 2**17, peak  # the check buffer and the metadata
     for name, arr in tensors.items():
-        assert back[name].flags.owndata and back[name].flags.writeable
         assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
     sgt.save_checkpoint(path, back, {"seed": 1})
     assert path.read_bytes() == before
@@ -402,26 +411,54 @@ def test_checkpoint_save_streams_each_tensor(tmp_path):
     path = tmp_path / "big.sgt"
     _, peak = _traced_peak(lambda: sgt.save_checkpoint(path, tensors, {"seed": 1}))
     assert peak <= 0.1 * payload, peak / payload
-    expected = b"".join(sgt.sgt_bytes(a) for a in tensors.values())
+    expected = b"".join(sgt_bytes(a) for a in tensors.values())
     assert path.read_bytes().endswith(expected)
 
 
 def test_mapped_load_equals_an_owned_load_and_holds_no_payload(tmp_path):
     tensors = _dataset_shaped()
-    tensors["empty"] = np.zeros((0, 3), np.float32)  # a zero-size payload is read, not mapped
+    tensors["empty"] = np.zeros((0, 3), np.float32)  # a zero-size payload is a view too
     path = tmp_path / "big.sgt"
     sgt.save_checkpoint(path, tensors, {"seed": 1})
-    owned, _ = sgt.load_checkpoint(path)
-    (mapped, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path, mapped=True))
+    (mapped, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path))
     assert meta == {"seed": 1} and list(mapped) == list(tensors)
     assert peak < 2**20, peak / 2**20
     for name, arr in mapped.items():
-        assert type(arr) is np.ndarray and arr.dtype == owned[name].dtype
-        assert arr.shape == owned[name].shape and arr.tobytes() == owned[name].tobytes()
-        if arr.size:
-            assert not arr.flags.writeable and not arr.flags.owndata
-            with pytest.raises(ValueError, match="read-only"):
-                arr.reshape(-1)[0] = 0
+        assert type(arr) is np.ndarray and arr.dtype == tensors[name].dtype
+        assert arr.shape == tensors[name].shape and arr.tobytes() == tensors[name].tobytes()
+        assert not arr.flags.writeable and not arr.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            arr.reshape(-1)[:1] = 0
+
+
+def _map_under(arr):
+    """The ``mmap`` at the end of ``arr``'s base chain, or None."""
+    base = arr
+    while base is not None and not isinstance(base, mmap.mmap):
+        base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+    return base
+
+
+@pytest.mark.skipif(not FD_DIR.exists(), reason="no /proc/self/fd to count descriptors in")
+@pytest.mark.parametrize("names", [None, ["t3", "t25"]], ids=["all", "some"])
+def test_a_load_maps_its_file_once(tmp_path, names):
+    # CPython's mmap holds a duplicate of the file's descriptor: one map per
+    # tensor held 26 descriptors here, one map per load holds one
+    tensors = {f"t{i}": np.full((i + 1, 3), i, np.float32) for i in range(26)}
+    tensors["t7"] = np.arange(5, dtype=np.uint8)
+    path = tmp_path / "many.sgt"
+    sgt.save_checkpoint(path, tensors, {})
+    before = len(os.listdir(FD_DIR))
+    back, _ = sgt.load_checkpoint(path, names)
+    assert len(os.listdir(FD_DIR)) - before <= 1
+    read = [back[name] for name in names or tensors]
+    maps = [_map_under(arr) for arr in read]
+    assert isinstance(maps[0], mmap.mmap) and len(maps[0]) == path.stat().st_size
+    assert all(m is maps[0] for m in maps)
+    for name, arr in zip(names or tensors, read):
+        assert not arr.flags.writeable and arr.tobytes() == tensors[name].tobytes()
+    del back, read, maps, arr  # the last tensor goes, and its map and descriptor with it
+    assert len(os.listdir(FD_DIR)) == before
 
 
 @pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps to read resident maps from")
@@ -429,7 +466,7 @@ def test_release_pages_drops_a_maps_pages_and_leaves_owned_arrays_alone(tmp_path
     tensors = _dataset_shaped()
     path = tmp_path / "mapped.sgt"
     sgt.save_checkpoint(path, tensors, {})
-    mapped, _ = sgt.load_checkpoint(path, mapped=True)
+    mapped, _ = sgt.load_checkpoint(path)
     for arr in mapped.values():
         arr.sum()
     assert mapped_rss_kb("mapped.sgt") > 0
@@ -440,8 +477,9 @@ def test_release_pages_drops_a_maps_pages_and_leaves_owned_arrays_alone(tmp_path
     sgt.release_pages(*owned)
     assert mapped_rss_kb("mapped.sgt") > 0
     assert all(np.array_equal(a, b) for a, b in zip(owned, before))
-    # a slice of a map releases the whole map, which reads back unchanged
-    sgt.release_pages(*(arr[1:] for arr in mapped.values()))
+    # a slice of one tensor releases the whole file's map, which reads back
+    # unchanged
+    sgt.release_pages(mapped["labels"][1:])
     assert mapped_rss_kb("mapped.sgt") == 0
     for name, arr in mapped.items():
         assert arr.tobytes() == tensors[name].tobytes()
@@ -458,14 +496,14 @@ def test_mapped_load_finds_a_non_finite_value_at_every_chunk_edge(tmp_path, dtyp
         bad[i] = value
         sgt.save_checkpoint(path, {"ok": good, "x": bad}, {})
         with pytest.raises(sgt.FormatError, match="'x' holds non-finite values"):
-            sgt.load_checkpoint(path, mapped=True)
-        back, _ = sgt.load_checkpoint(path, ["ok"], mapped=True)
+            sgt.load_checkpoint(path)
+        back, _ = sgt.load_checkpoint(path, ["ok"])
         assert back["ok"].tobytes() == good.tobytes()
 
 
-def _misread_corruptions(tmp_path, names, mapped=False):
+def _misread_corruptions(tmp_path, names):
     """The corruptions of a small checkpoint that ``load_checkpoint(path,
-    names, mapped)`` loads, or rejects with anything but ``FormatError``."""
+    names)`` loads, or rejects with anything but ``FormatError``."""
     path = tmp_path / "ckpt.sgt"
     sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
                                "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
@@ -477,7 +515,7 @@ def _misread_corruptions(tmp_path, names, mapped=False):
     for case, data in cases:
         bad.write_bytes(data)
         try:
-            sgt.load_checkpoint(bad, names, mapped)
+            sgt.load_checkpoint(bad, names)
         except sgt.FormatError:
             continue
         except Exception as exc:  # struct.error, ValueError, EOFError, ...
@@ -487,19 +525,11 @@ def _misread_corruptions(tmp_path, names, mapped=False):
     return wrong
 
 
-def test_checkpoint_reader_raises_only_format_errors(tmp_path):
-    assert _misread_corruptions(tmp_path, None) == []
-
-
-@pytest.mark.parametrize("names", [None, ["w"]], ids=["all", "first"])
-def test_mapped_checkpoint_reader_raises_only_format_errors(tmp_path, names):
-    assert _misread_corruptions(tmp_path, names, mapped=True) == []
-
-
-@pytest.mark.parametrize("names", [["w"], ["labels"], []], ids=["first", "last", "none"])
-def test_partial_checkpoint_read_raises_only_format_errors(tmp_path, names):
-    # every header is still parsed, so a cut or a flipped header bit in a
-    # skipped tensor is found as it is in a read one
+@pytest.mark.parametrize("names", [None, ["w"], ["labels"], []],
+                         ids=["all", "first", "last", "none"])
+def test_checkpoint_reader_raises_only_format_errors(tmp_path, names):
+    # a partial read still parses every header, so a cut or a flipped header
+    # bit in a skipped tensor is found as it is in a read one
     assert _misread_corruptions(tmp_path, names) == []
 
 
@@ -510,9 +540,8 @@ def test_partial_checkpoint_read_holds_only_the_named_tensors(tmp_path):
     sgt.save_checkpoint(path, tensors, {"seed": 1})
     (back, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path, ["labels"]))
     assert meta == {"seed": 1} and list(back) == list(tensors)
-    assert back["labels"].flags.owndata and back["labels"].flags.writeable
     assert back["labels"].tobytes() == tensors["labels"].tobytes()
-    assert peak <= tensors["labels"].nbytes + 2**16, peak / tensors["labels"].nbytes
+    assert peak < 2**17, peak  # the check buffer and the metadata, no payload
     for name in ("images", "features"):
         assert back[name].shape == tensors[name].shape and back[name].dtype == tensors[name].dtype
         assert not back[name].flags.writeable and set(back[name].strides) == {0}

@@ -5,7 +5,9 @@ call in ``src/`` or ``perfbench/``. Oracles that only the tests call live in
 ``references.py``. The program starts on numpy alone: importing the CLI
 loads no scipy module, so a function that needs scipy imports it itself.
 Text files are serialized by ``sgt`` alone: every other module writes its CSV tables
-and JSON records through ``sgt.write_csv`` and ``sgt.write_json``."""
+and JSON records through ``sgt.write_csv`` and ``sgt.write_json``. Every file is
+written through ``sgt.atomic_open``: nothing else in ``src/`` opens a file for
+writing or calls ``write_bytes`` or ``write_text``."""
 
 import ast
 import os
@@ -105,3 +107,39 @@ def test_only_sgt_serializes_files():
                 if name in writers:
                     calls.append(f"{path.name}:{node.lineno}: {name}")
     assert calls == []
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether an ``open`` call may write: its mode, the argument after the
+    file (builtin, ``io`` and ``os``) or the first one (a path's method), is
+    anything but a string literal without w, a, x and +."""
+    if any(k.arg is None for k in call.keywords):
+        return True
+    f = call.func
+    pos = 1 if isinstance(f, ast.Name) or getattr(f.value, "id", None) in ("io", "os") else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[pos] if len(call.args) > pos else None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_atomic_open_writes_files():
+    # a file written in place can change under a reader that maps it, which
+    # then ends with SIGBUS; atomic_open renames a finished file over it
+    writes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for top in tree.body
+                  if path.name == "sgt.py" and getattr(top, "name", None) == "atomic_open"
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("write_bytes", "write_text") or (
+                    name in ("open", "fdopen") and _opens_for_writing(node)):
+                writes.append(f"{path.name}:{node.lineno}: {name}")
+    assert writes == []

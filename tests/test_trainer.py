@@ -6,7 +6,11 @@ behavioral criteria live in test_acceptance.py.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +533,43 @@ def test_bundle_round_trip_supports_partial_bundles(tmp_path):
     assert meta["note"] == 1
     for name in gen.values:
         assert np.array_equal(loaded.generator.values[name], gen.values[name])
+
+
+_REWRITE_A_LOADED_CHECKPOINT = """
+import sys
+import numpy as np
+from segan.networks import ModelBundle, StyleGenSpec, build_style_generator
+from segan.trainer import load_bundle, save_bundle
+
+path, other = sys.argv[1:]
+gen = build_style_generator(StyleGenSpec(), seed=5)
+save_bundle(path, ModelBundle(generator=gen))
+save_bundle(other, ModelBundle(generator=build_style_generator(StyleGenSpec(), seed=6)))
+loaded, _ = load_bundle(path)
+
+
+def check():
+    for name, arr in loaded.generator.values.items():
+        assert arr.flags.owndata and arr.flags.writeable, name
+        assert np.array_equal(arr, gen.values[name]), name
+
+
+with open(path, "r+b") as f:  # in place: the file keeps its inode
+    f.truncate(0)
+    check()
+    f.write(open(other, "rb").read())
+check()
+"""
+
+
+def test_loaded_nets_own_their_arrays_and_survive_an_in_place_rewrite(tmp_path):
+    # a net still reading the checkpoint's map would see the other nets'
+    # values, or end its process with SIGBUS, so the check runs in a child
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", _REWRITE_A_LOADED_CHECKPOINT,
+                          str(tmp_path / "gen.sgt"), str(tmp_path / "other.sgt")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------------------
