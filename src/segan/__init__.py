@@ -11,6 +11,14 @@ Subpackages of interest:
 * :mod:`segan.metrics`  IoU reports, transfer gains
 * :mod:`segan.bounds`   covering-number / Rademacher / generalization bounds
 * :mod:`segan.cli`      ``segan`` command line entry point
+
+Importing the package, before numpy loads, pins OpenBLAS to one thread
+unless ``OPENBLAS_NUM_THREADS`` is set: every BLAS call here is a small
+matmul, and a second thread doubles a round's CPU time for no wall time.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

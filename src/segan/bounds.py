@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import ConvOperator, DiscSpec, NetParams, build_discriminator, spectral_norm
+from .networks import ConvOperator, DiscSpec, NetParams, build_discriminator, l2_norm, spectral_norm
 from .utils import ConfigError, record_to_dict
 
 VARIANTS = ("statement", "proof-final-line")
@@ -304,7 +304,7 @@ def measure_discriminator(
         b=tuple(b),
         rho=tuple(rho),
         width=max(dims),
-        x_norm=float(np.linalg.norm(batch.ravel())),
+        x_norm=l2_norm(batch.ravel()),
         epsilon=bounds.epsilon,
         n=bounds.n,
         delta=bounds.delta,

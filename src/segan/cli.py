@@ -7,11 +7,13 @@ directory unless ``--force`` is given.
 Each run's one record is ``run_manifest.json``, written last, so it is
 present only for a complete run. It holds the command, the ablation
 ``mode`` (for ``train``), the root seed, the resolved configuration, the
-inputs, the format versions, the duration and the command's result
-(``miou``, ``gen_bound``, ``appearance_gap`` or ``shift_severity``). No
-other file repeats these facts: a ``train`` directory holds
-``train_log.csv``, ``checkpoint.sgt`` (whose metadata keeps the network
-specs, seed and iteration), ``report.json``, ``report.csv`` and the record.
+inputs, the format versions, the ``OPENBLAS_NUM_THREADS`` value in effect
+(importing ``segan`` sets it to 1 unless it is already set), the duration
+and the command's result (``miou``, ``gen_bound``, ``appearance_gap`` or
+``shift_severity``). No other file repeats these facts: a ``train``
+directory holds ``train_log.csv``, ``checkpoint.sgt`` (whose metadata keeps
+the network specs, seed and iteration), ``report.json``, ``report.csv`` and
+the record.
 
 The text artifacts have one dialect per format, written by
 :func:`segan.sgt.write_csv` and :func:`segan.sgt.write_json`: CSV tables
@@ -33,6 +35,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -107,6 +110,7 @@ def _write_record(out: Path, command: str, cfg: RunConfig, started: float, input
         "config": cfg.to_dict(),
         "inputs": inputs,
         "versions": _VERSIONS,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "duration_sec": round(time.time() - started, 3),
         **result,
     }
@@ -167,7 +171,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_tgstn(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
-    ds = datagen.load_dataset(args.data, source=True)
+    ds = datagen.load_dataset(args.data)
     check_batches("tgstn", ds, cfg.tgstn.batch_source, None)
     _check_size(ds, cfg.networks.segnet_spec(ds.classes), cfg.networks.disc_spec(3))
     out = _prepare_out(args.out, args.force)
@@ -195,7 +199,7 @@ def cmd_train_tgstn(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
-    ds = datagen.load_dataset(args.data, source=True)
+    ds = datagen.load_dataset(args.data)
     at, _, needs_aug, _, _ = resolve_mode(args.mode)
     specs = [cfg.networks.segnet_spec(ds.classes)]
     if at:
@@ -235,7 +239,7 @@ def cmd_eval(args) -> int:
     started = time.time()
     cfg = load_config(args.config).with_seed(args.seed)
     bundle, _ = load_bundle(args.checkpoint)
-    ds = datagen.load_dataset(args.data, source=False)
+    ds = datagen.load_dataset(args.data)
     if bundle.student is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no segmenter")
     if bundle.student.spec.class_count != ds.classes:
@@ -264,7 +268,7 @@ def cmd_bounds(args) -> int:
     cfg = load_config(args.config).with_seed(args.seed)
     out = _check_out(args.out, args.force)  # created once the payload is computed
     bundle, meta = load_bundle(args.checkpoint)
-    ds = datagen.load_dataset(args.data, source=False)
+    ds = datagen.load_dataset(args.data)
     if bundle.disc is None:
         raise ConfigError("", f"checkpoint {args.checkpoint} holds no discriminator")
     if bundle.student is None:

@@ -274,8 +274,7 @@ ARRAY_NAMES = ("source/images", "source/labels", "target/images", "target/labels
 class DomainDataset:
     """Source scenes with labels, target scenes with held-out labels.
 
-    ``arrays`` maps each of :data:`ARRAY_NAMES` (the target's alone, when
-    :func:`load_dataset` skips the source domain) to one stacked, read-only
+    ``arrays`` maps each of :data:`ARRAY_NAMES` to one stacked, read-only
     array: ``<domain>/images`` is (n, h, w, 3) float32 in [0, 1] and
     ``<domain>/labels`` is (n, h, w) uint8. A loaded dataset's arrays are
     read-only views of one map of ``dataset.sgt``; a read keeps its pages
@@ -460,19 +459,15 @@ def save_dataset(ds: DomainDataset, dirpath) -> None:
                         {"format": DATASET_FORMAT, **meta})
 
 
-def load_dataset(dirpath, source: bool = True) -> DomainDataset:
-    """The dataset saved in ``dirpath``; without ``source``, its target
-    domain alone.
+def load_dataset(dirpath) -> DomainDataset:
+    """The dataset saved in ``dirpath``. The container must hold exactly
+    :data:`ARRAY_NAMES`, each array of its expected shape and dtype, and
+    every payload is checked: its values are finite, its labels within the
+    class count.
 
-    A target-only load skips the source arrays' payloads and leaves them out
-    of the dataset. Its structural checks are a full load's: the container
-    must hold exactly :data:`ARRAY_NAMES`, and every array's header must
-    match its expected shape and dtype. The payload checks (finite values,
-    labels within the class count) run on the arrays read.
-
-    Each array read is a read-only view of the file's one map
-    (``sgt.load_checkpoint``): its finite check streams the payload through
-    a small buffer, so the load holds none of it. The label-range check
+    Each array is a read-only view of the file's one map
+    (``sgt.load_checkpoint``), whose finite check releases the map's pages
+    as it goes, so the load holds none of the payload. The label-range check
     reads the label pages, 1/12 of the payload, and then releases the map's
     pages (``sgt.release_pages``), as every reader of a map does after each
     batch or slice. A mapped read brings in whole runs of pages around each
@@ -481,21 +476,19 @@ def load_dataset(dirpath, source: bool = True) -> DomainDataset:
     it, so reads that are never released keep the dataset resident. A map
     outlives a rename over the file (every writer in the program replaces
     files by rename), but truncating or rewriting ``dataset.sgt`` in place
-    while a process reads it ends that process with SIGBUS.
+    while a process loads or reads it ends that process with SIGBUS.
     """
     path = Path(dirpath) / DATASET_FILE
     if not path.exists():
         raise FileNotFoundError(f"no dataset at {path}")
-    domains = ("source", "target") if source else ("target",)
-    names = [f"{d}/{kind}" for d in domains for kind in ("images", "labels")]
-    arrays, meta = sgt.load_checkpoint(path, names)
+    arrays, meta = sgt.load_checkpoint(path)
     fmt = meta.pop("format", None)
     if fmt != DATASET_FORMAT:
         raise sgt.FormatError(f"{path}: dataset format {fmt!r}, expected {DATASET_FORMAT!r}")
     if sorted(arrays) != sorted(ARRAY_NAMES):
         raise sgt.FormatError(f"{path}: arrays {sorted(arrays)}, expected {sorted(ARRAY_NAMES)}")
     try:
-        ds = record_from_dict(DomainDataset, meta, arrays={k: arrays[k] for k in names})
+        ds = record_from_dict(DomainDataset, meta, arrays=arrays)
     except ConfigError as e:
         raise sgt.FormatError(f"{path}: bad dataset metadata: {e}") from None
     h, w = ds.h, ds.w
@@ -510,12 +503,11 @@ def load_dataset(dirpath, source: bool = True) -> DomainDataset:
                 f"{labels.dtype} {labels.shape}; expected n >= 1 scenes of float32 "
                 f"(n, {h}, {w}, 3) and uint8 (n, {h}, {w})"
             )
-        if domain in domains:
-            top = labels.max()
-            sgt.release_pages(labels)
-            if top >= ds.classes:
-                raise sgt.FormatError(
-                    f"{path}: {domain} labels reach {top}, but the dataset has "
-                    f"{ds.classes} classes"
-                )
+        top = labels.max()
+        sgt.release_pages(labels)
+        if top >= ds.classes:
+            raise sgt.FormatError(
+                f"{path}: {domain} labels reach {top}, but the dataset has "
+                f"{ds.classes} classes"
+            )
     return ds

@@ -18,6 +18,7 @@ runs, each averaged from the held scale slices that cover it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -526,6 +527,12 @@ def materialize(op) -> np.ndarray:
 POWER_TOL = 1e-12  # power iteration stops once an estimate moves by this fraction
 
 
+def l2_norm(v: np.ndarray) -> float:
+    """The Euclidean norm of the 1-d ``v``, summed by numpy: BLAS's dot
+    (``np.linalg.norm``) rounds differently at each thread count."""
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def spectral_norm(op, iters: int) -> float:
     """Largest singular value via at most ``iters`` power iterations on
     ``A^T A``.
@@ -537,18 +544,18 @@ def spectral_norm(op, iters: int) -> float:
     """
     rng = substream(0, "specnorm")
     v = rng.standard_normal(op.in_dim)
-    nv = np.linalg.norm(v)
+    nv = l2_norm(v)
     if nv == 0 or op.in_dim == 0:
         return 0.0
     v /= nv
     sigma = 0.0
     for _ in range(iters):
         u = op.matvec(v)
-        su = np.linalg.norm(u)
+        su = l2_norm(u)
         if su == 0:
             return 0.0
         w = op.rmatvec(u / su)
-        sw = np.linalg.norm(w)
+        sw = l2_norm(w)
         if sw == 0:
             return 0.0
         v = w / sw

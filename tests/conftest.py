@@ -9,7 +9,9 @@ each with one thread, with the same mIoU to the last bit. One thread keeps
 the acceptance gate's run time steady on a shared machine.
 
 OpenBLAS reads the variable when numpy loads it, so it is set here, before
-any test module imports numpy. A value already in the environment wins.
+any test module imports numpy. Importing ``segan`` sets the same default,
+but a test module may import numpy first. A value already in the
+environment wins.
 """
 
 import os

@@ -9,7 +9,8 @@ is acceptance criterion 07's quantity and the negative classes criterion
 multi-scale prediction is the oracle the sliced one is held to, bit for bit,
 the in-memory SGT1 blob is what the streamed writer must put on disk, and
 the checkpoint corruptions are the cases the container reader must reject
-with its own error. The per-scene generator, which styles each image
+with its own error, and the malformed datasets the ones the dataset loader
+and every command that reads a dataset must reject. The per-scene generator, which styles each image
 alone and blurs it with ``scipy.ndimage.gaussian_filter``, is the oracle
 the stack-styled ``generate_dataset`` is held to, array for array. The
 reduce form of the upsampling gradient and the 2-d fancy-index resize are
@@ -30,6 +31,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.ndimage import gaussian_filter
 
 from segan import sgt
@@ -39,9 +41,12 @@ from segan.datagen import (
     TEXTURE_AMP,
     TEXTURE_ANGLE,
     AppearanceParams,
+    ClassPrior,
     ShiftParams,
     _cov_factor,
     _rotation_about_gray,
+    generate_dataset,
+    save_dataset,
 )
 from segan.losses import PROB_FLOOR
 from segan.networks import NetParams, predict_segmentation, resize_nearest
@@ -369,6 +374,55 @@ def checkpoint_corruptions(buf: bytes):
                 bad[pos] ^= mask
                 yield f"{entry['name']}-{field}^{mask}", bytes(bad)
         offset += entry["bytes"]
+
+
+# ---------------------------------------------------------------------------
+# malformed datasets
+
+
+def resave_dataset(tmp_path: Path, edit) -> Path:
+    """Save a small dataset, apply ``edit`` to its arrays and metadata, and
+    write them back in the same container. The loaded arrays are read-only
+    views of the file's map, so ``edit`` works on copies."""
+    prior = ClassPrior(prob=1.0, mean=(0.5, 0.5), cov=((0.005, 0.0), (0.0, 0.005)),
+                       size_range=(0.1, 0.2))
+    one_class = ShiftParams(layout=(prior,))
+    ds = generate_dataset(one_class, one_class, n_source=2, n_target=1, seed=11, h=32, w=32,
+                          classes=2)
+    save_dataset(ds, tmp_path)
+    arrays, meta = sgt.load_checkpoint(tmp_path / "dataset.sgt")
+    arrays = {name: arr.copy() for name, arr in arrays.items()}
+    edit(arrays, meta)
+    sgt.save_checkpoint(tmp_path / "dataset.sgt", arrays, meta)
+    return tmp_path
+
+
+MALFORMED_DATASETS = [
+    pytest.param(lambda a, m: m.update(format="segan-dataset-v1"), "format", id="format"),
+    pytest.param(lambda a, m: a.pop("target/labels"), "arrays", id="missing-array"),
+    pytest.param(lambda a, m: a.update(extra=np.zeros(1, np.float32)), "arrays",
+                 id="extra-array"),
+    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][:, :16]}),
+                 "source images", id="image-shape"),
+    pytest.param(lambda a, m: a.update({"source/labels": a["source/labels"][:1]}),
+                 "source images", id="label-count"),
+    pytest.param(lambda a, m: a.update({"target/images": a["target/images"].astype(np.float64)}),
+                 "target images", id="image-dtype"),
+    pytest.param(lambda a, m: a.update({"target/labels": a["target/labels"].astype(np.float32)}),
+                 "target images", id="label-dtype"),
+    pytest.param(lambda a, m: a.update({"target/images": a["target/images"][:0],
+                                        "target/labels": a["target/labels"][:0]}), "n >= 1",
+                 id="empty-domain"),
+    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][0]}),
+                 "source images", id="image-ndim"),
+    pytest.param(lambda a, m: m.pop("classes"), "metadata", id="missing-meta"),
+    pytest.param(lambda a, m: m.update(h="32"), r"metadata: h: expected an integer",
+                 id="string-meta"),
+    pytest.param(lambda a, m: a["source/labels"].__setitem__((0, 0, 0), 2),
+                 "source labels reach 2, but the dataset has 2 classes", id="label-range"),
+    pytest.param(lambda a, m: a["target/images"].__setitem__((0, 0, 0, 0), np.nan),
+                 "'target/images' holds non-finite values", id="nan-image"),
+]
 
 
 # ---------------------------------------------------------------------------

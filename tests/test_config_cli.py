@@ -8,6 +8,8 @@ console script to cover packaging.
 import csv
 import json
 import math
+import os
+import re
 import shutil
 import struct
 import subprocess
@@ -15,6 +17,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,9 @@ from segan.trainer import (apply_style_generator, load_bundle, pretrain_phi, run
                            save_bundle, train_tgstn)
 from segan.utils import derive_seed
 
-from references import checkpoint_corruptions
+from references import MALFORMED_DATASETS, checkpoint_corruptions, resave_dataset
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +586,7 @@ def stock_eval(tmp_path_factory):
 
 def test_stock_dataset_load_holds_none_of_its_arrays(stock_eval):
     # a load that copied the arrays peaked at 20.35 MiB; a mapped load holds
-    # only the check buffer and the metadata
+    # only the metadata
     datagen.load_dataset(stock_eval / "data")  # warm-up
     tracemalloc.start()
     try:
@@ -611,8 +616,8 @@ def test_rewriting_a_loaded_dataset_leaves_its_arrays(workdir, tmp_path):
 @pytest.mark.parametrize("mst", [[], ["--mst", "0.75,1,1.25"]], ids=["single", "mst"])
 def test_eval_holds_the_target_arrays_alone(stock_eval, tmp_path, mst):
     # loading both domains peaked at 23.6 MiB (24.9 MiB with --mst), copying
-    # the target alone at 11.9 (13.3), mapping it at 1.7 (3.2): the source
-    # arrays are not read, and the target's are not copied
+    # the target alone at 11.9 (13.3), mapping it at 1.7 (3.2), mapping and
+    # checking both at 1.9 (3.4): no array is copied
     runs = iter(range(2))
 
     def run():
@@ -631,6 +636,50 @@ def test_eval_holds_the_target_arrays_alone(stock_eval, tmp_path, mst):
     assert (tmp_path / "e0" / "report.json").read_bytes() == (
         tmp_path / "e1" / "report.json").read_bytes()
     assert peak < 6 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [(lambda a: a["source/images"].__setitem__((1, 2, 3, 0), np.nan),
+      "'source/images' holds non-finite values"),
+     (lambda a: a["source/labels"].__setitem__((1, 2, 3), 4),
+      "source labels reach 4, but the dataset has 4 classes")],
+    ids=["nan-image", "label-range"],
+)
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--mst", "0.75,1"], ["bounds"]],
+                         ids=["eval", "eval-mst", "bounds"])
+def test_a_bad_source_payload_fails_every_command(workdir, trained, tmp_path, capsys, command,
+                                                  edit, match):
+    # every command loads and checks both domains, including the ones that
+    # read the target alone
+    tensors, meta = sgt.load_checkpoint(workdir["root"] / "data" / "dataset.sgt")
+    tensors = {name: arr.copy() for name, arr in tensors.items()}
+    edit(tensors)
+    (tmp_path / "data").mkdir()
+    sgt.save_checkpoint(tmp_path / "data" / "dataset.sgt", tensors, meta)
+    code = cli.main([*command, "--config", workdir["config"], "--data", str(tmp_path / "data"),
+                     "--checkpoint", str(trained / "checkpoint.sgt"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and match in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, match", MALFORMED_DATASETS)
+@pytest.mark.parametrize("command", ["eval", "bounds"])
+def test_a_malformed_dataset_fails_eval_and_bounds(workdir, trained, tmp_path, capsys, command,
+                                                   edit, match):
+    # eval and bounds load the whole container as train does, so each
+    # malformed dataset fails them at the load, before the class check
+    data = resave_dataset(tmp_path / "data", edit)
+    code = cli.main([command, "--config", workdir["config"], "--data", str(data),
+                     "--checkpoint", str(trained / "checkpoint.sgt"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and re.search(match, err) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_rejects_class_mismatched_checkpoint(workdir, trained, tmp_path, capsys):
@@ -768,6 +817,41 @@ def test_an_internal_value_error_is_no_config_error(workdir, trained, tmp_path, 
         cli.main(["eval", "--data", workdir["data"], "--checkpoint",
                   str(trained / "checkpoint.sgt"), "--out", str(tmp_path / "o")])
     assert "config error:" not in capsys.readouterr().err
+
+
+def _segan_env(blas_threads):
+    """The environment of a subprocess that imports ``segan`` from this
+    checkout, with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` or, for
+    None, unset."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
+
+
+def test_bounds_json_does_not_depend_on_the_blas_thread_count(workdir, trained, tmp_path):
+    # BLAS's threaded dot rounded the input norm differently at 1 and at 2
+    # or more threads; the norms on the bound's path are numpy's own sums
+    runs = {}
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"b{threads}"
+        res = subprocess.run(
+            [sys.executable, "-m", "segan.cli", "bounds", "--config", workdir["config"],
+             "--data", workdir["data"], "--checkpoint", str(trained / "checkpoint.sgt"),
+             "--out", str(out)],
+            env=_segan_env(threads), capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        runs[threads] = (out / "bounds.json").read_bytes()
+        record = json.loads((out / "run_manifest.json").read_text())
+        assert record["openblas_num_threads"] == threads
+    assert runs["1"] == runs["2"] == runs["4"]
+
+
+def test_importing_segan_pins_blas_to_one_thread_unless_set():
+    code = "import os, segan, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for given, expected in ((None, "1"), ("3", "3")):
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=_segan_env(given), check=True)
+        assert res.stdout.strip() == expected, given
 
 
 def test_bounds_demands_discriminator(workdir, tmp_path, capsys):

@@ -32,7 +32,7 @@ from segan.datagen import (
 )
 from segan.utils import record_from_dict, record_to_dict
 
-from references import per_scene_dataset, scipy_style
+from references import MALFORMED_DATASETS, per_scene_dataset, resave_dataset, scipy_style
 
 
 def _single_class(prob=1.0, size_range=(0.1, 0.2)):
@@ -392,84 +392,10 @@ def test_load_missing_manifest_raises(tmp_path):
         load_dataset(tmp_path / "nowhere")
 
 
-def _resave(tmp_path, edit):
-    """Save a small dataset, apply ``edit`` to its arrays and metadata, and
-    write them back in the same container. The loaded arrays are read-only
-    views of the file's map, so ``edit`` works on copies."""
-    ds = generate_dataset(
-        _single_class(), _single_class(), n_source=2, n_target=1, seed=11, h=32, w=32, classes=2
-    )
-    save_dataset(ds, tmp_path)
-    arrays, meta = sgt.load_checkpoint(tmp_path / "dataset.sgt")
-    arrays = {name: arr.copy() for name, arr in arrays.items()}
-    edit(arrays, meta)
-    sgt.save_checkpoint(tmp_path / "dataset.sgt", arrays, meta)
-    return tmp_path
-
-
-_MALFORMED = [
-    pytest.param(lambda a, m: m.update(format="segan-dataset-v1"), "format", id="format"),
-    pytest.param(lambda a, m: a.pop("target/labels"), "arrays", id="missing-array"),
-    pytest.param(lambda a, m: a.update(extra=np.zeros(1, np.float32)), "arrays",
-                 id="extra-array"),
-    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][:, :16]}),
-                 "source images", id="image-shape"),
-    pytest.param(lambda a, m: a.update({"source/labels": a["source/labels"][:1]}),
-                 "source images", id="label-count"),
-    pytest.param(lambda a, m: a.update({"target/images": a["target/images"].astype(np.float64)}),
-                 "target images", id="image-dtype"),
-    pytest.param(lambda a, m: a.update({"target/labels": a["target/labels"].astype(np.float32)}),
-                 "target images", id="label-dtype"),
-    pytest.param(lambda a, m: a.update({"target/images": a["target/images"][:0],
-                                        "target/labels": a["target/labels"][:0]}), "n >= 1",
-                 id="empty-domain"),
-    pytest.param(lambda a, m: a.update({"source/images": a["source/images"][0]}),
-                 "source images", id="image-ndim"),
-    pytest.param(lambda a, m: m.pop("classes"), "metadata", id="missing-meta"),
-    pytest.param(lambda a, m: m.update(h="32"), r"metadata: h: expected an integer",
-                 id="string-meta"),
-    pytest.param(lambda a, m: a["source/labels"].__setitem__((0, 0, 0), 2),
-                 "source labels reach 2, but the dataset has 2 classes", id="label-range"),
-    pytest.param(lambda a, m: a["target/images"].__setitem__((0, 0, 0, 0), np.nan),
-                 "'target/images' holds non-finite values", id="nan-image"),
-]
-
-
-@pytest.mark.parametrize("edit, match", _MALFORMED)
+@pytest.mark.parametrize("edit, match", MALFORMED_DATASETS)
 def test_load_rejects_malformed_container(tmp_path, edit, match):
     with pytest.raises(sgt.FormatError, match=match):
-        load_dataset(_resave(tmp_path, edit))
-
-
-@pytest.mark.parametrize("edit, match", _MALFORMED)
-def test_target_only_load_rejects_malformed_container(tmp_path, request, edit, match):
-    # the source arrays' headers are checked as in a full load, their payloads
-    # are not read: "label-range" edits only the source labels' values, so a
-    # target-only load takes it. Every command that reads source labels
-    # loads both domains and checks their range.
-    path = _resave(tmp_path, edit)
-    if request.node.callspec.id == "label-range":
-        ds = load_dataset(path, source=False)
-        assert sorted(ds.arrays) == ["target/images", "target/labels"]
-        return
-    with pytest.raises(sgt.FormatError, match=match):
-        load_dataset(path, source=False)
-
-
-def test_target_only_load_returns_the_target_arrays_alone(tmp_path):
-    ds = generate_dataset(*benchmark_shifts(), n_source=3, n_target=2, seed=12,
-                          h=32, w=32, classes=4)
-    save_dataset(ds, tmp_path)
-    full, target = load_dataset(tmp_path), load_dataset(tmp_path, source=False)
-    assert sorted(target.arrays) == ["target/images", "target/labels"]
-    for name, arr in target.arrays.items():
-        assert arr.dtype == full.arrays[name].dtype and arr.tobytes() == full.arrays[name].tobytes()
-        assert not arr.flags.writeable
-    assert (target.h, target.w, target.classes, target.seed, target.n_target) == (
-        full.h, full.w, full.classes, full.seed, full.n_target)
-    assert (target.source_params, target.target_params) == (full.source_params, full.target_params)
-    with pytest.raises(KeyError):
-        target.source_images()
+        load_dataset(resave_dataset(tmp_path, edit))
 
 
 def test_shift_params_dict_round_trip():

@@ -396,7 +396,7 @@ def test_checkpoint_load_copies_each_tensor_once(tmp_path):
     sgt.save_checkpoint(path, tensors, {"seed": 1})
     before = path.read_bytes()
     (back, _), peak = _traced_peak(lambda: sgt.load_checkpoint(path))
-    assert peak < 2**17, peak  # the check buffer and the metadata
+    assert peak < 2**17, peak  # the metadata
     for name, arr in tensors.items():
         assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
     sgt.save_checkpoint(path, back, {"seed": 1})
@@ -440,8 +440,7 @@ def _map_under(arr):
 
 
 @pytest.mark.skipif(not FD_DIR.exists(), reason="no /proc/self/fd to count descriptors in")
-@pytest.mark.parametrize("names", [None, ["t3", "t25"]], ids=["all", "some"])
-def test_a_load_maps_its_file_once(tmp_path, names):
+def test_a_load_maps_its_file_once(tmp_path):
     # CPython's mmap holds a duplicate of the file's descriptor: one map per
     # tensor held 26 descriptors here, one map per load holds one
     tensors = {f"t{i}": np.full((i + 1, 3), i, np.float32) for i in range(26)}
@@ -449,13 +448,13 @@ def test_a_load_maps_its_file_once(tmp_path, names):
     path = tmp_path / "many.sgt"
     sgt.save_checkpoint(path, tensors, {})
     before = len(os.listdir(FD_DIR))
-    back, _ = sgt.load_checkpoint(path, names)
+    back, _ = sgt.load_checkpoint(path)
     assert len(os.listdir(FD_DIR)) - before <= 1
-    read = [back[name] for name in names or tensors]
+    read = list(back.values())
     maps = [_map_under(arr) for arr in read]
     assert isinstance(maps[0], mmap.mmap) and len(maps[0]) == path.stat().st_size
     assert all(m is maps[0] for m in maps)
-    for name, arr in zip(names or tensors, read):
+    for name, arr in zip(tensors, read):
         assert not arr.flags.writeable and arr.tobytes() == tensors[name].tobytes()
     del back, read, maps, arr  # the last tensor goes, and its map and descriptor with it
     assert len(os.listdir(FD_DIR)) == before
@@ -485,6 +484,29 @@ def test_release_pages_drops_a_maps_pages_and_leaves_owned_arrays_alone(tmp_path
         assert arr.tobytes() == tensors[name].tobytes()
 
 
+@pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps to read resident maps from")
+def test_a_load_leaves_none_of_its_map_resident(tmp_path):
+    # the check reads every payload through the map: a payload of several
+    # steps is released after each step, the one-step payloads once, as the
+    # load ends. Each array read keeps its map, so a 0 kB reading is a map
+    # with no page resident
+    big = np.ones(3 * sgt.CHECK_BYTES // 8 + 1, np.float64)
+    sgt.write_sgt(tmp_path / "big.sgt", big)
+    arr, _, finite = sgt._read_sgt(sgt._map(tmp_path / "big.sgt", 1, ""), 0)
+    assert finite and mapped_rss_kb("big.sgt") == 0
+    sgt.write_sgt(tmp_path / "small.sgt", big[:3])
+    small, _, finite = sgt._read_sgt(sgt._map(tmp_path / "small.sgt", 1, ""), 0)
+    assert finite and mapped_rss_kb("small.sgt") > 0
+    tensors = {"small": big[:3], "big": big, "labels": np.zeros(sgt.CHECK_BYTES + 1, np.uint8)}
+    path = tmp_path / "steps.sgt"
+    sgt.save_checkpoint(path, tensors, {})
+    back, _ = sgt.load_checkpoint(path)
+    assert _map_under(back["big"]) is not None
+    assert mapped_rss_kb("steps.sgt") == 0
+    for name, arr in back.items():
+        assert arr.tobytes() == tensors[name].tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_mapped_load_finds_a_non_finite_value_at_every_chunk_edge(tmp_path, dtype, value):
@@ -497,13 +519,14 @@ def test_mapped_load_finds_a_non_finite_value_at_every_chunk_edge(tmp_path, dtyp
         sgt.save_checkpoint(path, {"ok": good, "x": bad}, {})
         with pytest.raises(sgt.FormatError, match="'x' holds non-finite values"):
             sgt.load_checkpoint(path)
-        back, _ = sgt.load_checkpoint(path, ["ok"])
-        assert back["ok"].tobytes() == good.tobytes()
+    sgt.save_checkpoint(path, {"ok": good}, {})
+    back, _ = sgt.load_checkpoint(path)
+    assert back["ok"].tobytes() == good.tobytes()
 
 
-def _misread_corruptions(tmp_path, names):
-    """The corruptions of a small checkpoint that ``load_checkpoint(path,
-    names)`` loads, or rejects with anything but ``FormatError``."""
+def test_checkpoint_reader_raises_only_format_errors(tmp_path):
+    # every corruption of a small checkpoint is rejected with FormatError,
+    # not loaded and not with struct.error, ValueError, EOFError, ...
     path = tmp_path / "ckpt.sgt"
     sgt.save_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
                                "labels": np.array([0, 1, 3, 2], dtype=np.uint8)}, {"seed": 1})
@@ -515,35 +538,11 @@ def _misread_corruptions(tmp_path, names):
     for case, data in cases:
         bad.write_bytes(data)
         try:
-            sgt.load_checkpoint(bad, names)
+            sgt.load_checkpoint(bad)
         except sgt.FormatError:
             continue
-        except Exception as exc:  # struct.error, ValueError, EOFError, ...
+        except Exception as exc:
             wrong.append((case, repr(exc)))
         else:
             wrong.append((case, "loaded"))
-    return wrong
-
-
-@pytest.mark.parametrize("names", [None, ["w"], ["labels"], []],
-                         ids=["all", "first", "last", "none"])
-def test_checkpoint_reader_raises_only_format_errors(tmp_path, names):
-    # a partial read still parses every header, so a cut or a flipped header
-    # bit in a skipped tensor is found as it is in a read one
-    assert _misread_corruptions(tmp_path, names) == []
-
-
-def test_partial_checkpoint_read_holds_only_the_named_tensors(tmp_path):
-    tensors = _dataset_shaped()
-    tensors["features"][0, 0, 0, 0] = np.nan  # a skipped payload's values are not read
-    path = tmp_path / "big.sgt"
-    sgt.save_checkpoint(path, tensors, {"seed": 1})
-    (back, meta), peak = _traced_peak(lambda: sgt.load_checkpoint(path, ["labels"]))
-    assert meta == {"seed": 1} and list(back) == list(tensors)
-    assert back["labels"].tobytes() == tensors["labels"].tobytes()
-    assert peak < 2**17, peak  # the check buffer and the metadata, no payload
-    for name in ("images", "features"):
-        assert back[name].shape == tensors[name].shape and back[name].dtype == tensors[name].dtype
-        assert not back[name].flags.writeable and set(back[name].strides) == {0}
-    with pytest.raises(sgt.FormatError, match="non-finite"):
-        sgt.load_checkpoint(path, ["features"])
+    assert wrong == []

@@ -7,7 +7,8 @@ loads no scipy module, so a function that needs scipy imports it itself.
 Text files are serialized by ``sgt`` alone: every other module writes its CSV tables
 and JSON records through ``sgt.write_csv`` and ``sgt.write_json``. Every file is
 written through ``sgt.atomic_open``: nothing else in ``src/`` opens a file for
-writing or calls ``write_bytes`` or ``write_text``."""
+writing or calls ``write_bytes`` or ``write_text``. Payload bytes are read
+only through a file's map: nothing in ``src/`` calls ``readinto``."""
 
 import ast
 import os
@@ -143,3 +144,13 @@ def test_only_atomic_open_writes_files():
                     name in ("open", "fdopen") and _opens_for_writing(node)):
                 writes.append(f"{path.name}:{node.lineno}: {name}")
     assert writes == []
+
+
+def test_no_payload_is_read_into_a_buffer():
+    # a load checks each payload through the map it hands the payload out
+    # from; a copy through a buffer would check bytes the caller never sees
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "readinto"]
+    assert calls == []
