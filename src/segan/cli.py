@@ -128,7 +128,7 @@ def _check_size(ds, *specs) -> None:
             raise ConfigError("", f"the dataset's {ds.h}x{ds.w} images do not fit: {exc}") from None
 
 
-def _style_fn(args, ds, cfg: RunConfig, needs_aug: bool):
+def _style_fn(args, ds, needs_aug: bool):
     if args.oracle_style and args.tgstn:
         raise ConfigError("", "--oracle-style and --tgstn are mutually exclusive")
     if args.oracle_style:
@@ -207,7 +207,7 @@ def cmd_train(args) -> int:
     _check_size(ds, *specs)
     # every mode past noadapt feeds target batches
     check_batches("train", ds, cfg.train.batch_source, cfg.train.batch_target if at else None)
-    style_fn = _style_fn(args, ds, cfg, needs_aug)
+    style_fn = _style_fn(args, ds, needs_aug)
     out = _prepare_out(args.out, args.force)
     report, bundle, log = run_ablation(args.mode, ds, cfg.train, cfg.seed, style_fn=style_fn,
                                        out_dir=out, networks=cfg.networks)

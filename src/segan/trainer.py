@@ -115,37 +115,38 @@ def _check_at_least(record, **lows) -> None:
 
 @dataclass
 class TrainConfig:
-    """Adversarial stage configuration. Defaults follow the reference
-    hyperparameters; desk-scale runs shrink maxiter and batch sizes."""
+    """Adversarial and self-training stage configuration. The defaults are
+    the desk-scale hyperparameters the acceptance sweep trains with; the
+    paper-scale values are ``configs/paper.json``."""
 
     lambda_con: float = 3.0
-    lambda_adv: float = 0.001
-    alpha: float = 0.999
-    lr_student: float = 2.5e-5
+    lambda_adv: float = 0.01
+    alpha: float = 0.95
+    lr_student: float = 0.1
     momentum: float = 0.9
-    lr_disc: float = 1e-4
+    lr_disc: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.99
     weight_decay: float = 5e-5
     poly_power: float = 0.9
-    maxiter: int = 3000
-    st_maxiter: int = 1000
-    st_lr: float | None = None  # self-training lr; falls back to lr_student
+    maxiter: int = 600
+    st_maxiter: int = 400
+    st_lr: float = 0.01  # self-training lr
     batch_source: int = 2
     batch_target: int = 2
-    eval_interval: int = 100
+    eval_interval: int = 40
     checkpoint_interval: int = 0  # 0 disables interval checkpoints
-    eval_count: int = 16
+    eval_count: int = 16  # held-out target scenes per logged eval; 0 scores all
     mst_scales: tuple[float, ...] = (0.75, 1.0, 1.25)
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ConfigError("alpha", f"alpha must be in [0, 1], got {self.alpha}")
         for name in ("lambda_con", "lambda_adv", "lr_student", "lr_disc", "st_lr"):
-            if (getattr(self, name) or 0) < 0:
+            if getattr(self, name) < 0:
                 raise ConfigError(name, f"{name} must be >= 0, got {getattr(self, name)}")
         _check_at_least(self, maxiter=1, st_maxiter=0, batch_source=1, batch_target=1,
-                        eval_interval=1, checkpoint_interval=0)
+                        eval_interval=1, checkpoint_interval=0, eval_count=0)
         self.mst_scales = tuple(self.mst_scales)
         if not self.mst_scales or any(s <= 0 for s in self.mst_scales):
             raise ConfigError("mst_scales",
@@ -154,10 +155,12 @@ class TrainConfig:
 
 @dataclass
 class TGSTNConfig:
-    """Style-transfer stage configuration."""
+    """Style-transfer stage configuration. The defaults are desk-scale, as
+    :class:`TrainConfig`'s; the paper-scale loss weights are
+    ``configs/paper.json``."""
 
-    lambda_sem: float = 10.0
-    lambda_per: float = 1.0
+    lambda_sem: float = 1.0
+    lambda_per: float = 0.1
     lr_gen: float = 5e-4
     lr_disc: float = 5e-5
     beta1: float = 0.9
@@ -476,7 +479,7 @@ def self_train(
 ) -> tuple[NetParams, TrainLog]:
     """Descend the cross entropy against the (n_target,h,w) pseudo-label
     maps on target images for ``cfg.st_maxiter`` iterations on a fresh poly
-    schedule."""
+    schedule from ``cfg.st_lr``."""
     pseudo = np.asarray(pseudo)
     expected = (ds.n_target, ds.h, ds.w)
     if pseudo.shape != expected:
@@ -493,9 +496,8 @@ def self_train(
     probs = segnet_forward(g, student.spec, pn, x)["probs"]
     loss = pixel_ce_node(g, probs, y, name="st")
 
-    st_lr = cfg.lr_student if cfg.st_lr is None else cfg.st_lr
     sweep = _Sweep(loss, pn, student, SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
-                   PolySchedule(st_lr, cfg.poly_power, cfg.st_maxiter))
+                   PolySchedule(cfg.st_lr, cfg.poly_power, cfg.st_maxiter))
     rng = substream(seed, "batch", "selftrain")
     tgt_imgs = ds.target_images()
 
@@ -632,18 +634,16 @@ def tgstn_style_fn(gen: NetParams):
     return lambda images: apply_style_generator(gen, images)
 
 
-PHI_LR = 0.1  # step size of the source-only segmenter that guides style transfer
-
-
 def pretrain_phi(
     ds: DomainDataset,
     seed: int,
     maxiter: int = 400,
     networks: NetworksConfig = NetworksConfig(),
 ) -> NetParams:
-    """Source-only supervised segmenter, frozen, for guiding style transfer."""
-    cfg = TrainConfig(maxiter=maxiter, lr_student=PHI_LR, eval_interval=max(1, maxiter),
-                      eval_count=1)
+    """Source-only supervised segmenter, frozen, for guiding style transfer.
+    It trains ``noadapt`` at the default :class:`TrainConfig` rates, not at
+    a run's ``train`` section, so a config file does not move it."""
+    cfg = TrainConfig(maxiter=maxiter, eval_interval=max(1, maxiter), eval_count=1)
     bundle, _ = train_segan(cfg, ds, "noadapt", derive_seed(seed, "phi"), networks=networks)
     return bundle.student.frozen()
 
@@ -685,7 +685,8 @@ def _check_tensors(path, comp: str, spec, values: dict[str, np.ndarray]) -> None
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
-    """The nets of a checkpoint, each checked against its spec; raises
+    """The nets of a checkpoint, each checked against its spec, and the
+    discriminator against the segmenter whose maps it takes; raises
     ``FormatError`` naming the file at the first disagreement. Each net
     tensor is copied out of the checkpoint's read-only map, so the nets own
     writeable arrays and keep their values if the file is later rewritten,
@@ -714,12 +715,11 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
         comp, _, layer = name.partition("/")
         if comp not in nets or layer not in nets[comp].values:
             raise sgt.FormatError(f"{path}: tensor {name} belongs to no network spec")
-    bundle = ModelBundle(
-        student=nets.get("student"),
-        teacher=nets.get("teacher"),
-        disc=nets.get("disc"),
-        generator=nets.get("generator"),
-    )
+    bundle = ModelBundle(*(nets.get(c) for c in ("student", "teacher", "disc", "generator")))
+    s, d = bundle.student, bundle.disc
+    if s is not None and d is not None and d.spec.in_channels != s.spec.class_count:
+        raise sgt.FormatError(f"{path}: the discriminator takes {d.spec.in_channels} channels, "
+                              f"but the segmenter emits {s.spec.class_count} classes")
     return bundle, meta
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import types
 import typing
 import zlib
 
@@ -124,11 +123,6 @@ def _decode(tp, value, path: str, fallback):
         return record_from_dict(tp, value, path,
                                 None if fallback is dataclasses.MISSING else fallback)
     args = typing.get_args(tp)
-    if isinstance(tp, types.UnionType) and type(None) in args:
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        args = typing.get_args(tp)
     if args[-1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected a list of objects, got {value!r}")

@@ -3,7 +3,9 @@
 One test per numbered criterion; each prints a single ``criterion NN ...
 PASS`` line with the measured quantities (``tests/conftest.py`` repeats
 the captured lines in the run's terminal summary). The heavyweight ablation
-sweep is shared by criteria 06-08 through a module fixture.
+sweep is shared by criteria 06-08 through a module fixture. It trains at
+the built-in defaults, and one more test holds a CLI session without a
+``train`` section to its ``at`` run, byte for byte.
 """
 
 import json
@@ -26,6 +28,7 @@ from segan.losses import (
     weighted_sum_node,
 )
 from segan.metrics import confusion_matrix, iou_report, transfer_gain
+from segan.sgt import write_json
 from segan.tensor import Graph, backward, forward
 from segan.trainer import (
     TGSTNConfig,
@@ -260,13 +263,8 @@ def sweep():
     reports = {}
     started = time.monotonic()
     for seed in SEEDS:
-        cfg = TrainConfig(
-            lr_student=0.1, momentum=0.9, lr_disc=1e-3, lambda_adv=0.01, lambda_con=3.0,
-            alpha=0.95, maxiter=600, st_maxiter=400, st_lr=0.01, eval_interval=40,
-            eval_count=16, batch_source=2, batch_target=2,
-        )
         for mode in MODES:
-            report, _, log = run_ablation(mode, ds, cfg, seed, style_fn=style)
+            report, _, log = run_ablation(mode, ds, TrainConfig(), seed, style_fn=style)
             miou[mode].append(report.miou)
             stability[mode].append(stability_index([r["miou_eval"] for r in log.rows]))
             reports[(mode, seed)] = report
@@ -320,6 +318,19 @@ def test_criterion_08_negative_transfer_not_worse(sweep):
     _announce(f"criterion 08 negative transfer: PASS (full <= at in {wins}/5 seeds, {counts})")
 
 
+def test_a_default_cli_session_writes_the_sweeps_at_report(sweep, tmp_path):
+    # the sweep trains at the built-in defaults, so a CLI session on its
+    # dataset with no train section is its at run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"n_source": 24, "n_target": 24}}))
+    data, out = str(tmp_path / "data"), tmp_path / "at"
+    assert cli.main(["gen-data", "--config", str(config), "--seed", "11", "--out", data]) == 0
+    assert cli.main(["train", "--config", str(config), "--seed", "0", "--data", data,
+                     "--mode", "at", "--out", str(out)]) == 0
+    write_json(tmp_path / "sweep.json", sweep["reports"][("at", 0)].to_dict())
+    assert (out / "report.json").read_bytes() == (tmp_path / "sweep.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # criterion 9: bit-identical reruns through the CLI
 
@@ -328,10 +339,7 @@ def test_criterion_09_cli_determinism(tmp_path):
     cfg = {
         "seed": 5,
         "dataset": {"n_source": 6, "n_target": 6, "height": 32, "width": 32},
-        "train": {
-            "maxiter": 30, "st_maxiter": 10, "eval_interval": 10, "eval_count": 4,
-            "batch_source": 2, "batch_target": 2, "lambda_adv": 0.01,
-        },
+        "train": {"maxiter": 30, "st_maxiter": 10, "eval_interval": 10, "eval_count": 4},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -367,7 +375,7 @@ def test_criterion_10_style_transfer_closes_gap():
     gaps = []
     for seed in SEEDS:
         phi = pretrain_phi(ds, seed)
-        gen, _ = train_tgstn(TGSTNConfig(lambda_sem=1.0, lambda_per=0.1, epochs=100), ds, phi, seed)
+        gen, _ = train_tgstn(TGSTNConfig(epochs=100), ds, phi, seed)
         styled = apply_style_generator(gen, imgs)
         assert styled.shape == imgs.shape
         assert styled.min() >= 0.0 and styled.max() <= 1.0

@@ -16,7 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from segan.utils import derive_seed
 from references import MALFORMED_DATASETS, checkpoint_corruptions, resave_dataset
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+PAPER_CONFIG = SRC_ROOT.parent / "configs" / "paper.json"
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,19 @@ def test_empty_config_is_all_defaults():
     cfg = parse_config({})
     assert cfg == RunConfig()
     assert load_config(None) == RunConfig()
+
+
+def test_paper_config_sets_only_train_and_tgstn_values_off_their_defaults():
+    # the defaults are desk-scale and the paper-scale values are this one
+    # file, so each value it holds moves a default and none restates one
+    data = json.loads(PAPER_CONFIG.read_text())
+    cfg, default = load_config(PAPER_CONFIG), RunConfig()
+    assert set(data) == {"train", "tgstn"}
+    for sect, values in data.items():
+        for key, value in values.items():
+            got, stock = getattr(getattr(cfg, sect), key), getattr(getattr(default, sect), key)
+            assert got == value != stock, f"{sect}.{key}"
+    assert replace(cfg, train=default.train, tgstn=default.tgstn) == default
 
 
 def test_seed_propagates_to_stages(workdir, tmp_path):
@@ -90,7 +104,7 @@ def test_config_dict_round_trip():
                 },
             },
             "networks": {"segnet_widths": [8, 16, 16]},
-            "train": {"maxiter": 50, "lambda_adv": 0.01},
+            "train": {"maxiter": 50, "lambda_adv": 0.02},
             "tgstn": {"epochs": 2},
             "bounds": {"epsilon": 0.5, "tight_sigmoid": True},
         }
@@ -157,6 +171,7 @@ def test_unknown_keys_fail_with_dotted_path(data, path_fragment):
         # Python's json reads NaN and Infinity
         ({"train": {"mst_scales": [1.0, float("nan")]}}, "train.mst_scales", "finite numbers"),
         ({"bounds": {"epsilon": float("inf")}}, "bounds.epsilon", "finite number"),
+        ({"train": {"st_lr": None}}, "train.st_lr", "finite number"),
     ],
 )
 def test_invalid_values_fail_with_dotted_path(data, path_fragment, msg):
@@ -219,15 +234,7 @@ TINY = {
         "width": 32,
         "target": {"appearance": {"brightness": 0.15, "palette_rotation": 0.5}},
     },
-    "train": {
-        "maxiter": 10,
-        "st_maxiter": 4,
-        "eval_interval": 5,
-        "eval_count": 2,
-        "batch_source": 2,
-        "batch_target": 2,
-        "lambda_adv": 0.01,
-    },
+    "train": {"maxiter": 10, "st_maxiter": 4, "eval_interval": 5, "eval_count": 2},
     "tgstn": {"epochs": 1},
 }
 
@@ -614,7 +621,7 @@ def test_rewriting_a_loaded_dataset_leaves_its_arrays(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("mst", [[], ["--mst", "0.75,1,1.25"]], ids=["single", "mst"])
-def test_eval_holds_the_target_arrays_alone(stock_eval, tmp_path, mst):
+def test_eval_holds_no_dataset_array(stock_eval, tmp_path, mst):
     # loading both domains peaked at 23.6 MiB (24.9 MiB with --mst), copying
     # the target alone at 11.9 (13.3), mapping it at 1.7 (3.2), mapping and
     # checking both at 1.9 (3.4): no array is copied
@@ -767,10 +774,12 @@ def test_bounds_payload_is_internally_consistent(workdir, trained, tmp_path):
         lambda t, meta: meta["specs"]["student"].update(widths=[16, 32, 64]),
         lambda t, meta: t.__setitem__("critic/w", np.zeros(3, np.float32)),
         lambda t, meta: meta["specs"]["disc"].update(stride=0),
+        lambda t, meta: (meta["specs"]["disc"].update(in_channels=3),
+                         t.update({"disc/conv0/w": t["disc/conv0/w"][:, :, :3]})),
     ],
     ids=["no-kind", "unknown-kind", "unknown-field", "string-widths", "specs-list",
          "nan-weight", "inf-weight", "missing-tensor", "extra-tensor", "shape-disagrees",
-         "widths-disagree", "tensor-of-no-net", "disc-stride-zero"],
+         "widths-disagree", "tensor-of-no-net", "disc-stride-zero", "disc-channels-disagree"],
 )
 @pytest.mark.parametrize("command", ["eval", "bounds"])
 def test_malformed_checkpoint_specs_exit_4(workdir, trained, tmp_path, capsys, command, edit):
@@ -922,14 +931,17 @@ def test_dataset_sizes_the_nets_cannot_take_exit_2(trained, tmp_path, capsys, si
          "config error: tgstn.lr_gen: "),
         (["train", "--mode", "noadapt"], {"train": dict(TINY["train"], alpha=2)}, None, 2,
          "config error: train.alpha: "),
+        (["train", "--mode", "noadapt"], {"train": dict(TINY["train"], eval_count=-3)}, None,
+         2, "config error: train.eval_count: "),
         (["bounds"], {"bounds": {"n": 10}}, None, 2, "config error: bounds.n: "),
         (["bounds"], {}, -1, 4, "i/o error: "),
         (["bounds"], {}, 1.5, 4, "i/o error: "),
         (["bounds"], {}, True, 4, "i/o error: "),
     ],
     ids=["stylegen-widths", "disc-widths", "segnet-widths", "segnet-downsample",
-         "mst-negative", "mst-empty", "tgstn-lr", "train-alpha", "bounds-n",
-         "checkpoint-seed-negative", "checkpoint-seed-fraction", "checkpoint-seed-bool"],
+         "mst-negative", "mst-empty", "tgstn-lr", "train-alpha", "train-eval-count",
+         "bounds-n", "checkpoint-seed-negative", "checkpoint-seed-fraction",
+         "checkpoint-seed-bool"],
 )
 def test_bad_values_exit_at_their_path_before_out_exists(workdir, trained, tmp_path, capsys,
                                                          argv, sections, seed, code,

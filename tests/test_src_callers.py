@@ -1,7 +1,8 @@
 """The library holds what the program runs: every module-level function and
 class in ``src/segan`` is referenced in ``src/`` outside its own definition,
-and every defaulted parameter of a module-level function is passed by some
-call in ``src/`` or ``perfbench/``. Oracles that only the tests call live in
+every defaulted parameter of a module-level function is passed by some
+call in ``src/`` or ``perfbench/``, and every parameter of a function or
+lambda in ``src/`` is read in its body. Oracles that only the tests call live in
 ``references.py``. The program starts on numpy alone: importing the CLI
 loads no scipy module, so a function that needs scipy imports it itself.
 Text files are serialized by ``sgt`` alone: every other module writes its CSV tables
@@ -80,6 +81,23 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     unpassed = sorted(f"{fn}({p})" for fn, ps in defaulted.items() for p in ps
                       if (fn, p) not in passed | TEST_ONLY)
     assert unpassed == []
+
+
+def test_every_parameter_is_read_in_its_body():
+    # a parameter nothing reads is an argument every caller passes for nothing
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})"
+                       for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                       if p is not None and p.arg not in read]
+    assert unread == []
 
 
 def test_the_cli_imports_no_scipy():

@@ -98,19 +98,8 @@ def ds():
 
 
 def _fast_cfg(**kw):
-    base = dict(
-        lr_student=0.05,
-        lr_disc=1e-3,
-        lambda_adv=0.01,
-        maxiter=20,
-        st_maxiter=10,
-        eval_interval=10,
-        eval_count=4,
-        batch_source=2,
-        batch_target=2,
-    )
-    base.update(kw)
-    return TrainConfig(**base)
+    base = dict(lr_student=0.05, maxiter=20, st_maxiter=10, eval_interval=10, eval_count=4)
+    return TrainConfig(**{**base, **kw})
 
 
 SEED = 3
